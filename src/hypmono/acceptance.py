@@ -48,17 +48,14 @@ def _float_agrees(table_exact, table_float, tol=1e-9) -> float:
 
 # ----------------------------------------------------------------------
 
-def _c1_digit_lemma_base2(workers, seed):
+def _c1_digit_lemma_base2(seed):
     t0 = time.perf_counter()
     base_bad = sum(
         not kubert.verify_lemma_3x13(r).passed for r in range(1, 15)
     )
     base_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ext_bad = sum(
-        not kubert.verify_lemma_3x13(r, workers=workers).passed
-        for r in range(15, 25)
-    )
+    ext_bad = sum(not kubert.verify_lemma_3x13(r).passed for r in range(15, 25))
     ext_seconds = time.perf_counter() - t0
     details = {
         "r_base": 14,
@@ -70,15 +67,12 @@ def _c1_digit_lemma_base2(workers, seed):
     return ok, details
 
 
-def _c2_digit_lemma_base3(workers, seed):
+def _c2_digit_lemma_base3(seed):
     t0 = time.perf_counter()
     base_bad = sum(not kubert.verify_lemma_4x5(r).passed for r in range(1, 8))
     base_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ext_bad = sum(
-        not kubert.verify_lemma_4x5(r, workers=workers).passed
-        for r in range(8, 15)
-    )
+    ext_bad = sum(not kubert.verify_lemma_4x5(r).passed for r in range(8, 15))
     ext_seconds = time.perf_counter() - t0
     details = {
         "r_base": 7,
@@ -90,12 +84,9 @@ def _c2_digit_lemma_base3(workers, seed):
     return ok, details
 
 
-def _c3_digit_lemma_28(workers, seed):
+def _c3_digit_lemma_28(seed):
     base_bad = sum(not kubert.verify_lemma_28(r).passed for r in range(1, 4))
-    ext_bad = sum(
-        not kubert.verify_lemma_28(r, workers=workers).passed
-        for r in range(4, 13)
-    )
+    ext_bad = sum(not kubert.verify_lemma_28(r).passed for r in range(4, 13))
     return base_bad == 0 and ext_bad == 0, {
         "r_base": 3,
         "violations_base": base_bad,
@@ -104,10 +95,10 @@ def _c3_digit_lemma_28(workers, seed):
     }
 
 
-def _c4_bracket_forms(workers, seed):
+def _c4_bracket_forms(seed):
     bad = {}
     bad["sharp-3x13"] = sum(
-        not kubert.verify_sharp_inequality("3x13", r, workers=workers).passed
+        not kubert.verify_sharp_inequality("3x13", r).passed
         for r in range(2, 21, 2)
     )
     bad["sharp-4x5"] = sum(
@@ -117,7 +108,7 @@ def _c4_bracket_forms(workers, seed):
         not kubert.verify_sharp_inequality("28", r).passed for r in range(2, 13)
     )
     bad["corollary-3x13"] = sum(
-        not kubert.verify_bracket_corollaries("3x13", r, workers=workers).passed
+        not kubert.verify_bracket_corollaries("3x13", r).passed
         for r in range(2, 21, 2)
     )
     bad["corollary-4x5"] = sum(
@@ -131,7 +122,7 @@ def _c4_bracket_forms(workers, seed):
     return all(v == 0 for v in bad.values()), bad
 
 
-def _c5_v_identities(workers, seed):
+def _c5_v_identities(seed):
     details = {}
     # V(x) + V(-x) = 1 for x != 0, over denominators p^r - 1
     bad = 0
@@ -205,10 +196,10 @@ def _c5_v_identities(workers, seed):
     return ok, details
 
 
-def _c6_criteria(workers, seed):
-    r1 = kubert.check_criterion_AxB(2, 3, 13, 16, workers=workers)
-    r2 = kubert.check_criterion_AxB(3, 4, 5, 10, workers=workers)
-    r3 = kubert.check_criterion_Atimes(3, 2, 7, 28, 10, workers=workers)
+def _c6_criteria(seed):
+    r1 = kubert.check_criterion_AxB(2, 3, 13, 16)
+    r2 = kubert.check_criterion_AxB(3, 4, 5, 10)
+    r3 = kubert.check_criterion_Atimes(3, 2, 7, 28, 10)
     details = {
         "AxB_2_3_13": {"checked": r1.checked, "counterexamples": len(r1.counterexamples)},
         "AxB_3_4_5": {"checked": r2.checked, "counterexamples": len(r2.counterexamples)},
@@ -217,7 +208,7 @@ def _c6_criteria(workers, seed):
     return r1.passed and r2.passed and r3.passed, details
 
 
-def _c7_trace_tables(workers, seed):
+def _c7_trace_tables(seed):
     details = {}
     ok = True
 
@@ -266,13 +257,11 @@ def _c7_trace_tables(workers, seed):
     return ok, details
 
 
-def _c8_moments(workers, seed):
+def _c8_moments(seed):
     details = {}
     ok = True
     t0 = time.perf_counter()
-    tab = exp_sums.trace_table_all(
-        build_field(2, 10), "AxB", A=3, B=13, mode="float", workers=workers
-    )
+    tab = exp_sums.trace_table_all(build_field(2, 10), "AxB", A=3, B=13, mode="float")
     m1 = exp_sums.moments(tab, 1)
     seconds = time.perf_counter() - t0
     bound = 10 / math.sqrt(1024)
@@ -280,9 +269,7 @@ def _c8_moments(workers, seed):
     ok &= abs(m1 - 1.0) <= bound and seconds < 600
     for kind, A, B, fam in (("AxB", 4, 5, "4x5"), ("Atimes", None, 7, "28x")):
         t0 = time.perf_counter()
-        tab = exp_sums.trace_table_all(
-            build_field(3, 6), kind, A=A, B=B, mode="float", workers=workers
-        )
+        tab = exp_sums.trace_table_all(build_field(3, 6), kind, A=A, B=B, mode="float")
         m1 = exp_sums.moments(tab, 1)
         seconds = time.perf_counter() - t0
         bound = 10 / math.sqrt(729)
@@ -291,7 +278,7 @@ def _c8_moments(workers, seed):
     return ok, details
 
 
-def _c9_classification(workers, seed):
+def _c9_classification(seed):
     expected = {
         "3x13": ("orthogonal", 23, 11, "C2^11 : C23"),
         "4x5": ("none", 11, 5, "C3^5 : C11"),
@@ -335,7 +322,7 @@ def _c9_classification(workers, seed):
     return ok, details
 
 
-def _c10_cross_evaluator(workers, seed):
+def _c10_cross_evaluator(seed):
     details = {}
     ok = True
     jobs = (
@@ -384,18 +371,18 @@ CRITERIA = [
 ]
 
 
-def run_criterion(cid: str, workers: int = 1, seed: int = 20240601) -> CriterionResult:
+def run_criterion(cid: str, seed: int = 20240601) -> CriterionResult:
     for c, desc, fn in CRITERIA:
         if c == cid:
             t0 = time.perf_counter()
-            passed, details = fn(workers, seed)
+            passed, details = fn(seed)
             return CriterionResult(c, desc, bool(passed), details,
                                    time.perf_counter() - t0)
     raise KeyError(f"unknown criterion {cid!r}")
 
 
-def run_all(workers: int = 1, seed: int = 20240601) -> list[CriterionResult]:
-    return [run_criterion(cid, workers, seed) for cid, _, _ in CRITERIA]
+def run_all(seed: int = 20240601) -> list[CriterionResult]:
+    return [run_criterion(cid, seed) for cid, _, _ in CRITERIA]
 
 
 def manifest(results: list[CriterionResult]) -> dict:

@@ -70,18 +70,18 @@ def cmd_verify_digit_lemma(args) -> int:
     records = []
     all_pass = True
     for r in range(1, r_max + 1):
-        rep = lemma(r, workers=args.workers)
+        rep = lemma(r)
         all_pass &= rep.passed
         records.extend(rep.to_json_records())
     for r in range(1, r_max + 1):
         if family == "3x13" and (r % 2 or r < 2):
             continue
-        rep = kubert.verify_bracket_corollaries(family, r, workers=args.workers)
+        rep = kubert.verify_bracket_corollaries(family, r)
         all_pass &= rep.passed
         records.extend(rep.to_json_records())
         if family != "3x13" and r < 2:
             continue
-        rep = kubert.verify_sharp_inequality(family, r, workers=args.workers)
+        rep = kubert.verify_sharp_inequality(family, r)
         all_pass &= rep.passed
         records.extend(rep.to_json_records())
     out = Path(args.out) / f"digit_lemma_{family}.ndjson" if args.out else None
@@ -100,9 +100,7 @@ def cmd_trace_table(args) -> int:
     modes = ["exact", "float"] if args.mode == "both" else [args.mode]
     a_param = fam.A if fam.kind == "AxB" else None
     tables = {
-        mode: exp_sums.trace_table_all(
-            field, fam.kind, A=a_param, B=fam.B, mode=mode, workers=args.workers
-        )
+        mode: exp_sums.trace_table_all(field, fam.kind, A=a_param, B=fam.B, mode=mode)
         for mode in modes
     }
     primary = tables.get("exact") or tables["float"]
@@ -163,7 +161,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reproduce_all(args) -> int:
-    results = acceptance.run_all(workers=args.workers, seed=args.seed)
+    results = acceptance.run_all(seed=args.seed)
     out_dir = Path(args.out) if args.out else Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
     man = acceptance.manifest(results)
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--family", required=True, choices=["3x13", "4x5", "28"])
     p1.add_argument("--r-max", type=int, default=None,
                     help="defaults per family: 3x13 -> 24, 4x5 -> 14, 28 -> 12")
-    p1.add_argument("--workers", type=int, default=1)
     p1.add_argument("--out", default=None)
     p1.set_defaults(func=cmd_verify_digit_lemma)
 
@@ -199,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--family", required=True, choices=["3x13", "4x5", "28x"])
     p2.add_argument("--field-degree", type=int, required=True)
     p2.add_argument("--mode", choices=["exact", "float", "both"], default="float")
-    p2.add_argument("--workers", type=int, default=1)
     p2.add_argument("--out", default=None)
     p2.set_defaults(func=cmd_trace_table)
 
@@ -213,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p4 = sub.add_parser("reproduce-all",
                         help="run every acceptance criterion and write a manifest")
-    p4.add_argument("--workers", type=int, default=max(1, min(8, os.cpu_count() or 1)))
     p4.add_argument("--seed", type=int, default=20240601)
     p4.add_argument("--out", default=None)
     p4.set_defaults(func=cmd_reproduce_all)
@@ -223,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be at least 1")
     try:
         return args.func(args)
     except CapExceededError as exc:

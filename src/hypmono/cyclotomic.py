@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .finite_field import _prime_factors
+
 # Exact arithmetic is enabled by default only up to this basis size;
 # coefficient-vector multiplication is quadratic in phi(m).
 EXACT_PHI_CAP = 256
@@ -104,6 +106,36 @@ def _reduce_exponents(m: int, terms) -> tuple[int, ...]:
                 if v:
                     out[j] += coef * v
     return tuple(out)
+
+
+def _minimal_form(order: int, num: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Power-basis coordinates of sum num[j] * zeta_order^j in the smallest
+    Q(zeta_d) holding it, found by descending one prime l | order at a time."""
+    descended = True
+    while descended:
+        descended = False
+        for ell in _prime_factors(order):
+            m = order // ell
+            if m % ell == 0:
+                # Phi_order(x) = Phi_m(x^l): the subfield is spanned by x^(l*i)
+                if any(c for j, c in enumerate(num) if j % ell):
+                    continue
+                num = num[::ell]
+            else:
+                # zeta_order = zeta_m^u * zeta_l^v; write the value as
+                # sum_b z_b zeta_l^b with z_b in Q(zeta_m), which lies in
+                # Q(zeta_m) iff z_1 = ... = z_(l-1), and then equals z_0 - z_(l-1)
+                u, v = pow(ell, -1, m), pow(m, -1, ell)
+                parts = [[] for _ in range(ell)]
+                for j, c in enumerate(num):
+                    parts[v * j % ell].append((u * j % m, c))
+                z = [_reduce_exponents(m, t) for t in parts]
+                if any(zb != z[-1] for zb in z[1:-1]):
+                    continue
+                num = tuple(a - b for a, b in zip(z[0], z[-1]))
+            order, descended = m, True
+            break
+    return order, num
 
 
 class CycNumber:
@@ -344,8 +376,11 @@ class CycNumber:
     def __hash__(self):
         if not self.is_exact:
             raise TypeError("float-mode values are unhashable")
-        canon = self.lift(self.order)
-        return hash((canon.order, canon.num, canon.den))
+        order, num = _minimal_form(self.order, self.num)
+        canon = CycNumber(order, num, self.den)
+        if order == 1:
+            return hash(Fraction(canon.num[0], canon.den))
+        return hash((order, canon.num, canon.den))
 
     def approx_eq(self, other, tol: float = 1e-9) -> bool:
         za, ea = self._as_float()

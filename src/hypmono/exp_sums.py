@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,13 +96,11 @@ def _char_exponents(field: FieldTable, kind: str, A: int) -> list[int]:
     return [n // 4, 3 * n // 4]
 
 
-def _value_order(field: FieldTable, exps: list[int]) -> int:
+def _char_order_of(field: FieldTable, exps: list[int]) -> int:
+    """lcm of the orders of the characters with these exponents; the trace
+    values lie in Q(zeta_m) for m = lcm(p, this order)."""
     n = field.q - 1
-    m = field.p
-    for e in exps:
-        d = n // math.gcd(e, n)
-        m = m * d // math.gcd(m, d)
-    return m
+    return math.lcm(*(n // math.gcd(e, n) for e in exps))
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +175,7 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int, mode: str)
         )
     if s == 0:
         raise ValueError("s must be nonzero")
-    m = _value_order(field, exps)
+    m = math.lcm(p, _char_order_of(field, exps))
     s_inv_log = (-field.log[s]) % n
     neg_shift = 0 if p == 2 else field.log[field.neg(1)]
     svals = [
@@ -292,7 +289,6 @@ def trace_table_all(
     A: int | None = None,
     B: int | None = None,
     mode: str = "float",
-    workers: int = 1,
 ) -> TraceTable:
     """Full trace table over K^* via the u-substitution pipeline.
 
@@ -318,8 +314,9 @@ def trace_table_all(
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     nu = len(exps)
-    m = _value_order(field, exps)
-    base_size = p ** multiplicative_order(p, _char_order_of(field, exps))
+    char_order = _char_order_of(field, exps)
+    m = math.lcm(p, char_order)
+    base_size = p ** multiplicative_order(p, char_order)
 
     counts = _twisted_counts(field, B)
     logs = np.arange(n, dtype=np.int64)
@@ -349,7 +346,7 @@ def trace_table_all(
                 raw += np.roll(sel, v * (m // p))
             values.append(CycNumber.from_exponent_counts(m, sign * raw, den))
         return TraceTable(
-            _kind_tag(kind), p, params, field, base_size, "exact", nu, m,
+            kind, p, params, field, base_size, "exact", nu, m,
             exact_values=values,
         )
 
@@ -370,37 +367,14 @@ def trace_table_all(
     neg_shift = 0 if p == 2 else int(field.log[field.neg(1)])
     psi_units = zp[field.trace_table[field.antilog]]
     values = np.empty(n, dtype=complex)
-
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            values[i] = (psi_units[(logs + neg_shift - i) % n] * g).sum()
-
-    if workers > 1:
-        block = max(1, n // workers)
-        spans = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda sp: fill(*sp), spans))
-    else:
-        fill(0, n)
+    for i in range(n):
+        values[i] = (psi_units[(logs + neg_shift - i) % n] * g).sum()
     total_err = (n * gerr + n * gmax * _EPS) / q ** nu
     values *= sign / q ** nu
     return TraceTable(
-        _kind_tag(kind), p, params, field, base_size, "float", nu, m,
+        kind, p, params, field, base_size, "float", nu, m,
         float_values=values, float_err=total_err,
     )
-
-
-def _kind_tag(kind: str) -> str:
-    return kind
-
-
-def _char_order_of(field: FieldTable, exps: list[int]) -> int:
-    n = field.q - 1
-    d = 1
-    for e in exps:
-        de = n // math.gcd(e, n)
-        d = d * de // math.gcd(d, de)
-    return d
 
 
 # ----------------------------------------------------------------------
@@ -569,4 +543,4 @@ def export_csv(table: TraceTable, path) -> None:
         else:
             writer.writerow(["s_log_index", "re", "im"])
             for i, z in enumerate(table.float_values):
-                writer.writerow([i, repr(z.real), repr(z.imag)])
+                writer.writerow([i, repr(float(z.real)), repr(float(z.imag))])

@@ -173,7 +173,7 @@ class FieldTable:
     """Precomputed arithmetic model of F_{p^k}.
 
     All tables are immutable after construction and every operation is a
-    pure read, so a FieldTable can be shared freely across workers.
+    pure read, so a FieldTable can be shared freely across threads.
     Operations accept plain ints or numpy arrays and return the matching
     kind.
     """

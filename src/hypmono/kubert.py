@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .errors import CapExceededError
+from .finite_field import _prime_factors
 
 _CHUNK = 1 << 22
 _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped)
@@ -42,15 +43,26 @@ def digit_sum(n: int, p: int) -> int:
     return s
 
 
+@cache
+def _digit_sum_table(p: int) -> np.ndarray:
+    """Digit sums of 0 .. p^8 - 1, one base-p digit appended per step."""
+    t = np.zeros(1, dtype=np.int64)
+    for _ in range(8):
+        t = (t[:, None] + np.arange(p)).ravel()
+    t.setflags(write=False)  # shared by every caller
+    return t
+
+
 def digit_sum_vec(values: np.ndarray, p: int) -> np.ndarray:
     values = np.asarray(values)
     if p == 2:
         return np.bitwise_count(values).astype(np.int64)
-    v = values.astype(np.int64, copy=True)
-    out = np.zeros_like(v)
+    table = _digit_sum_table(p)
+    v, low = np.divmod(values.astype(np.int64), len(table))
+    out = table[low]
     while v.max(initial=0) > 0:
-        v, d = np.divmod(v, p)
-        out += d
+        v, low = np.divmod(v, len(table))
+        out += table[low]
     return out
 
 
@@ -211,59 +223,131 @@ class VerificationReport:
 
 
 # ----------------------------------------------------------------------
-# chunked exhaustive scans
+# the digit lemmas as data
 
-def _merge_variant(parts, names):
-    out = []
-    for i, name in enumerate(names):
-        checked = sum(p[i][0] for p in parts)
-        hist = np.zeros(_SLACK_CAP + 2, dtype=np.int64)
-        cx: list[Counterexample] = []
-        for p in parts:
-            hist += p[i][1]
-            cx.extend(p[i][2])
-        cx.sort(key=lambda c: c.x)
-        histogram = {
-            int(b) - 1: int(n) for b, n in enumerate(hist) if n
-        }
-        out.append(VariantReport(name, checked, cx, histogram))
-    return out
+@dataclass(frozen=True)
+class Variant:
+    """One allowance of a lemma, for r >= min_r, over the x in [0, p^r)
+    whose leading `lead` base-p digits, floor(x / p^(r - lead)) with x
+    padded to r digits, lie in `allowed`.  The default covers every x;
+    lead = 2 with allowed {0} is the scope x < p^(r-2)."""
+
+    name: str
+    allowance: int
+    lead: int = 0
+    allowed: frozenset = frozenset({0})
+    min_r: int = 1
+
+    def ranges(self, p: int, r: int) -> list[tuple[int, int]]:
+        """The covered x as half-open intervals: leading digits v are the
+        x with v * p^r <= x * p^lead < (v + 1) * p^r."""
+        def cut(v):
+            return -(-v * p ** r // p ** self.lead)
+
+        return [(cut(v), cut(v + 1)) for v in sorted(self.allowed)]
 
 
-def _variant_stats(xs, lhs, rhs_total, mask):
-    if mask is None:
-        sel_x, sel_l, sel_r = xs, lhs, rhs_total
-    else:
-        sel_x, sel_l, sel_r = xs[mask], lhs[mask], rhs_total[mask]
-    slack = sel_r - sel_l
-    bins = np.clip(slack, -1, _SLACK_CAP) + 1
-    hist = np.bincount(bins, minlength=_SLACK_CAP + 2)
-    bad = slack < 0
-    cx = [
-        Counterexample(int(x), int(l), int(rt))
-        for x, l, rt in zip(sel_x[bad], sel_l[bad], sel_r[bad])
+@dataclass(frozen=True)
+class Lemma:
+    """sum over lhs of [c*x + o] <= sum over rhs of [c*x + o] + allowance.
+
+    Forms are (c, o) with o an offset name: "" is 0, "A" and "B" are A_r
+    and B_r (see `offsets`).  The lemma reads [.] as the digit sum of x in
+    [0, p^r); the bracket corollary and the sharp form read it mod p^r - 1
+    over 0 < x < p^r - 1, with `bracket_allowance` and 0.
+    """
+
+    p: int
+    lhs: tuple
+    rhs: tuple
+    variants: tuple
+    bracket_allowance: int
+    even_r_brackets: bool = False  # A_r, B_r are thirds of 2^r - 1 only for even r
+
+    def offsets(self, r: int) -> dict[str, int]:
+        """A_r, B_r = sequence_AB(r) in base 2; A_r = (3^r - 1)/2 in base 3."""
+        if self.p == 2:
+            A, B = sequence_AB(r)
+            return {"": 0, "A": A, "B": B}
+        return {"": 0, "A": (self.p ** r - 1) // 2}
+
+    def forms(self, r: int) -> tuple[list, list]:
+        off = self.offsets(r)
+        return ([(c, off[o]) for c, o in self.lhs],
+                [(c, off[o]) for c, o in self.rhs])
+
+
+LEMMAS = {
+    "3x13": Lemma(
+        2, ((13, "A"), (13, "B")), ((1, ""), (1, "A"), (1, "B")),
+        (
+            Variant("plus4", 4),
+            Variant("plus2", 2, lead=4, min_r=4,
+                    allowed=frozenset(range(16)) - {0b0100, 0b1000, 0b1001}),
+            Variant("plus0", 0, lead=4, min_r=4, allowed=frozenset({0b1010})),
+            Variant("plus1", 1, lead=2, allowed=frozenset({0})),
+        ),
+        bracket_allowance=5, even_r_brackets=True,
+    ),
+    "4x5": Lemma(
+        3, ((5, "A"), (10, "A")), ((1, ""), (1, "A"), (2, "A")),
+        (
+            Variant("plus2", 2),
+            Variant("plus0", 0, lead=2, min_r=2,  # away from 10, 11, 21
+                    allowed=frozenset(range(9)) - {3, 4, 7}),
+        ),
+        bracket_allowance=6,
+    ),
+    "28": Lemma(
+        3, ((14, "A"),), ((1, ""), (2, "A")), (Variant("plus1", 1),),
+        bracket_allowance=3,
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# the chunked exhaustive scan
+
+def _form_sum(xs: np.ndarray, forms, p: int, n: int | None) -> np.ndarray:
+    total = 0
+    for c, o in forms:
+        v = xs if (c, o) == (1, 0) else c * xs + o
+        total = total + digit_sum_vec(v if n is None else v % n, p)
+    return total
+
+
+def _scan(p, r, lo, hi, lhs, rhs, variants, n=None) -> list[VariantReport]:
+    """Check sum over lhs <= sum over rhs + allowance of every variant for
+    each x in [lo, hi), where a form (c, o) contributes the base-p digit
+    sum of c*x + o, reduced mod n when n is given."""
+    spans = [v.ranges(p, r) for v in variants]
+    checked = [0] * len(variants)
+    hists = [np.zeros(_SLACK_CAP + 2, dtype=np.int64) for _ in variants]
+    cxs: list[list[Counterexample]] = [[] for _ in variants]
+    for start in range(lo, hi, _CHUNK):
+        stop = min(start + _CHUNK, hi)
+        xs = np.arange(start, stop, dtype=np.int64)
+        small = _form_sum(xs, lhs, p, n)
+        big = _form_sum(xs, rhs, p, n)
+        slack = big - small
+        for i, v in enumerate(variants):
+            for a, b in spans[i]:
+                a, b = max(a, start), min(b, stop)
+                if a >= b:
+                    continue
+                sl = slice(a - start, b - start)
+                s = slack[sl] + v.allowance
+                hists[i] += np.bincount(np.clip(s, -1, _SLACK_CAP) + 1,
+                                        minlength=_SLACK_CAP + 2)
+                checked[i] += s.size
+                bad = np.flatnonzero(s < 0)
+                cxs[i] += map(Counterexample, xs[sl][bad].tolist(),
+                              small[sl][bad].tolist(),
+                              (big[sl][bad] + v.allowance).tolist())
+    return [
+        VariantReport(v.name, k, cx, {b - 1: int(c) for b, c in enumerate(h) if c})
+        for v, k, h, cx in zip(variants, checked, hists, cxs)
     ]
-    return len(sel_x), hist, cx
-
-
-def _run_scan(lemma, p, r, total, start, chunk_eval, workers):
-    t0 = time.perf_counter()
-    spans = [
-        (lo, min(lo + _CHUNK, start + total))
-        for lo in range(start, start + total, _CHUNK)
-    ]
-    if not spans:
-        spans = [(start, start)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda s: chunk_eval(*s), spans))
-    else:
-        parts = [chunk_eval(*s) for s in spans]
-    # every part carries (names, stats) with identical name order
-    names = parts[0][0]
-    variants = _merge_variant([p[1] for p in parts], names)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(lemma, p, r, variants, elapsed)
 
 
 def _require_r(p: int, r: int) -> None:
@@ -271,7 +355,17 @@ def _require_r(p: int, r: int) -> None:
         raise CapExceededError(f"r={r} outside 1..{R_CAP[p]} for base {p}")
 
 
-def verify_lemma_3x13(r: int, workers: int = 1) -> VerificationReport:
+def _verify_lemma(family: str, r: int) -> VerificationReport:
+    t0 = time.perf_counter()
+    lemma = LEMMAS[family]
+    _require_r(lemma.p, r)
+    variants = [v for v in lemma.variants if r >= v.min_r]
+    variants = _scan(lemma.p, r, 0, lemma.p ** r, *lemma.forms(r), variants)
+    return VerificationReport(f"lemma-{family}", lemma.p, r, variants,
+                              (time.perf_counter() - t0) * 1000.0)
+
+
+def verify_lemma_3x13(r: int) -> VerificationReport:
     """Exhaustive base-2 digit lemma for multiplication by 13.
 
     For every 0 <= x < 2^r checks
@@ -280,35 +374,10 @@ def verify_lemma_3x13(r: int, workers: int = 1) -> VerificationReport:
     c = 1 for x < 2^(r-2), and c = 0 for leading digits 1010 (leading
     digits read after zero-padding to exactly r digits).
     """
-    _require_r(2, r)
-    A, B = sequence_AB(r)
-
-    def chunk(lo, hi):
-        xs = np.arange(lo, hi, dtype=np.int64)
-        lhs = digit_sum_vec(13 * xs + A, 2) + digit_sum_vec(13 * xs + B, 2)
-        rhs = (
-            digit_sum_vec(xs, 2)
-            + digit_sum_vec(xs + A, 2)
-            + digit_sum_vec(xs + B, 2)
-        )
-        names = ["plus4"]
-        stats = [_variant_stats(xs, lhs, rhs + 4, None)]
-        if r >= 4:
-            top4 = xs >> (r - 4)
-            names.append("plus2")
-            stats.append(
-                _variant_stats(xs, lhs, rhs + 2, ~np.isin(top4, (0b0100, 0b1000, 0b1001)))
-            )
-            names.append("plus0")
-            stats.append(_variant_stats(xs, lhs, rhs, top4 == 0b1010))
-        names.append("plus1")
-        stats.append(_variant_stats(xs, lhs, rhs + 1, 4 * xs < (1 << r)))
-        return names, stats
-
-    return _run_scan("lemma-3x13", 2, r, 2 ** r, 0, chunk, workers)
+    return _verify_lemma("3x13", r)
 
 
-def verify_lemma_4x5(r: int, workers: int = 1) -> VerificationReport:
+def verify_lemma_4x5(r: int) -> VerificationReport:
     """Exhaustive base-3 digit lemma for multiplication by 5 and 10.
 
     For every 0 <= x < 3^r, with A_r = (3^r-1)/2, checks
@@ -316,112 +385,52 @@ def verify_lemma_4x5(r: int, workers: int = 1) -> VerificationReport:
     with c = 2 always and c = 0 when the two leading digits avoid
     10, 11, 21.
     """
-    _require_r(3, r)
-    A = (3 ** r - 1) // 2
-
-    def chunk(lo, hi):
-        xs = np.arange(lo, hi, dtype=np.int64)
-        lhs = digit_sum_vec(5 * xs + A, 3) + digit_sum_vec(10 * xs + A, 3)
-        rhs = (
-            digit_sum_vec(xs, 3)
-            + digit_sum_vec(xs + A, 3)
-            + digit_sum_vec(2 * xs + A, 3)
-        )
-        names = ["plus2"]
-        stats = [_variant_stats(xs, lhs, rhs + 2, None)]
-        if r >= 2:
-            lead2 = xs // 3 ** (r - 2)
-            names.append("plus0")
-            stats.append(_variant_stats(xs, lhs, rhs, ~np.isin(lead2, (3, 4, 7))))
-        return names, stats
-
-    return _run_scan("lemma-4x5", 3, r, 3 ** r, 0, chunk, workers)
+    return _verify_lemma("4x5", r)
 
 
-def verify_lemma_28(r: int, workers: int = 1) -> VerificationReport:
+def verify_lemma_28(r: int) -> VerificationReport:
     """Exhaustive base-3 digit lemma for multiplication by 14:
     [14x+A_r] <= [x] + [2x+A_r] + 1 for 0 <= x < 3^r."""
-    _require_r(3, r)
-    A = (3 ** r - 1) // 2
-
-    def chunk(lo, hi):
-        xs = np.arange(lo, hi, dtype=np.int64)
-        lhs = digit_sum_vec(14 * xs + A, 3)
-        rhs = digit_sum_vec(xs, 3) + digit_sum_vec(2 * xs + A, 3)
-        return ["plus1"], [_variant_stats(xs, lhs, rhs + 1, None)]
-
-    return _run_scan("lemma-28", 3, r, 3 ** r, 0, chunk, workers)
+    return _verify_lemma("28", r)
 
 
-_FAMILY_P = {"3x13": 2, "4x5": 3, "28": 3}
-
-
-def _bracket_pair_chunk(family, r):
-    p = _FAMILY_P[family]
+def _verify_brackets(family: str, r: int, sharp: bool) -> VerificationReport:
+    t0 = time.perf_counter()
+    if family not in LEMMAS:
+        raise ValueError(f"unknown family {family!r}")
+    lemma = LEMMAS[family]
+    p = lemma.p
+    _require_r(p, r)
+    if lemma.even_r_brackets and r % 2:
+        kind = "sharp inequality" if sharp else "bracket corollary"
+        raise ValueError(f"the base-{p} {kind} requires even r")
+    if sharp:
+        name, variant = f"sharp-{family}", Variant("sharp", 0)
+    else:
+        allowance = lemma.bracket_allowance
+        name = f"corollary-{family}"
+        variant = Variant(f"bracket_plus{allowance}", allowance)
     n = p ** r - 1
-
-    def chunk(lo, hi):
-        xs = np.arange(lo, hi, dtype=np.int64)
-        if family == "3x13":
-            A, B = n // 3, 2 * n // 3
-            lhs = bracket_vec(13 * xs + A, 2, r) + bracket_vec(13 * xs + B, 2, r)
-            rhs = bracket_vec(xs, 2, r) + bracket_vec(xs + A, 2, r) + bracket_vec(xs + B, 2, r)
-        elif family == "4x5":
-            A = n // 2
-            lhs = bracket_vec(5 * xs + A, 3, r) + bracket_vec(10 * xs + A, 3, r)
-            rhs = bracket_vec(xs, 3, r) + bracket_vec(xs + A, 3, r) + bracket_vec(2 * xs + A, 3, r)
-        else:
-            A = n // 2
-            lhs = bracket_vec(14 * xs + A, 3, r)
-            rhs = bracket_vec(xs, 3, r) + bracket_vec(2 * xs + A, 3, r)
-        return xs, lhs, rhs
-
-    return chunk
+    variants = _scan(p, r, 1, n, *lemma.forms(r), [variant], n)
+    return VerificationReport(name, p, r, variants, (time.perf_counter() - t0) * 1000.0)
 
 
-def verify_bracket_corollaries(family: str, r: int, workers: int = 1) -> VerificationReport:
+def verify_bracket_corollaries(family: str, r: int) -> VerificationReport:
     """Bracket-level corollaries over 0 < x < p^r - 1.
 
     Slack allowances: 5 for the 3x13 family (even r only), 6 for 4x5,
     3 for the 28 family.
     """
-    if family not in _FAMILY_P:
-        raise ValueError(f"unknown family {family!r}")
-    p = _FAMILY_P[family]
-    _require_r(p, r)
-    if family == "3x13" and r % 2:
-        raise ValueError("the base-2 bracket corollary requires even r")
-    allowance = {"3x13": 5, "4x5": 6, "28": 3}[family]
-    pair = _bracket_pair_chunk(family, r)
-
-    def chunk(lo, hi):
-        xs, lhs, rhs = pair(lo, hi)
-        return [f"bracket_plus{allowance}"], [
-            _variant_stats(xs, lhs, rhs + allowance, None)
-        ]
-
-    return _run_scan(f"corollary-{family}", p, r, p ** r - 2, 1, chunk, workers)
+    return _verify_brackets(family, r, sharp=False)
 
 
-def verify_sharp_inequality(family: str, r: int, workers: int = 1) -> VerificationReport:
+def verify_sharp_inequality(family: str, r: int) -> VerificationReport:
     """The zero-slack bracket inequality over 0 < x < p^r - 1.
 
     This is the finite-level form of the finite-monodromy criterion;
     the 3x13 family is stated for even r only.
     """
-    if family not in _FAMILY_P:
-        raise ValueError(f"unknown family {family!r}")
-    p = _FAMILY_P[family]
-    _require_r(p, r)
-    if family == "3x13" and r % 2:
-        raise ValueError("the base-2 sharp inequality requires even r")
-    pair = _bracket_pair_chunk(family, r)
-
-    def chunk(lo, hi):
-        xs, lhs, rhs = pair(lo, hi)
-        return ["sharp"], [_variant_stats(xs, lhs, rhs, None)]
-
-    return _run_scan(f"sharp-{family}", p, r, p ** r - 2, 1, chunk, workers)
+    return _verify_brackets(family, r, sharp=True)
 
 
 # ----------------------------------------------------------------------
@@ -453,115 +462,69 @@ class CriterionReport:
         }
 
 
-def _criterion_scan(p, r_max, lhs_rhs, workers, criterion, params, hand_set):
+@dataclass(frozen=True)
+class Criterion:
+    """sum over big of V(cx) + constant >= sum over small of V(cx).
+
+    At x = a/n, n = p^r - 1, r(p-1) V(cx) is the digit sum of c*a mod n.
+    The hand set x in (1/hand)Z checks the full statement, with the
+    constant spelled V(x) + V(-x).
+    """
+
+    name: str
+    p: int
+    params: tuple
+    big: tuple
+    small: tuple
+    constant: int
+    hand: int
+
+
+def _check_criterion(crit: Criterion, r_max: int) -> CriterionReport:
     t0 = time.perf_counter()
+    p = crit.p
     checked = 0
     cx: list[Counterexample] = []
     for r in range(1, r_max + 1):
         _require_r(p, r)
         n = p ** r - 1
-
-        def chunk(lo, hi, n=n, r=r):
-            a = np.arange(lo, hi, dtype=np.int64)
-            lhs, rhs = lhs_rhs(a, n, r)
-            bad = lhs < rhs
-            return (
-                int(len(a)),
-                [
-                    Counterexample(QmodZ(int(x), n), int(l), int(rr))
-                    for x, l, rr in zip(a[bad], lhs[bad], rhs[bad])
-                ],
-            )
-
-        spans = [(lo, min(lo + _CHUNK, n)) for lo in range(1, n, _CHUNK)]
-        if workers > 1 and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda s: chunk(*s), spans))
-        else:
-            parts = [chunk(*s) for s in spans]
-        for cnt, bad in parts:
-            checked += cnt
-            cx.extend(bad)
-    for x, lhs, rhs in hand_set():
+        (rep,) = _scan(p, r, 1, n, [(c, 0) for c in crit.small],
+                       [(c, 0) for c in crit.big],
+                       [Variant("", crit.constant * r * (p - 1))], n)
+        checked += rep.checked
+        cx += [Counterexample(QmodZ(c.x, n), c.rhs, c.lhs) for c in rep.counterexamples]
+    for a in range(crit.hand):
+        x = QmodZ(a, crit.hand)
+        big = sum(kubert_v(x.scale(c), p) for c in crit.big) + crit.constant * (
+            kubert_v(x, p) + kubert_v(-x, p))
+        small = sum(kubert_v(x.scale(c), p) for c in crit.small)
         checked += 1
-        if lhs < rhs:
-            cx.append(Counterexample(x, lhs, rhs))
-    return CriterionReport(
-        criterion, p, params, r_max, checked, cx,
-        (time.perf_counter() - t0) * 1000.0,
-    )
+        if big < small:
+            cx.append(Counterexample(x, big, small))
+    return CriterionReport(crit.name, p, crit.params, r_max, checked, cx,
+                           (time.perf_counter() - t0) * 1000.0)
 
 
-def check_criterion_AxB(
-    p: int, A: int, B: int, r_max: int, workers: int = 1
-) -> CriterionReport:
+def check_criterion_AxB(p: int, A: int, B: int, r_max: int) -> CriterionReport:
     """V(ABx) + 1 >= V(Ax) + V(Bx) over denominators p^r - 1, r <= r_max,
     plus the full-statement check on the hand set x in (1/AB)Z."""
     if math.gcd(A * B, p) != 1:
         raise ValueError("A and B must be prime to p")
-
-    def lhs_rhs(a, n, r):
-        lhs = digit_sum_vec(A * B * a % n, p) + r * (p - 1)
-        rhs = digit_sum_vec(A * a % n, p) + digit_sum_vec(B * a % n, p)
-        return lhs, rhs
-
-    def hand_set():
-        for a in range(A * B):
-            x = QmodZ(a, A * B)
-            lhs = kubert_v(x.scale(A * B), p) + kubert_v(x, p) + kubert_v(-x, p)
-            rhs = kubert_v(x.scale(A), p) + kubert_v(x.scale(B), p)
-            yield x, lhs, rhs
-
-    return _criterion_scan(
-        p, r_max, lhs_rhs, workers, "AxB", (A, B), hand_set
-    )
+    return _check_criterion(
+        Criterion("AxB", p, (A, B), big=(A * B,), small=(A, B), constant=1, hand=A * B),
+        r_max)
 
 
 def check_criterion_Atimes(
-    p: int, p1: int, p2: int, A: int, r_max: int, workers: int = 1
+    p: int, p1: int, p2: int, A: int, r_max: int
 ) -> CriterionReport:
     """V(Ax) + V(Ax/(p1 p2)) + V(-x) >= V(Ax/p1) + V(Ax/p2) over
     denominators p^r - 1, plus the hand set x in (1/A)Z."""
     if math.gcd(A, p) != 1:
         raise ValueError("A must be prime to p")
-    facs = set(_prime_factors(A))
-    if facs != {p1, p2}:
+    if set(_prime_factors(A)) != {p1, p2}:
         raise ValueError(f"A = {A} must be divisible by exactly {{{p1}, {p2}}}")
-
-    def lhs_rhs(a, n, r):
-        lhs = (
-            digit_sum_vec(A * a % n, p)
-            + digit_sum_vec(A // (p1 * p2) * a % n, p)
-            + digit_sum_vec((n - a) % n, p)
-        )
-        rhs = digit_sum_vec(A // p1 * a % n, p) + digit_sum_vec(A // p2 * a % n, p)
-        return lhs, rhs
-
-    def hand_set():
-        for a in range(A):
-            x = QmodZ(a, A)
-            lhs = (
-                kubert_v(x.scale(A), p)
-                + kubert_v(x.scale(A // (p1 * p2)), p)
-                + kubert_v(-x, p)
-            )
-            rhs = kubert_v(x.scale(A // p1), p) + kubert_v(x.scale(A // p2), p)
-            yield x, lhs, rhs
-
-    return _criterion_scan(
-        p, r_max, lhs_rhs, workers, "Atimes", (p1, p2, A), hand_set
-    )
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return _check_criterion(
+        Criterion("Atimes", p, (p1, p2, A), big=(A, A // (p1 * p2), -1),
+                  small=(A // p1, A // p2), constant=0, hand=A),
+        r_max)

@@ -7,14 +7,12 @@ import pytest
 
 from hypmono import acceptance
 
-WORKERS = 8
-
 
 @pytest.mark.parametrize(
     "cid", [c[0] for c in acceptance.CRITERIA], ids=[c[0] for c in acceptance.CRITERIA]
 )
 def test_criterion(cid):
-    result = acceptance.run_criterion(cid, workers=WORKERS)
+    result = acceptance.run_criterion(cid)
     print(f"{result.cid} {'PASS' if result.passed else 'FAIL'} "
           f"({result.elapsed_s:.2f}s) {result.description}")
     assert result.passed, (
@@ -27,7 +25,7 @@ def test_manifest_is_deterministic():
     subset = ["C9", "C10"]
     runs = []
     for _ in range(2):
-        results = [acceptance.run_criterion(c, workers=2) for c in subset]
+        results = [acceptance.run_criterion(c) for c in subset]
         runs.append(json.dumps(acceptance.manifest(results), sort_keys=True))
     assert runs[0] == runs[1]
 

@@ -114,7 +114,7 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
                      "slack_histogram": {"-1": 1}, "elapsed_ms": 0.0}]
 
     monkeypatch.setattr(cli_mod.kubert, "verify_lemma_28",
-                        lambda r, workers=1: FailingReport())
+                        lambda r: FailingReport())
     rc = main(["verify-digit-lemma", "--family", "28", "--r-max", "1"])
     assert rc == 1
 
@@ -124,7 +124,7 @@ def test_reproduce_all_plumbing(tmp_path, monkeypatch, capsys):
 
     small = [c for c in acceptance.CRITERIA if c[0] in ("C9", "C10")]
     monkeypatch.setattr(acceptance, "CRITERIA", small)
-    rc = main(["reproduce-all", "--out", str(tmp_path), "--workers", "2"])
+    rc = main(["reproduce-all", "--out", str(tmp_path)])
     assert rc == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert [c["id"] for c in manifest["criteria"]] == ["C9", "C10"]

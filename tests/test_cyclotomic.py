@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hypmono.cyclotomic import CycNumber, cyclotomic_polynomial, galois_act
 
@@ -131,3 +132,32 @@ def test_from_exponent_counts_matches_sum():
               + CycNumber.root_of_unity(6, 2)
               + CycNumber.root_of_unity(6, 5) * 3) * Fraction(1, 4)
     assert v == manual
+
+
+_terms = st.lists(
+    st.tuples(st.integers(0, 60), st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    min_size=1, max_size=4,
+)
+
+
+@given(m=st.integers(1, 18), k=st.integers(1, 3), extra=st.integers(1, 10),
+       terms=_terms, other=_terms)
+# 1 against zeta_12^0
+@example(m=1, k=12, extra=1, terms=[(0, Fraction(1))], other=[(0, Fraction(1))])
+def test_equal_values_have_equal_hashes(m, k, extra, terms, other):
+    def value(order, scale, ts):
+        total = CycNumber.zero(order)
+        for e, c in ts:
+            total = total + CycNumber.root_of_unity(order, e * scale, c)
+        return total
+
+    a = value(m, 1, terms)
+    # the same value written over zeta_(mk), then moved up to lcm(mk, extra)
+    z = CycNumber.root_of_unity(extra, 1)
+    b = (value(m * k, k, terms) + z) - z
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    if a.is_rational:
+        assert hash(a) == hash(a.as_fraction())
+    c = value(m, 1, other)
+    if a == c:
+        assert hash(a) == hash(c)

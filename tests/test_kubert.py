@@ -32,6 +32,10 @@ def test_digit_sum_examples():
     assert digit_sum(44, 3) == 6  # 1122_3
     v = digit_sum_vec(np.array([13, 0, 44]), 2)
     assert v.tolist() == [3, 0, 3]
+    # the base-3 table kernel against the scalar loop, across several table passes
+    rng = np.random.default_rng(5)
+    values = np.concatenate([np.arange(3 ** 9), rng.integers(0, 2 ** 62, 5000)])
+    assert digit_sum_vec(values, 3).tolist() == [digit_sum(int(v), 3) for v in values]
 
 
 def test_bracket_examples():
@@ -189,17 +193,6 @@ def test_sharp_inequalities():
         verify_sharp_inequality("3x13", 7)
 
 
-def test_worker_count_does_not_change_reports():
-    a = verify_lemma_3x13(12, workers=1)
-    b = verify_lemma_3x13(12, workers=3)
-    assert a.to_json_records() == b.to_json_records() or all(
-        ra["slack_histogram"] == rb["slack_histogram"]
-        and ra["checked"] == rb["checked"]
-        and ra["counterexamples"] == rb["counterexamples"]
-        for ra, rb in zip(a.to_json_records(), b.to_json_records())
-    )
-
-
 def test_r_caps():
     with pytest.raises(CapExceededError):
         verify_lemma_3x13(31)
@@ -298,13 +291,131 @@ def test_v_lands_in_unit_interval():
                 assert 0 <= v < 1
 
 
-def test_chunk_size_does_not_change_reports(monkeypatch):
+def _records(report):
+    if hasattr(report, "to_json_records"):
+        records = report.to_json_records()
+    else:
+        records = [report.to_json()]
+    return [{k: v for k, v in rec.items() if k != "elapsed_ms"} for rec in records]
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: verify_lemma_4x5(7),
+        lambda: verify_bracket_corollaries("3x13", 8),
+        lambda: verify_sharp_inequality("28", 6),
+        lambda: check_criterion_AxB(2, 3, 7, 8),  # has counterexamples
+    ],
+    ids=["lemma-4x5", "corollary-3x13", "sharp-28", "criterion-AxB"],
+)
+def test_chunk_size_does_not_change_reports(monkeypatch, scan):
     import hypmono.kubert as kb
 
-    baseline = verify_lemma_4x5(7).to_json_records()
+    baseline = _records(scan())
     monkeypatch.setattr(kb, "_CHUNK", 97)
-    rechunked = verify_lemma_4x5(7).to_json_records()
-    for a, b in zip(baseline, rechunked):
-        assert a["checked"] == b["checked"]
-        assert a["slack_histogram"] == b["slack_histogram"]
-        assert a["counterexamples"] == b["counterexamples"]
+    assert _records(scan()) == baseline
+
+
+# The lemmas written out once more, point by point through the scalar
+# digit_sum / bracket primitives, as an independent route to the reports.
+
+def _scalar_sides(family, x, r, ds):
+    if family == "3x13":
+        A, B = sequence_AB(r)
+        return (ds(13 * x + A) + ds(13 * x + B),
+                ds(x) + ds(x + A) + ds(x + B))
+    A = (3 ** r - 1) // 2
+    if family == "4x5":
+        return (ds(5 * x + A) + ds(10 * x + A),
+                ds(x) + ds(x + A) + ds(2 * x + A))
+    return ds(14 * x + A), ds(x) + ds(2 * x + A)
+
+
+def _lemma_scopes(family, x, r):
+    """(variant, allowance, in scope) for every variant the lemma states at r."""
+    if family == "3x13":
+        out = [("plus4", 4, True)]
+        if r >= 4:
+            top4 = x >> (r - 4)
+            out += [("plus2", 2, top4 not in (0b0100, 0b1000, 0b1001)),
+                    ("plus0", 0, top4 == 0b1010)]
+        return out + [("plus1", 1, 4 * x < 2 ** r)]
+    if family == "4x5":
+        out = [("plus2", 2, True)]
+        if r >= 2:
+            out.append(("plus0", 0, x // 3 ** (r - 2) not in (3, 4, 7)))
+        return out
+    return [("plus1", 1, True)]
+
+
+def _expected(names, points):
+    """Records of the named variants from (variant, x, lhs, rhs) points,
+    rhs including the allowance."""
+    out = {name: {"variant": name, "checked": 0, "counterexamples": [],
+                  "slack_histogram": {}} for name in names}
+    for name, x, lhs, rhs in points:
+        rec = out[name]
+        rec["checked"] += 1
+        if rhs < lhs:
+            rec["counterexamples"].append({"x": x, "lhs": lhs, "rhs": rhs})
+        key = str(min(max(rhs - lhs, -1), 32))
+        rec["slack_histogram"][key] = rec["slack_histogram"].get(key, 0) + 1
+    return out
+
+
+def _variant_records(report):
+    return {
+        rec["variant"]: {k: rec[k] for k in
+                         ("variant", "checked", "counterexamples", "slack_histogram")}
+        for rec in report.to_json_records()
+    }
+
+
+@pytest.mark.parametrize("family,p,r_max", [("3x13", 2, 9), ("4x5", 3, 6), ("28", 3, 6)])
+def test_lemma_data_matches_scalar_route(family, p, r_max):
+    verify = {"3x13": verify_lemma_3x13, "4x5": verify_lemma_4x5,
+              "28": verify_lemma_28}[family]
+    allowance = {"3x13": 5, "4x5": 6, "28": 3}[family]
+    for r in range(1, r_max + 1):
+        points = []
+        for x in range(p ** r):
+            lhs, rhs = _scalar_sides(family, x, r, lambda v: digit_sum(v, p))
+            points += [(name, x, lhs, rhs + c)
+                       for name, c, inside in _lemma_scopes(family, x, r) if inside]
+        names = [name for name, _, _ in _lemma_scopes(family, 0, r)]
+        assert _variant_records(verify(r)) == _expected(names, points)
+
+        if family == "3x13" and r % 2:
+            continue
+        sides = [_scalar_sides(family, x, r, lambda v: bracket(v, p, r))
+                 for x in range(1, p ** r - 1)]
+        for name, c, report in (
+            (f"bracket_plus{allowance}", allowance, verify_bracket_corollaries(family, r)),
+            ("sharp", 0, verify_sharp_inequality(family, r)),
+        ):
+            points = [(name, x, lhs, rhs + c)
+                      for x, (lhs, rhs) in enumerate(sides, start=1)]
+            assert _variant_records(report) == _expected([name], points)
+
+
+def test_criteria_match_scalar_route():
+    # 3x7 in base 2 fails the criterion, so counterexamples are compared too
+    for p, A, B, r_max in ((2, 3, 7, 8), (3, 4, 5, 5)):
+        want = []
+        for r in range(1, r_max + 1):
+            n = p ** r - 1
+            for a in range(1, n):
+                lhs = bracket(A * B * a, p, r) + r * (p - 1)
+                rhs = bracket(A * a, p, r) + bracket(B * a, p, r)
+                if lhs < rhs:
+                    want.append({"x": str(QmodZ(a, n)), "lhs": lhs, "rhs": rhs})
+        for a in range(A * B):
+            x = QmodZ(a, A * B)
+            lhs = kubert_v(x.scale(A * B), p) + kubert_v(x, p) + kubert_v(-x, p)
+            rhs = kubert_v(x.scale(A), p) + kubert_v(x.scale(B), p)
+            if lhs < rhs:
+                want.append({"x": str(x), "lhs": str(lhs), "rhs": str(rhs)})
+        rep = check_criterion_AxB(p, A, B, r_max)
+        assert rep.to_json()["counterexamples"] == want
+        assert rep.passed == (p == 3)
