@@ -110,6 +110,8 @@ def cmd_trace_table(args) -> int:
         stats["galois_pass"] = exp_sums.galois_invariance_check(primary).passed
         if fam.p == 2:
             stats["rationality_pass"] = exp_sums.rationality_check(primary)
+    if "float" in tables:
+        stats["float_err"] = tables["float"].float_err
     if len(tables) == 2:
         gap = acceptance._float_agrees(tables["exact"], tables["float"])
         stats["float_gap_over_tol"] = gap

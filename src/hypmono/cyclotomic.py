@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import CapExceededError
 from .finite_field import _prime_factors
 
 # Exact arithmetic is enabled by default only up to this basis size;
@@ -89,6 +90,21 @@ def _rows_matrix(m: int):
 
     _, rows = _context(m)
     return np.array(rows, dtype=np.int64)
+
+
+def _abs_sum(a) -> int:
+    """sum |a| over a numpy array, in Python ints: an int64 sum could wrap
+    exactly where an overflow bound matters."""
+    return sum(abs(v) for v in a.ravel().tolist())
+
+
+def _check_int64(bound: int, what: str) -> None:
+    """Refuse an int64 accumulation whose partial sums are only known to
+    stay below bound."""
+    if bound >= 1 << 63:
+        raise CapExceededError(
+            f"{what} could reach {bound} >= 2^63 and overflow int64"
+        )
 
 
 def phi(m: int) -> int:
@@ -196,14 +212,17 @@ class CycNumber:
     def from_exponent_counts(cls, order: int, counts, den: int = 1) -> "CycNumber":
         """Exact value sum counts[e] * zeta_order**e, divided by den.
 
-        Counts must stay well below 2**63 / order; the trace pipelines and
-        Gauss sums satisfy this by orders of magnitude.
+        The reduction accumulates in int64; CapExceededError is raised when
+        sum |counts| * max |row entry| could reach 2**63.
         """
         import numpy as np
 
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
         rows = _rows_matrix(order)[: len(counts)]
-        num = tuple(int(v) for v in counts @ rows)
+        # every partial sum of a coordinate is bounded by sum|counts| * max|rows|
+        _check_int64(_abs_sum(counts) * int(np.abs(rows).max(initial=0)),
+                     "exponent-count reduction")
+        num = tuple(int(v) for v in counts.astype(np.int64) @ rows)
         return cls(order, num, den)
 
     @classmethod

@@ -4,12 +4,16 @@ The single-point evaluators expand the defining multi-sum directly: an
 outer sum over tuples of nonzero field elements, an additive-character
 factor, the character product, and one twisted one-variable sum per tuple
 slot.  The table builder instead substitutes u for the product of the
-tuple and computes iterated multiplicative convolutions in the discrete-log
-domain, which costs O(q^2) overall; equality of the two routes is part of
-the test surface, never assumed.
+tuple and works on the multiplicative group in log coordinates, Z/(q-1),
+where every stage is a cyclic convolution or correlation: the twisted sums
+come from one exact FFT correlation of trace indicators, the float
+pipeline multiplies DFTs pointwise and ends in one FFT correlation with
+the additive character, O(q log q) overall.  Equality of the two routes is
+part of the test surface, never assumed.
 
 Both exact (integer vectors over roots of unity, final division by q^nu)
-and float (complex with a tracked error budget) paths are provided.
+and float (complex with an a-priori error bound) paths are provided; the
+exact stages stay O(q^2) integer convolutions below their cap of 2^10.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _abs_sum, _check_int64
 from .errors import CapExceededError
 from .finite_field import FieldTable
 from .kubert import (
@@ -35,8 +39,8 @@ from .kubert import (
 _FLOAT_Q_CAP = 1 << 14
 _EXACT_Q_CAP = 1 << 10
 _DIRECT_TUPLE_CAP = 1 << 20
-_BLOCK_ELEMS = 1 << 21  # row-block budget for the O(q^2) matrix stages
-_EPS = 2.0 ** -50
+_EPS = 2.0 ** -50  # generous unit for rounding steps outside the FFTs
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
 class ExtensionAtZero:
@@ -108,24 +112,47 @@ def _char_order_of(field: FieldTable, exps: list[int]) -> int:
 
 def _twisted_counts(field: FieldTable, B: int) -> np.ndarray:
     """counts[j, v] = #{x in K : Tr(Bx - x^B / t_j) = v}, t_j = antilog[j],
-    including the x = 0 term."""
+    including the x = 0 term.
+
+    With x = g^a and w(c) = Tr(g^c), Tr(Bx - x^B / t_j) = B w(a) - w(Ba - j)
+    mod p.  The indicator of B w(a) = v1, pushed forward along a -> Ba
+    (which need not be a bijection), correlated over Z/(q-1) with the
+    indicator of w = v2 counts the x with that pair of values for every j
+    at once.  The correlations run as float FFTs; their exact values are
+    integers, so the result is rounded with the margin checked.
+    """
     q, n, p = field.q, field.q - 1, field.p
     logs = np.arange(n, dtype=np.int64)
-    xs = field.antilog
-    bx = field.scalar_mul(B, xs)
-    xb_log = (B * logs) % n
-    counts = np.zeros((n, p), dtype=np.int64)
-    block = max(1, _BLOCK_ELEMS // max(q, 1))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        j = np.arange(lo, hi, dtype=np.int64)
-        mval = field.antilog[(xb_log[None, :] - j[:, None]) % n]
-        arg = field.add(bx[None, :], field.neg(mval))
-        tr = field.trace_table[arg]
-        for v in range(p):
-            counts[lo:hi, v] = (tr == v).sum(axis=1)
-        counts[lo:hi, 0] += 1  # x = 0 contributes Tr(0) = 0
+    w = field.trace_table[field.antilog]
+    pushed = np.array([
+        np.bincount((B * logs) % n, weights=(B * w) % p == v, minlength=n)
+        for v in range(p)
+    ])
+    indicators = np.array([w == v for v in range(p)], dtype=np.float64)
+    fp = np.fft.rfft(pushed, axis=1)
+    fi = np.fft.rfft(indicators, axis=1).conj()
+    spec = np.array([
+        sum(fp[v1] * fi[(v1 - v) % p] for v1 in range(p)) for v in range(p)
+    ])
+    raw = np.fft.irfft(spec, n=n, axis=1).T
+    counts = np.rint(raw)
+    if np.abs(raw - counts).max(initial=0.0) >= 0.25:
+        raise AssertionError("twisted-count correlation too far from integers")
+    counts = counts.astype(np.int64)
+    counts[:, 0] += 1  # x = 0 contributes Tr(0) = 0
+    if np.any(counts.sum(axis=1) != q):
+        raise AssertionError("twisted counts do not sum to q")
     return counts
+
+
+def _power_sum_counts(field: FieldTable, B: int, t: int) -> np.ndarray:
+    """counts[v] = #{x in K : Tr(Bx - x^B / t) = v}, element by element."""
+    xs = field.elements()
+    arg = field.add(
+        field.neg(field.mul(field.pow(xs, B), field.inv(t))),
+        field.scalar_mul(B, xs),
+    )
+    return np.bincount(field.trace_table[arg], minlength=field.p)
 
 
 def kloosterman_power_sum(field: FieldTable, B: int, t: int, mode: str = "exact"):
@@ -135,12 +162,7 @@ def kloosterman_power_sum(field: FieldTable, B: int, t: int, mode: str = "exact"
     if math.gcd(B, field.p) != 1:
         raise ValueError("B must be prime to p")
     p = field.p
-    xs = field.elements()
-    arg = field.add(
-        field.neg(field.mul(field.pow(xs, B), field.inv(t))),
-        field.scalar_mul(B, xs),
-    )
-    counts = np.bincount(field.trace_table[arg], minlength=p)
+    counts = _power_sum_counts(field, B, t)
     if mode == "exact":
         return -CycNumber.from_exponent_counts(p, counts)
     vals = counts @ np.exp(2j * np.pi * np.arange(p) / p)
@@ -261,6 +283,8 @@ class TraceTable:
 
 
 def _conv_exact(fa: np.ndarray, fb: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
+    # every partial sum of an output entry is bounded by sum|fa| * max|fb|
+    _check_int64(_abs_sum(fa) * int(np.abs(fb).max()), "exact convolution")
     out = np.zeros_like(fa)
     for e2 in range(m):
         gathered = fb[:, e2][idx]
@@ -272,15 +296,96 @@ def _conv_exact(fa: np.ndarray, fb: np.ndarray, idx: np.ndarray, m: int) -> np.n
     return out
 
 
-def _conv_float(fa: np.ndarray, fb: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=complex)
-    block = max(1, _BLOCK_ELEMS // n)
-    base = np.arange(n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        idx = (np.arange(lo, hi)[:, None] - base[None, :]) % n
-        out[lo:hi] = (fb[idx] * fa[None, :]).sum(axis=1)
-    return out
+def _additive_exact(g: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
+    """raw[i] = sum over l of g[l] * zeta_p^W[i, l], with the exponent of
+    zeta_p moved onto the zeta_m axis of g (m = g.shape[1])."""
+    # every partial sum of an output entry is bounded by sum|g|
+    _check_int64(_abs_sum(g), "exact additive transform")
+    m = g.shape[1]
+    raw = np.zeros((W.shape[0], m), dtype=np.int64)
+    for v in range(p):
+        raw += np.roll((W == v).astype(np.int64) @ g, v * (m // p), axis=1)
+    return raw
+
+
+def _fft_eta(n: int) -> float:
+    """Normwise relative error bound of one pocketfft transform of length n.
+
+    Model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 24.2, generalised from radix 2 to mixed radix): the transform is a
+    product of scaled unitary passes, one per prime factor r of n counted
+    with multiplicity; a radix-r pass forms each output as a sum of r
+    products with rounded twiddle factors, so its normwise relative error
+    is at most (sqrt(r) + 2) * gamma_(r+4), gamma_k = k u / (1 - k u), and
+    the pass errors add.  Where pocketfft may switch to Bluestein's
+    algorithm (n >= 50 with a prime factor r, r^2 > n), the transform is
+    also counted as three transforms of an 11-smooth length N <= 4n (at
+    most log2(4n) passes of radix <= 11) plus three chirp products, and the
+    larger of the two bounds is used.
+    """
+    def gamma(k):
+        return k * _U / (1 - k * _U)
+
+    direct, rest, r, largest = 0.0, n, 2, 1
+    while rest > 1:
+        if r * r > rest:
+            r = rest
+        while rest % r == 0:
+            direct += (math.sqrt(r) + 2) * gamma(r + 4)
+            rest //= r
+            largest = r
+        r += 1
+    if n < 50 or largest * largest <= n:
+        return direct
+    bluestein = (3 * math.log2(4 * n) * (math.sqrt(11) + 2) * gamma(15)
+                 + 3 * gamma(4))
+    return max(direct, bluestein)
+
+
+def _float_pipeline(svals, twists, psi, svals_err: float):
+    """Raw float trace sums over Z/n and a bound on their max error.
+
+    raw[i] = sum over l of (f_1 * ... * f_nu)(l) * psi(l - i), where * is
+    cyclic convolution, f_k = svals * twists[k], and svals carries an
+    elementwise error of at most svals_err.  Each convolution stage is a
+    pointwise product of DFTs and the additive transform is one FFT
+    correlation, so the whole table is nu + 2 transforms.
+
+    Error bound: every transform has normwise relative error at most
+    eta = _fft_eta(n).  The recurrence tracks a bound E on the 2-norm error
+    of the running spectrum S; multiplying in a spectrum X with 2-norm
+    error R gives E' = E max|X| + (max|S| + E) R + 8u ||S X||_2 (the last
+    term covers the rounding of the complex products).  An input with
+    elementwise error e contributes n e to R through the unnormalised DFT,
+    and the transform itself eta ||X||_2 / (1 - eta).  The inverse DFT
+    divides 2-norms by sqrt(n), and the 2-norm of the final error bounds
+    its largest entry.
+    """
+    n = len(svals)
+    eta = _fft_eta(n)
+    ratio = eta / (1 - eta) + _EPS  # transform error per unit of output norm
+    smax = float(np.abs(svals).max())
+    spec = err = None
+    for twist in twists:
+        x = np.fft.fft(svals * twist)
+        xerr = n * (svals_err + smax * _EPS) + ratio * float(np.linalg.norm(x))
+        if spec is None:
+            spec, err = x, xerr
+            continue
+        prod = spec * x
+        err = (err * float(np.abs(x).max())
+               + (float(np.abs(spec).max()) + err) * xerr
+               + _EPS * float(np.linalg.norm(prod)))
+        spec = prod
+    # sum_l g(l) psi(l - i) = ifft(G * K)(i), with K(k) = sum_d psi(d) e^(2 pi i k d / n)
+    kern = n * np.fft.ifft(psi)
+    kerr = n * _EPS + ratio * float(np.linalg.norm(kern))
+    prod = spec * kern
+    err = (err * float(np.abs(kern).max())
+           + (float(np.abs(spec).max()) + err) * kerr
+           + _EPS * float(np.linalg.norm(prod)))
+    raw = np.fft.ifft(prod)
+    return raw, (err + ratio * float(np.linalg.norm(prod))) / math.sqrt(n)
 
 
 def trace_table_all(
@@ -294,8 +399,13 @@ def trace_table_all(
 
     The tuple sum is restructured as iterated multiplicative convolution of
     the character-twisted one-variable sums, then one additive-character
-    transform; O(q^2) per stage.  Spot equality with the direct evaluator
-    is enforced by the test suite on every supported field size.
+    transform, all over Z/(q-1) in log coordinates.  The twisted sums come
+    from an exact FFT correlation in both modes.  The float path multiplies
+    DFTs pointwise and ends in one FFT correlation, O(q log q), with the
+    a-priori bound of _float_pipeline; the exact path convolves integer
+    vectors over Z[zeta_m], O(q^2), and is capped at q = 2^10.  Spot
+    equality with the direct evaluator is enforced by the test suite on
+    every supported field size.
     """
     q, n, p = field.q, field.q - 1, field.p
     if mode not in ("exact", "float"):
@@ -321,6 +431,8 @@ def trace_table_all(
     counts = _twisted_counts(field, B)
     logs = np.arange(n, dtype=np.int64)
     sign = -1 if nu % 2 else 1
+    neg_shift = 0 if p == 2 else int(field.log[field.neg(1)])
+    w_all = field.trace_table[field.antilog]
 
     if mode == "exact":
         stages = []
@@ -334,17 +446,10 @@ def trace_table_all(
         g = stages[0]
         for fe in stages[1:]:
             g = _conv_exact(fe, g, idx, m)
-        neg_shift = 0 if p == 2 else int(field.log[field.neg(1)])
-        w_all = field.trace_table[field.antilog]
-        values = []
+        W = w_all[(logs[None, :] + neg_shift - logs[:, None]) % n]
+        raw = _additive_exact(g, W, p)
         den = q ** nu
-        for i in range(n):
-            w = w_all[(logs + neg_shift - i) % n]
-            raw = np.zeros(m, dtype=np.int64)
-            for v in range(p):
-                sel = g[w == v].sum(axis=0)
-                raw += np.roll(sel, v * (m // p))
-            values.append(CycNumber.from_exponent_counts(m, sign * raw, den))
+        values = [CycNumber.from_exponent_counts(m, sign * row, den) for row in raw]
         return TraceTable(
             kind, p, params, field, base_size, "exact", nu, m,
             exact_values=values,
@@ -352,25 +457,12 @@ def trace_table_all(
 
     zp = np.exp(2j * np.pi * np.arange(p) / p)
     svals = counts @ zp
-    err = q * _EPS
-    maxmag = float(np.abs(svals).max())
-    zn = np.exp(2j * np.pi / n)
-    g = None
-    for e in exps:
-        fe = svals * zn ** ((e * logs) % n)
-        if g is None:
-            g, gmax, gerr = fe, maxmag, err
-        else:
-            g = _conv_float(fe, g, n)
-            gerr = n * (maxmag * gerr + gmax * err) + np.abs(g).max() * _EPS * n
-            gmax = float(np.abs(g).max())
-    neg_shift = 0 if p == 2 else int(field.log[field.neg(1)])
-    psi_units = zp[field.trace_table[field.antilog]]
-    values = np.empty(n, dtype=complex)
-    for i in range(n):
-        values[i] = (psi_units[(logs + neg_shift - i) % n] * g).sum()
-    total_err = (n * gerr + n * gmax * _EPS) / q ** nu
+    # exact twists: a power of a rounded zeta_n would add error growing with e
+    twists = [np.exp(2j * np.pi * ((e * logs) % n) / n) for e in exps]
+    psi = zp[w_all[(logs + neg_shift) % n]]
+    values, err = _float_pipeline(svals, twists, psi, q * _EPS)
     values *= sign / q ** nu
+    total_err = err / q ** nu + float(np.abs(values).max()) * _EPS
     return TraceTable(
         kind, p, params, field, base_size, "float", nu, m,
         float_values=values, float_err=total_err,

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hypmono import acceptance
+from hypmono import acceptance, exp_sums
 
 
 @pytest.mark.parametrize(
@@ -38,3 +38,18 @@ def test_manifest_lists_every_criterion():
     man = acceptance.manifest(results)
     assert [c["id"] for c in man["criteria"]] == [c[0] for c in acceptance.CRITERIA]
     assert man["all_passed"] is True
+
+
+def test_c8_gaps_are_rounded_exact_moments():
+    # the float M1 must round like the exact one at the 12 decimals the
+    # manifest keeps
+    _, details = acceptance._c8_moments(0)
+    jobs = {
+        "3x13_q1024": (2, 10, "AxB", 3, 13),
+        "4x5_q729": (3, 6, "AxB", 4, 5),
+        "28x_q729": (3, 6, "Atimes", None, 7),
+    }
+    for label, args in jobs.items():
+        m1 = exp_sums.moments(acceptance._table(*args, "exact"), 1, exact=True)
+        want = float(round(abs(m1 - 1), 12))
+        assert details[label]["M1_gap"] == want, label

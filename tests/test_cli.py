@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,7 @@ def test_trace_table_outputs(tmp_path, capsys):
     assert stats["integrality_pass"] is True
     assert stats["rationality_pass"] is True
     assert stats["float_gap_over_tol"] == 0.0
+    assert 0.0 < stats["float_err"] < 1e-9
     assert (tmp_path / "trace_3x13_q16_exact.csv").exists()
     assert (tmp_path / "trace_3x13_q16_float.csv").exists()
 
@@ -72,6 +77,17 @@ def test_trace_table_quartic(tmp_path, capsys):
     assert rc == 0
     stats = json.loads((tmp_path / "trace_28x_q9_stats.json").read_text())
     assert stats["galois_pass"] is True and stats["purity_pass"] is True
+    assert "float_err" not in stats  # no float table was built
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy loads np.fft lazily; importing it up front would show in the
+    # start-up time of every CLI call
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, hypmono.cli; sys.exit('numpy.fft' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_usage_error_exit_code():

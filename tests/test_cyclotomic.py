@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hypmono.cyclotomic import CycNumber, cyclotomic_polynomial, galois_act
+from hypmono.errors import CapExceededError
 
 
 def test_cyclotomic_polynomials():
@@ -161,3 +162,11 @@ def test_equal_values_have_equal_hashes(m, k, extra, terms, other):
     c = value(m, 1, other)
     if a == c:
         assert hash(a) == hash(c)
+
+
+def test_from_exponent_counts_refuses_int64_overflow():
+    # zeta_3^2 = -1 - zeta_3, so the constant coordinate would be 2^62 + 2^62
+    with pytest.raises(CapExceededError):
+        CycNumber.from_exponent_counts(3, [1 << 62, 0, -(1 << 62)])
+    half = CycNumber.from_exponent_counts(3, [1 << 61, 0, -(1 << 61)])
+    assert half == CycNumber.from_exponent_counts(3, [1 << 62, 1 << 61])

@@ -10,6 +10,10 @@ from hypmono.errors import CapExceededError
 from hypmono.exp_sums import (
     EXTENSION_AT_ZERO,
     FAMILIES,
+    _additive_exact,
+    _conv_exact,
+    _power_sum_counts,
+    _twisted_counts,
     export_csv,
     pullback_table,
     frobenius_invariance_check,
@@ -128,7 +132,35 @@ def test_f16_table_properties(table_f16, f16):
 def test_f16_float_agrees(f16, table_f16):
     tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
     exact = np.array([v.to_complex() for v in table_f16.exact_values])
-    assert np.abs(exact - tf.float_values).max() <= 1e-9 + tf.float_err
+    assert np.abs(exact - tf.float_values).max() <= tf.float_err < 1e-9
+
+
+@pytest.mark.parametrize("p, k, B", [
+    (2, 8, 13), (2, 8, 7), (3, 5, 5), (3, 5, 7), (3, 6, 5), (3, 6, 7),
+])
+def test_twisted_counts_match_per_t_route(p, k, B):
+    # gcd(7, 3^6 - 1) = 7: x -> x^B is not a bijection there
+    field = build_field(p, k)
+    counts = _twisted_counts(field, B)
+    for j, t in enumerate(field.antilog):
+        assert np.array_equal(counts[j], _power_sum_counts(field, B, int(t)))
+
+
+# the other fields the suite and the acceptance criteria build exact tables
+# on (F16 is test_f16_float_agrees), and 2^8: 255 = 3 * 5 * 17 is a length
+# where pocketfft may take Bluestein's route
+@pytest.mark.parametrize("p, k, kind, A, B", [
+    (2, 2, "AxB", 3, 13), (2, 6, "AxB", 3, 13), (2, 8, "AxB", 3, 13),
+    (2, 10, "AxB", 3, 13),
+    (3, 2, "AxB", 4, 5), (3, 4, "AxB", 4, 5), (3, 6, "AxB", 4, 5),
+    (3, 2, "Atimes", None, 7), (3, 4, "Atimes", None, 7), (3, 6, "Atimes", None, 7),
+])
+def test_float_table_within_bound_of_exact(p, k, kind, A, B):
+    field = build_field(p, k)
+    te = trace_table_all(field, kind, A=A, B=B, mode="exact")
+    tf = trace_table_all(field, kind, A=A, B=B, mode="float")
+    exact = np.array([v.to_complex() for v in te.exact_values])
+    assert np.abs(exact - tf.float_values).max() <= tf.float_err < 1e-9
 
 
 def test_quartic_family_f9(f9):
@@ -315,17 +347,28 @@ def test_pullback_table(f4, f16):
         pullback_table(base, 2)
 
 
-def test_chunked_float_stages_match_single_block(monkeypatch, f16):
-    import hypmono.exp_sums as es
+def test_conv_exact_refuses_int64_overflow():
+    n, m = 3, 2
+    logs = np.arange(n)
+    idx = (logs[:, None] - logs[None, :]) % n
+    fa = np.zeros((n, m), dtype=np.int64)
+    fb = np.zeros((n, m), dtype=np.int64)
+    fa[0, 0] = fb[0, 0] = 1 << 32  # the product 2^64 would wrap
+    with pytest.raises(CapExceededError):
+        _conv_exact(fa, fb, idx, m)
 
-    baseline = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
-    monkeypatch.setattr(es, "_BLOCK_ELEMS", 64)  # forces many row blocks
-    chunked = es.trace_table_all(f16, "AxB", A=3, B=13, mode="float")
-    assert np.array_equal(baseline.float_values, chunked.float_values)
+
+def test_additive_exact_refuses_int64_overflow():
+    g = np.zeros((2, 2), dtype=np.int64)
+    g[:, 0] = 1 << 62  # two rows summing to 2^63 would wrap
+    W = np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(CapExceededError):
+        _additive_exact(g, W, 2)
+    assert np.array_equal(_additive_exact(g // 2, W, 2), [[1 << 62, 0]] * 2)
 
 
 def test_large_float_table_q4096():
-    # q large enough that the row-block loops genuinely engage
+    # 4095 = 3^2 * 5 * 7 * 13: a mixed-radix transform with odd radices
     f4096 = build_field(2, 12)
     table = trace_table_all(f4096, "AxB", A=3, B=13, mode="float")
     assert purity_check(table, 24)
