@@ -6,7 +6,7 @@ checks, and combinatorial classification of the parameter sets, with a
 batch CLI for the full reproduction suite.
 """
 
-from .cyclotomic import CycNumber, cyclotomic_polynomial, galois_act
+from .cyclotomic import CycNumber, cyclotomic_polynomial
 from .errors import (
     CapExceededError,
     DegreeOutOfRangeError,

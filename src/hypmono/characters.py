@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import EXACT_PHI_CAP, CycNumber, galois_act, phi
+from .cyclotomic import EXACT_PHI_CAP, CycNumber, phi
 from .finite_field import FieldTable, subfield_norm_map
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "gauss_sum",
     "lifted_char",
     "hasse_davenport_lift_check",
-    "galois_act",
 ]
 
 

@@ -360,12 +360,18 @@ class CycNumber:
             e >>= 1
         return out
 
-    def galois(self, a: int) -> "CycNumber":
-        """Apply zeta_m -> zeta_m**a; requires exact mode and gcd(a, m) = 1."""
+    def galois(self, a: int, p: int | None = None) -> "CycNumber":
+        """Apply zeta_m -> zeta_m**a; requires exact mode and gcd(a, m) = 1.
+
+        When the residue characteristic p is given, a must fix zeta_p, i.e.
+        a = 1 mod p whenever p divides m; rational values are unchanged.
+        """
         if not self.is_exact:
             raise ValueError("galois action requires exact mode")
         if math.gcd(a, self.order) != 1:
             raise ValueError("exponent not coprime to the order")
+        if p is not None and self.order % p == 0 and a % p != 1 % p:
+            raise ValueError("action does not fix the p-th roots of unity")
         num = _reduce_exponents(
             self.order, [((i * a) % self.order, c) for i, c in enumerate(self.num)]
         )
@@ -429,15 +435,3 @@ class CycNumber:
             return cls(obj["order"], tuple(obj["num"]), obj["den"])
         return cls.from_complex(complex(obj["re"], obj["im"]))
 
-
-def galois_act(value: CycNumber, a: int, p: int | None = None) -> CycNumber:
-    """Galois action zeta_m -> zeta_m**a on an exact value.
-
-    When the residue characteristic p is given, a must fix zeta_p, i.e.
-    a = 1 mod p; rational inputs are returned unchanged.
-    """
-    if not value.is_exact:
-        raise ValueError("galois action requires exact mode")
-    if p is not None and value.order % p == 0 and a % p != 1 % p:
-        raise ValueError("action does not fix the p-th roots of unity")
-    return value.galois(a)

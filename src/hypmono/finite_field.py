@@ -70,7 +70,10 @@ PRIMITIVE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 _CACHE_MAGIC = b"HMFT0001"
-_ADD_TABLE_MAX_K = 7  # full q x q addition table only up to 3^7
+# antilog rows per companion-matrix product: the fastest of 256..8192 at
+# 2^22 and 3^13 on a 2-core VM, also with another process holding a core,
+# when 8192 rows took 2.7x as long (BLAS threads contend)
+_BLOCK = 1 << 11
 
 
 # ----------------------------------------------------------------------
@@ -156,17 +159,6 @@ def _is_irreducible(modulus, p) -> bool:
     return True
 
 
-def _add3_int(a: int, b: int, k: int) -> int:
-    """Carry-free base-3 digit addition of two encodings."""
-    out, sh = 0, 1
-    for _ in range(k):
-        out += ((a % 3) + (b % 3)) % 3 * sh
-        a //= 3
-        b //= 3
-        sh *= 3
-    return out
-
-
 # ----------------------------------------------------------------------
 
 class FieldTable:
@@ -194,107 +186,86 @@ class FieldTable:
         if antilog is None:
             antilog = self._fill_antilog()
         self.antilog = np.ascontiguousarray(antilog, dtype=np.int64)
-        log = np.full(self.q, -1, dtype=np.int64)
-        log[self.antilog] = np.arange(self.q - 1)
-        self.log = log
-
-        self._add_table = None
-        if p == 3 and k <= _ADD_TABLE_MAX_K:
-            self._add_table = self._build_add_table()
-
         if trace is None:
             trace = self._fill_trace()
         self.trace_table = np.ascontiguousarray(trace, dtype=np.int64)
-
-        self._embeddings: dict[tuple[int, tuple[int, ...]], tuple] = {}
         self._validate()
 
-    # ------------------------------------------------------------------
-    # construction
+        # the antilog is a bijection onto 1..q-1 once _validate has passed
+        log = np.full(self.q, -1, dtype=np.int64)
+        log[self.antilog] = np.arange(self.q - 1)
+        self.log = log
+        self._embeddings: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
-    def _reduction_encoding(self) -> int:
-        """Encoding of t^k reduced mod the modulus."""
-        p, k = self.p, self.k
-        enc = 0
-        for i in range(k):
-            enc += ((-self.modulus[i]) % p) * p ** i
-        return enc
+    # ------------------------------------------------------------------
+    # construction: multiplication by t and the trace are F_p-linear maps
+    # of digit rows, digits(t * x) = digits(x) @ M mod p with M the
+    # companion matrix of the modulus
+
+    def _companion(self) -> np.ndarray:
+        m = np.eye(self.k, self.k, 1, dtype=np.int64)
+        m[-1] = [-c % self.p for c in self.modulus[:-1]]  # t^k = -sum c_i t^i
+        return m
 
     def _fill_antilog(self) -> np.ndarray:
-        p, k, q = self.p, self.k, self.q
-        antilog = np.empty(q - 1, dtype=np.int64)
-        red = self._reduction_encoding()
-        x = 1
-        if p == 2:
-            top = 1 << k
-            for i in range(q - 1):
-                antilog[i] = x
-                x <<= 1
-                if x & top:
-                    x = (x ^ top) ^ red
-        else:
-            red2 = _add3_int(red, red, k)
-            for i in range(q - 1):
-                antilog[i] = x
-                x *= 3
-                d, x = divmod(x, q)
-                if d == 1:
-                    x = _add3_int(x, red, k)
-                elif d == 2:
-                    x = _add3_int(x, red2, k)
-        if x != 1:
-            raise AssertionError("generator does not have order q-1")
+        """antilog[s*L + i] = t^(s*L + i): block s is digits(t^i) @ M^(s*L).
+
+        Products of digit rows and reduced powers of M are at most
+        k (p-1)^2 <= 60 and encodings stay below q <= 2^24, so the float64
+        products are exact; the digits are reduced mod p in uint8, which
+        is several times faster than a float remainder.
+        """
+        p, k, n = self.p, self.k, self.q - 1
+        m = self._companion()
+        rows, step = np.eye(1, k, dtype=np.int64), m  # rows t^0..t^(L-1), step M^L
+        while len(rows) < min(n, _BLOCK):
+            rows = np.vstack([rows, rows @ step % p])
+            step = step @ step % p
+        rows, step = rows.astype(np.float64), step.astype(np.float64)
+        weights = (p ** np.arange(k)).astype(np.float64)
+        antilog = np.empty(n, dtype=np.int64)
+        power = np.eye(k)
+        for start in range(0, n, len(rows)):
+            block = ((rows @ power).astype(np.uint8) % p) @ weights
+            antilog[start:start + len(rows)] = block[: n - start].astype(np.int64)
+            power = power @ step % p
         return antilog
 
-    def _build_add_table(self) -> np.ndarray:
-        q, p, k = self.q, self.p, self.k
-        digs = np.empty((q, k), dtype=np.int64)
-        v = np.arange(q, dtype=np.int64)
-        for i in range(k):
-            v, digs[:, i] = np.divmod(v, p)
-        s = (digs[:, None, :] + digs[None, :, :]) % p
-        weights = p ** np.arange(k, dtype=np.int64)
-        return (s * weights).sum(axis=2)
-
     def _fill_trace(self) -> np.ndarray:
-        q, p, k, n = self.q, self.p, self.k, self.q - 1
-        logs = np.arange(n, dtype=np.int64)
-        acc = np.zeros(n, dtype=np.int64)
-        for i in range(k):
-            conj = self.antilog[(logs * pow(p, i, n)) % n]
-            acc = self.add(acc, conj)
-        trace = np.zeros(q, dtype=np.int64)
-        trace[self.antilog] = acc
-        if np.any(trace >= p):
-            raise AssertionError("trace landed outside the prime field")
+        """Tr(x) = sum_j d_j Tr(t^j) mod p, with Tr(t^j) = trace(M^j) mod p.
+
+        One base-p digit at a time: the elements with top digit d_j = d
+        are the table so far shifted by d Tr(t^j).
+        """
+        p = self.p
+        m = self._companion()
+        power = np.eye(self.k, dtype=np.int64)
+        trace = np.zeros(1, dtype=np.int8)
+        for _ in range(self.k):
+            tr_t = int(np.trace(power)) % p
+            trace = np.concatenate([(trace + d * tr_t) % p for d in range(p)])
+            power = power @ m % p
         return trace
 
     def _validate(self) -> None:
-        q, p = self.q, self.p
-        if sorted(self.antilog.tolist()) != list(range(1, q)):
+        q, p, k = self.q, self.p, self.k
+        if not np.array_equal(np.sort(self.antilog), np.arange(1, q)):
             raise AssertionError(
                 "antilog table is not a bijection onto the nonzero elements; "
                 "the generator order is below q-1"
             )
         if self.antilog[0] != 1:
             raise AssertionError("antilog[0] must be 1")
-        if self.k >= 2 and self.antilog[1] != p:
+        if k >= 2 and self.antilog[1] != p:
             raise AssertionError("antilog[1] must be the class of t")
         if not _is_irreducible(self.modulus, p):
             raise AssertionError("modulus is reducible")
-        # multiply-by-t recurrence, vectorized over the whole table
-        nxt = np.roll(self.antilog, -1)
-        if p == 2:
-            y = self.antilog << 1
-            over = (y >> self.k) & 1
-            y = np.where(over == 1, (y ^ (1 << self.k)) ^ self._reduction_encoding(), y)
-        else:
-            red = self._reduction_encoding()
-            y = self.antilog * 3
-            lead, rem = np.divmod(y, q)
-            corr = np.choose(lead, [0, red, _add3_int(red, red, self.k)])
-            y = self.add(rem, corr)
-        if not np.array_equal(y, nxt):
+        # multiply-by-t recurrence in digit arithmetic, independent of the
+        # fill: shift every digit up, and a carried-out top digit c adds c t^k
+        red = sum(-c % p * p ** i for i, c in enumerate(self.modulus[:-1]))
+        lead, rem = np.divmod(self.antilog * p, q)
+        corr = np.array([self.scalar_mul(c, red) for c in range(p)])
+        if not np.array_equal(self.add(rem, corr[lead]), np.roll(self.antilog, -1)):
             raise AssertionError("antilog recurrence broken")
         # equidistribution of the trace, equivalent to exact cancellation of
         # every nontrivial additive character sum
@@ -315,9 +286,6 @@ class FieldTable:
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            out = self._add_table[a, b]
-            return int(out) if np.ndim(out) == 0 else out
         return self._add3(a, b)
 
     def _add3(self, a, b):
@@ -479,12 +447,8 @@ def subfield_norm_map(field: FieldTable, sub: FieldTable, x: int) -> int:
 @lru_cache(maxsize=None)
 def build_field(p: int, k: int) -> FieldTable:
     """Deterministic F_{p^k} with the fixed embedded modulus."""
-    if p not in (2, 3):
-        raise UnsupportedCharacteristicError(f"characteristic {p} not supported")
-    cap = DEGREE_CAPS[p]
-    if not 1 <= k <= cap:
-        raise DegreeOutOfRangeError(f"degree {k} outside 1..{cap} for p={p}")
-    return FieldTable(p, k, PRIMITIVE_POLYS[(p, k)])
+    # an unsupported (p, k) has no modulus; the constructor rejects it first
+    return FieldTable(p, k, PRIMITIVE_POLYS.get((p, k)))
 
 
 # ----------------------------------------------------------------------
@@ -505,29 +469,38 @@ def save_cache(field: FieldTable, path) -> None:
 
 
 def load_cache(path) -> FieldTable:
-    """Load a cached field.
+    """Load a cached field; every malformed cache raises ValueError.
 
     The checksum guards file integrity; the FieldTable constructor then
     re-verifies every structural invariant (bijection, generator recurrence,
     irreducibility, trace equidistribution), and the trace table is
-    recomputed from the antilog table and compared bit for bit.  A cache
-    can therefore accelerate startup but never change results.
+    recomputed from the modulus and compared bit for bit.  A cache can
+    therefore accelerate startup but never change results.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != _CACHE_MAGIC:
             raise ValueError("bad cache magic")
-        p, k, nmod = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise ValueError("truncated cache header")
+        p, k, nmod = struct.unpack("<III", header)
         modulus = tuple(int(v) for v in np.frombuffer(fh.read(4 * nmod), dtype="<u4"))
         digest = fh.read(32)
         body = fh.read()
-    if hashlib.sha256(body).digest() != digest:
-        raise ValueError("cache checksum mismatch")
-    q = int(p) ** int(k)
-    antilog = np.frombuffer(body[: 4 * (q - 1)], dtype="<u4").astype(np.int64)
-    trace = np.frombuffer(body[4 * (q - 1):], dtype="<u4").astype(np.int64)
+    # checked before q = p^k is formed from the unverified header
     if modulus != PRIMITIVE_POLYS.get((p, k)):
         raise ValueError("cache modulus does not match the embedded table")
-    field = FieldTable(p, k, modulus, antilog=antilog, trace=trace)
+    if hashlib.sha256(body).digest() != digest:
+        raise ValueError("cache checksum mismatch")
+    q = p ** k
+    if len(body) != 4 * (2 * q - 1):
+        raise ValueError("cache body has the wrong length")
+    antilog = np.frombuffer(body[: 4 * (q - 1)], dtype="<u4").astype(np.int64)
+    trace = np.frombuffer(body[4 * (q - 1):], dtype="<u4").astype(np.int64)
+    try:
+        field = FieldTable(p, k, modulus, antilog=antilog, trace=trace)
+    except AssertionError as exc:
+        raise ValueError(f"cached tables fail validation: {exc}") from exc
     if not np.array_equal(field.trace_table, field._fill_trace()):
         raise ValueError("cached trace table differs from recomputation")
     return field

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -116,6 +117,25 @@ def test_field_cache_env(tmp_path, monkeypatch, capsys):
     rc = main(["trace-table", "--family", "4x5", "--field-degree", "2",
                "--mode", "exact", "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_field_cache_env_rebuilds_a_bad_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HYPMONO_CACHE", str(tmp_path / "cache"))
+    argv = ["trace-table", "--family", "4x5", "--field-degree", "2",
+            "--mode", "exact", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    path = tmp_path / "cache" / "field_3_2.tab"
+    blob = path.read_bytes()
+    # swap the first two antilog entries and reseal the checksum; the
+    # header is magic, p, k, len(modulus) and the 3 coefficients of F_9
+    head = 20 + 4 * 3
+    body = blob[head + 36:head + 40] + blob[head + 32:head + 36] + blob[head + 40:]
+    path.write_bytes(blob[:head] + hashlib.sha256(body).digest() + body)
+    assert main(argv) == 0
+    assert path.read_bytes() == blob  # rebuilt and rewritten
+    path.write_bytes(blob[:14])  # truncated header
+    assert main(argv) == 0
+    assert path.read_bytes() == blob
 
 
 def test_verification_failure_exit_code(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hypmono.cyclotomic import CycNumber, cyclotomic_polynomial, galois_act
+from hypmono.cyclotomic import CycNumber, cyclotomic_polynomial
 from hypmono.errors import CapExceededError
 
 
@@ -54,18 +54,19 @@ def test_galois_is_ring_homomorphism():
             assert (a * b).galois(t) == a.galois(t) * b.galois(t)
 
 
-def test_galois_act_contract():
+def test_galois_contract():
     z15 = CycNumber.root_of_unity(15, 1)
-    assert galois_act(z15, 1) == z15
-    assert galois_act(z15, 4, p=2) == CycNumber.root_of_unity(15, 4)
+    assert z15.galois(1) == z15
+    assert z15.galois(4, p=2) == CycNumber.root_of_unity(15, 4)
     rational = CycNumber.from_rational(Fraction(7, 3))
-    assert galois_act(rational, 2) == rational
+    assert rational.galois(2) == rational
+    assert rational.galois(2, p=3) == rational
     with pytest.raises(ValueError):
-        galois_act(CycNumber.root_of_unity(6, 1), 3)  # gcd(3, 6) != 1
+        CycNumber.root_of_unity(6, 1).galois(3)  # gcd(3, 6) != 1
     with pytest.raises(ValueError):
-        galois_act(CycNumber.root_of_unity(12, 1), 5, p=3)  # moves zeta_3
+        CycNumber.root_of_unity(12, 1).galois(5, p=3)  # moves zeta_3
     with pytest.raises(ValueError):
-        galois_act(CycNumber.from_complex(1 + 0j), 5)
+        CycNumber.from_complex(1 + 0j).galois(5)
 
 
 def test_conjugation_and_abs2():

@@ -1,5 +1,10 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypmono.errors import (
     DegreeOutOfRangeError,
@@ -104,11 +109,51 @@ def test_build_errors():
         build_field(2, 3).inv(0)
 
 
-def test_addition_digit_path_matches_table():
-    f27 = build_field(3, 3)
-    a = np.repeat(np.arange(27), 27)
-    b = np.tile(np.arange(27), 27)
-    assert np.array_equal(f27._add3(a, b), f27._add_table[a, b])
+def _add_reference(a: int, b: int, p: int, k: int) -> int:
+    """Sum of two encodings, one scalar base-p digit at a time."""
+    return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(k))
+
+
+@pytest.mark.parametrize("k,pairs", [(3, None), (9, 3000), (12, 3000)],
+                         ids=["F27-all", "F3^9-random", "F3^12-random"])
+def test_add_matches_digit_reference(k, pairs):
+    field = build_field(3, k)
+    if pairs is None:  # every pair
+        a, b = np.divmod(np.arange(field.q ** 2), field.q)
+    else:
+        a, b = np.random.default_rng(k).integers(0, field.q, size=(2, pairs))
+    ref = [_add_reference(x, y, 3, k) for x, y in zip(a.tolist(), b.tolist())]
+    assert field.add(a, b).tolist() == ref
+    assert field.add(int(a[-1]), int(b[-1])) == ref[-1]
+
+
+# every embedded modulus up to 2^12 and 3^8
+REFERENCE_FIELDS = [(p, k) for p, k in PRIMITIVE_POLYS if p ** k <= (4096 if p == 2 else 6561)]
+
+
+@pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
+def test_antilog_matches_scalar_recurrence(p, k):
+    # t * x shifts the digits up; a carried-out top digit c adds c t^k
+    q = p ** k
+    red = sum(-c % p * p ** i for i, c in enumerate(PRIMITIVE_POLYS[(p, k)][:-1]))
+    ref, x = [], 1
+    for _ in range(q - 1):
+        ref.append(x)
+        lead, x = divmod(x * p, q)
+        for _ in range(lead):
+            x = _add_reference(x, red, p, k)
+    assert build_field(p, k).antilog.tolist() == ref
+
+
+@pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
+def test_trace_table_matches_conjugate_sum(p, k):
+    # Tr(x) = x + x^p + ... + x^(p^(k-1)), summed in the field
+    field = build_field(p, k)
+    xs = field.elements()
+    acc = np.zeros_like(xs)
+    for i in range(k):
+        acc = field.add(acc, field.frobenius(xs, i))
+    assert np.array_equal(field.trace_table, acc)
 
 
 def test_field_axioms_small():
@@ -195,8 +240,82 @@ def test_cache_rejects_wrong_magic(tmp_path):
         load_cache(path)
 
 
+def _resealed(blob: bytes, field, antilog, trace) -> bytes:
+    """The cache blob with new tables under a valid checksum."""
+    head = 20 + 4 * len(field.modulus)
+    body = antilog.astype("<u4").tobytes() + trace.astype("<u4").tobytes()
+    return blob[:head] + hashlib.sha256(body).digest() + body
+
+
+def _changed(a, idx, values):
+    a = a.copy()
+    a[idx] = values
+    return a
+
+
+MALFORMED = {
+    "truncated-header": lambda blob, f: blob[:14],
+    "huge-degree": lambda blob, f: blob[:12] + struct.pack("<I", 2 ** 32 - 1) + blob[16:],
+    "swapped-antilog": lambda blob, f: _resealed(
+        blob, f, _changed(f.antilog, [3, 4], f.antilog[[4, 3]]), f.trace_table),
+    "antilog-entry-beyond-q": lambda blob, f: _resealed(
+        blob, f, _changed(f.antilog, 5, f.q), f.trace_table),
+    "trace-entry-beyond-p": lambda blob, f: _resealed(
+        blob, f, f.antilog, _changed(f.trace_table, 5, f.p)),
+    # Tr(g x) is additive and equidistributed too; only recomputation tells
+    "other-linear-form": lambda blob, f: _resealed(
+        blob, f, f.antilog, f.trace_table[f.mul(f.elements(), f.generator)]),
+    "short-body": lambda blob, f: _resealed(blob, f, f.antilog[:-1], f.trace_table),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cache_rejects_malformed(tmp_path, case):
+    field = build_field(3, 4)
+    path = tmp_path / "f81.tab"
+    save_cache(field, path)
+    path.write_bytes(MALFORMED[case](path.read_bytes(), field))
+    with pytest.raises(ValueError):
+        load_cache(path)
+
+
 def test_moduli_table_is_primitive_everywhere():
     # every embedded modulus passes the constructor's full validation
     for (p, k) in PRIMITIVE_POLYS:
-        if p ** k <= 3 ** 6:
+        if p ** k <= (2 ** 16 if p == 2 else 3 ** 10):
             FieldTable(p, k, PRIMITIVE_POLYS[(p, k)])
+
+
+# ----------------------------------------------------------------------
+# field laws on random elements, including degrees k > 7
+
+LAW_FIELDS = [(2, 3), (2, 9), (2, 16), (3, 2), (3, 8), (3, 11)]
+
+
+@st.composite
+def elements(draw, n):
+    field = build_field(*draw(st.sampled_from(LAW_FIELDS)))
+    return (field, *(draw(st.integers(0, field.q - 1)) for _ in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(3))
+def test_ring_laws(args):
+    f, a, b, c = args
+    assert f.add(a, b) == f.add(b, a)
+    assert f.mul(a, b) == f.mul(b, a)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.sub(a, a) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(2))
+def test_frobenius_and_trace_laws(args):
+    f, a, b = args
+    fr = f.frobenius
+    assert fr(f.add(a, b)) == f.add(fr(a), fr(b))
+    assert fr(f.mul(a, b)) == f.mul(fr(a), fr(b))
+    tr = f.trace_to_prime
+    assert tr(f.add(a, b)) == (tr(a) + tr(b)) % f.p
