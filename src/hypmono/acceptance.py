@@ -30,10 +30,6 @@ class CriterionResult:
     elapsed_s: float
 
 
-def _table(p, k, kind, A, B, mode):
-    return _table_cached(p, k, kind, A, B, mode)
-
-
 @lru_cache(maxsize=None)
 def _table_cached(p, k, kind, A, B, mode):
     field = build_field(p, k)
@@ -214,7 +210,7 @@ def _c7_trace_tables(seed):
 
     # (a) closed form on the degree-2 base field in characteristic 2
     f4 = build_field(2, 2)
-    t4 = _table(2, 2, "AxB", 3, 13, "exact")
+    t4 = _table_cached(2, 2, "AxB", 3, 13, "exact")
     closed = all(
         t4.value(s) == exp_sums.CycNumber.root_of_unity(
             2, f4.trace_to_prime(f4.inv(s))
@@ -227,8 +223,8 @@ def _c7_trace_tables(seed):
     # (b) exact tables in characteristic 2: rational, integral, bounded,
     # Frobenius- and Galois-invariant; float path within 1e-9
     for k, label in ((4, "F16"), (6, "F64")):
-        te = _table(2, k, "AxB", 3, 13, "exact")
-        tf = _table(2, k, "AxB", 3, 13, "float")
+        te = _table_cached(2, k, "AxB", 3, 13, "exact")
+        tf = _table_cached(2, k, "AxB", 3, 13, "float")
         entry = {
             "rational": exp_sums.rationality_check(te),
             "integral": exp_sums.integrality_check(te),
@@ -243,8 +239,8 @@ def _c7_trace_tables(seed):
     # (c) exact tables in characteristic 3 for both families
     for k, label in ((2, "F9"), (4, "F81")):
         for kind, A, B, fam in (("AxB", 4, 5, "4x5"), ("Atimes", None, 7, "28x")):
-            te = _table(3, k, kind, A, B, "exact")
-            tf = _table(3, k, kind, A, B, "float")
+            te = _table_cached(3, k, kind, A, B, "exact")
+            tf = _table_cached(3, k, kind, A, B, "float")
             entry = {
                 "zeta3_span": exp_sums.galois_invariance_check(te).passed,
                 "integral": exp_sums.integrality_check(te),
@@ -332,7 +328,7 @@ def _c10_cross_evaluator(seed):
     )
     for p, k, kind, A, B, label in jobs:
         field = build_field(p, k)
-        table = _table(p, k, kind, A, B, "exact")
+        table = _table_cached(p, k, kind, A, B, "exact")
         mismatches = 0
         for s in field.units():
             if kind == "AxB":

@@ -6,6 +6,26 @@ the denominator, V(x) is the base-p digit sum of a divided by r(p-1).
 The digit lemma verifiers enumerate every x below p^r and check the
 bracket inequalities in all their leading-digit variants, recording slack
 histograms and (expected empty) counterexample lists.
+
+One scan loop, `_scan`, checks every x on its own: it forms the slack
+of each x in int16, takes one bincount of the slacks per block and
+recomputes both sides at an x only when the slack shows a counterexample.
+Two kernels feed it blocks of at most `_CHUNK` = 2^16 values, and the
+input picks the kernel:
+
+* the lemmas (offsets o >= 0, no modulus) split x = h*P + l, with P the
+  largest power of p not above the block size.  The low digit sums and the
+  carries of c*l + o into the high part depend on l alone and are built
+  once per scan; a block is one row h, and its slacks are that low
+  constant plus one gather from a small table of the row's high digit
+  sums.  No division or popcount runs per element.
+* the bracket forms and the finite-monodromy criteria reduce c*x mod
+  p^r - 1 and take uint8 digit sums of the reduced values directly
+  (population count in base 2, a table of the digit sums below 3^9 in
+  base 3).
+
+Both sides' digit-sum totals are bounded from the forms before a scan, and
+a form whose values could leave int64 or int16 raises CapExceededError.
 """
 
 from __future__ import annotations
@@ -21,8 +41,13 @@ import numpy as np
 from .errors import CapExceededError
 from .finite_field import _prime_factors
 
-_CHUNK = 1 << 22
+_CHUNK = 1 << 16  # elements per scan block: the block's int16 slacks fit in L2
 _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped)
+_UINT8_MAX = int(np.iinfo(np.uint8).max)
+_INT16_MAX = int(np.iinfo(np.int16).max)
+_UINT16_MAX = int(np.iinfo(np.uint16).max)
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 R_CAP = {2: 30, 3: 18}
 
@@ -45,25 +70,30 @@ def digit_sum(n: int, p: int) -> int:
 
 @cache
 def _digit_sum_table(p: int) -> np.ndarray:
-    """Digit sums of 0 .. p^8 - 1, one base-p digit appended per step."""
-    t = np.zeros(1, dtype=np.int64)
-    for _ in range(8):
-        t = (t[:, None] + np.arange(p)).ravel()
+    """uint8 digit sums of 0 .. p^k - 1 for the largest p^k <= 2^15 (3^9 in
+    base 3, small enough for the L1 cache), one base-p digit per step."""
+    t = np.zeros(1, dtype=np.uint8)
+    while len(t) * p <= 1 << 15:
+        t = (t[:, None] + np.arange(p, dtype=np.uint8)).ravel()
     t.setflags(write=False)  # shared by every caller
     return t
 
 
-def digit_sum_vec(values: np.ndarray, p: int) -> np.ndarray:
-    values = np.asarray(values)
+def _digit_sums(values: np.ndarray, p: int) -> np.ndarray:
+    """uint8 digit sums of nonnegative integers (at most 80 below 2^63)."""
     if p == 2:
-        return np.bitwise_count(values).astype(np.int64)
+        return np.bitwise_count(values)
     table = _digit_sum_table(p)
-    v, low = np.divmod(values.astype(np.int64), len(table))
-    out = table[low]
-    while v.max(initial=0) > 0:
-        v, low = np.divmod(v, len(table))
-        out += table[low]
-    return out
+    out = np.zeros(values.shape, dtype=np.uint8)
+    while values.max(initial=0) >= len(table):
+        high = values // len(table)
+        out += table[values - high * len(table)]
+        values = high
+    return out + table[values]
+
+
+def digit_sum_vec(values: np.ndarray, p: int) -> np.ndarray:
+    return _digit_sums(np.asarray(values), p).astype(np.int64)
 
 
 def bracket(x: int, p: int, r: int) -> int:
@@ -306,48 +336,145 @@ LEMMAS = {
 
 
 # ----------------------------------------------------------------------
-# the chunked exhaustive scan
+# the exhaustive scan
+
+def _slack_range(p: int, r: int, lhs, rhs, n: int | None) -> tuple[int, int]:
+    """(off, bins): every slack lies in [-off, bins - off).  A side's
+    digit-sum total is at most (p - 1) times the base-p digit count of
+    the largest c*x + o, summed over its forms.  Raises CapExceededError
+    when some c*x + o could pass int64 or a slack could leave int16."""
+    xmax = p ** r - 1 if n is None else n - 1
+
+    def bound(forms):
+        total = 0
+        for c, o in forms:
+            reach = abs(c) * xmax + abs(o)
+            if reach > _INT64_MAX:
+                raise CapExceededError(f"a form c*x + o passes int64 at r={r}")
+            top = reach if n is None else n - 1
+            digits = 1
+            while top >= p:
+                top //= p
+                digits += 1
+            total += (p - 1) * digits
+        return total
+
+    off = bound(lhs)
+    bins = off + bound(rhs) + 1
+    if bins > _INT16_MAX:
+        raise CapExceededError(f"digit-sum totals at r={r} could leave int16")
+    return off, bins
+
 
 def _form_sum(xs: np.ndarray, forms, p: int, n: int | None) -> np.ndarray:
-    total = 0
+    """int16 sum over the forms of the digit sums of c*x + o (mod n)."""
+    total = np.zeros(xs.shape, dtype=np.int16)
     for c, o in forms:
-        v = xs if (c, o) == (1, 0) else c * xs + o
-        total = total + digit_sum_vec(v if n is None else v % n, p)
+        if (c, o) == (1, 0):
+            v = xs  # below n already
+        else:
+            v = c * xs + o
+            if n is not None:
+                v -= v // n * n  # numpy's // by a scalar avoids the hardware division % runs
+        total += _digit_sums(v, p)
     return total
 
 
-def _scan(p, r, lo, hi, lhs, rhs, variants, n=None) -> list[VariantReport]:
-    """Check sum over lhs <= sum over rhs + allowance of every variant for
-    each x in [lo, hi), where a form (c, o) contributes the base-p digit
-    sum of c*x + o, reduced mod n when n is given."""
+def _split_blocks(p: int, r: int, lhs, rhs):
+    """Slack blocks of the forms over [0, p^r), one row h per block.
+
+    With x = h*P + l, o = o_h*P + o_l and c*l + o_l = q*P + m (m < P),
+    the digit sum of c*x + o is s(m) + s(c*h + o_h + q).  The s(m) and
+    the carries q <= c depend on l alone and are built once per scan,
+    the high digit sums s(c*h + o_h + j), j <= max q, once per form.
+    The carries of several forms combine, mixed-radix, into one uint16
+    index, so a row is the constant low part plus one gather from a
+    table of the row's sums over every carry combination."""
+    P = p ** r
+    while P > max(_CHUNK, 1):
+        P //= p
+    rows = p ** r // P
+    low = np.arange(P, dtype=np.int32)  # c*l + o_l < 2^8 * P fits while _CHUNK < 2^23
+    const = np.zeros(P, dtype=np.int16)
+    groups = []  # [combined carry index, its radix, [(stride, signed high table)]]
+    for sign, forms in ((1, rhs), (-1, lhs)):
+        for c, o in forms:
+            if c < 0 or o < 0:
+                raise ValueError(f"form {c}*x + {o}: the split kernel needs c, o >= 0")
+            if c > _UINT8_MAX:
+                raise CapExceededError(f"form {c}*x + {o}: carries above 255")
+            o_h, o_l = divmod(o, P)
+            m = c * low + o_l
+            q = m // P
+            m -= q * P
+            const += sign * _digit_sums(m, p).astype(np.int16)
+            width = int(q.max()) + 1
+            high = c * np.arange(rows)[:, None] + o_h + np.arange(width)
+            if not groups or groups[-1][1] * width > _UINT16_MAX:
+                groups.append([np.zeros(P, dtype=np.uint16), 1, []])
+            g = groups[-1]
+            g[0] += q.astype(np.uint16) * np.uint16(g[1])
+            g[2].append((g[1], sign * _digit_sums(high, p).astype(np.int16)))
+            g[1] *= width
+    # the carry digit of each form at every combined index
+    groups = [(index, [(high, np.arange(radix) // stride % high.shape[1])
+                       for stride, high in parts])
+              for index, radix, parts in groups]
+    for h in range(rows):
+        slack = const.copy()
+        for index, parts in groups:
+            slack += sum(high[h][digit] for high, digit in parts)[index]
+        yield h * P, slack
+
+
+def _mod_blocks(p: int, lhs, rhs, n: int):
+    """Slack blocks of the forms reduced mod n over [1, n)."""
+    narrow = all(abs(c) * n + abs(o) <= _INT32_MAX for c, o in (*lhs, *rhs))
+    for start in range(1, n, _CHUNK):
+        xs = np.arange(start, min(start + _CHUNK, n), dtype=np.int32 if narrow else np.int64)
+        yield start, _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
+
+
+def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
+    """Check sum over lhs <= sum over rhs + allowance of every variant at
+    each x, where a form (c, o) contributes the base-p digit sum of
+    c*x + o.  Without n, x runs over [0, p^r) through the split kernel;
+    with n = p^r - 1, over [1, n) with every c*x + o reduced mod n."""
+    off, bins = _slack_range(p, r, lhs, rhs, n)
+    blocks = _split_blocks(p, r, lhs, rhs) if n is None else _mod_blocks(p, lhs, rhs, n)
     spans = [v.ranges(p, r) for v in variants]
-    checked = [0] * len(variants)
-    hists = [np.zeros(_SLACK_CAP + 2, dtype=np.int64) for _ in variants]
-    cxs: list[list[Counterexample]] = [[] for _ in variants]
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        xs = np.arange(start, stop, dtype=np.int64)
-        small = _form_sum(xs, lhs, p, n)
-        big = _form_sum(xs, rhs, p, n)
-        slack = big - small
+    counts = [np.zeros(bins, dtype=np.int64) for _ in variants]
+    bad: list[list[np.ndarray]] = [[] for _ in variants]
+    for start, slack in blocks:
+        whole = None  # one bincount serves every variant covering the block
         for i, v in enumerate(variants):
             for a, b in spans[i]:
-                a, b = max(a, start), min(b, stop)
+                a, b = max(a, start), min(b, start + slack.size)
                 if a >= b:
                     continue
-                sl = slice(a - start, b - start)
-                s = slack[sl] + v.allowance
-                hists[i] += np.bincount(np.clip(s, -1, _SLACK_CAP) + 1,
-                                        minlength=_SLACK_CAP + 2)
-                checked[i] += s.size
-                bad = np.flatnonzero(s < 0)
-                cxs[i] += map(Counterexample, xs[sl][bad].tolist(),
-                              small[sl][bad].tolist(),
-                              (big[sl][bad] + v.allowance).tolist())
-    return [
-        VariantReport(v.name, k, cx, {b - 1: int(c) for b, c in enumerate(h) if c})
-        for v, k, h, cx in zip(variants, checked, hists, cxs)
-    ]
+                part = slack[a - start:b - start]
+                if part.size < slack.size:
+                    got = np.bincount(part + off, minlength=bins)
+                else:
+                    if whole is None:
+                        whole = np.bincount(slack + off, minlength=bins)
+                    got = whole
+                counts[i] += got
+                if got[:max(off - v.allowance, 0)].any():
+                    bad[i].append(np.flatnonzero(part < -v.allowance) + a)
+    reports = []
+    for v, got, xs in zip(variants, counts, bad):
+        hist = np.zeros(_SLACK_CAP + 2, dtype=np.int64)
+        np.add.at(hist, np.clip(np.arange(bins) - off + v.allowance, -1, _SLACK_CAP) + 1, got)
+        cx = []
+        if xs:
+            xs = np.concatenate(xs)
+            rhs_total = [t + v.allowance for t in _form_sum(xs, rhs, p, n).tolist()]
+            cx = list(map(Counterexample, xs.tolist(),
+                          _form_sum(xs, lhs, p, n).tolist(), rhs_total))
+        reports.append(VariantReport(v.name, int(got.sum()), cx,
+                                     {b - 1: int(k) for b, k in enumerate(hist) if k}))
+    return reports
 
 
 def _require_r(p: int, r: int) -> None:
@@ -360,7 +487,7 @@ def _verify_lemma(family: str, r: int) -> VerificationReport:
     lemma = LEMMAS[family]
     _require_r(lemma.p, r)
     variants = [v for v in lemma.variants if r >= v.min_r]
-    variants = _scan(lemma.p, r, 0, lemma.p ** r, *lemma.forms(r), variants)
+    variants = _scan(lemma.p, r, *lemma.forms(r), variants)
     return VerificationReport(f"lemma-{family}", lemma.p, r, variants,
                               (time.perf_counter() - t0) * 1000.0)
 
@@ -411,7 +538,7 @@ def _verify_brackets(family: str, r: int, sharp: bool) -> VerificationReport:
         name = f"corollary-{family}"
         variant = Variant(f"bracket_plus{allowance}", allowance)
     n = p ** r - 1
-    variants = _scan(p, r, 1, n, *lemma.forms(r), [variant], n)
+    variants = _scan(p, r, *lemma.forms(r), [variant], n)
     return VerificationReport(name, p, r, variants, (time.perf_counter() - t0) * 1000.0)
 
 
@@ -488,7 +615,7 @@ def _check_criterion(crit: Criterion, r_max: int) -> CriterionReport:
     for r in range(1, r_max + 1):
         _require_r(p, r)
         n = p ** r - 1
-        (rep,) = _scan(p, r, 1, n, [(c, 0) for c in crit.small],
+        (rep,) = _scan(p, r, [(c, 0) for c in crit.small],
                        [(c, 0) for c in crit.big],
                        [Variant("", crit.constant * r * (p - 1))], n)
         checked += rep.checked

@@ -372,8 +372,7 @@ def _variant_records(report):
     }
 
 
-@pytest.mark.parametrize("family,p,r_max", [("3x13", 2, 9), ("4x5", 3, 6), ("28", 3, 6)])
-def test_lemma_data_matches_scalar_route(family, p, r_max):
+def _check_scalar_route(family, p, r_max):
     verify = {"3x13": verify_lemma_3x13, "4x5": verify_lemma_4x5,
               "28": verify_lemma_28}[family]
     allowance = {"3x13": 5, "4x5": 6, "28": 3}[family]
@@ -397,6 +396,84 @@ def test_lemma_data_matches_scalar_route(family, p, r_max):
             points = [(name, x, lhs, rhs + c)
                       for x, (lhs, rhs) in enumerate(sides, start=1)]
             assert _variant_records(report) == _expected([name], points)
+
+
+@pytest.mark.parametrize("family,p,r_max", [("3x13", 2, 9), ("4x5", 3, 6), ("28", 3, 6)])
+def test_lemma_data_matches_scalar_route(family, p, r_max):
+    _check_scalar_route(family, p, r_max)
+
+
+@pytest.mark.parametrize("family,p,r_max", [("3x13", 2, 9), ("4x5", 3, 6), ("28", 3, 6)])
+def test_lemma_data_matches_scalar_route_across_rows(monkeypatch, family, p, r_max):
+    # blocks of 8 or 9 split every scan past r = 3 into rows, so the carries
+    # and the high offset digits cross block boundaries
+    import hypmono.kubert as kb
+
+    monkeypatch.setattr(kb, "_CHUNK", 10)
+    _check_scalar_route(family, p, r_max)
+
+
+@pytest.mark.parametrize("chunk", [None, 10], ids=["one-block", "rows"])
+@pytest.mark.parametrize("kernel", ["split", "mod"])
+@pytest.mark.parametrize("family,p,r", [("3x13", 2, 8), ("4x5", 3, 5), ("28", 3, 5)])
+def test_scan_counterexamples_match_scalar_route(monkeypatch, family, p, r, kernel, chunk):
+    # lowered allowances make both kernels report counterexamples
+    import hypmono.kubert as kb
+
+    if chunk:
+        monkeypatch.setattr(kb, "_CHUNK", chunk)
+    variants = [kb.Variant("minus2", -2),
+                kb.Variant("minus1", -1, lead=2, allowed=frozenset({1, p + 1}))]
+    if kernel == "split":
+        n, xs, ds = None, range(p ** r), lambda v: digit_sum(v, p)
+    else:
+        n, xs, ds = p ** r - 1, range(1, p ** r - 1), lambda v: bracket(v, p, r)
+    points = []
+    for x in xs:
+        lhs, rhs = _scalar_sides(family, x, r, ds)
+        points.append(("minus2", x, lhs, rhs - 2))
+        if x // p ** (r - 2) in (1, p + 1):
+            points.append(("minus1", x, lhs, rhs - 1))
+    want = _expected(["minus2", "minus1"], points)
+    assert any(rec["counterexamples"] for rec in want.values())
+    got = kb._scan(p, r, *kb.LEMMAS[family].forms(r), variants, n)
+    assert {
+        rep.variant: {"variant": rep.variant, "checked": rep.checked,
+                      "counterexamples": [c.to_json() for c in rep.counterexamples],
+                      "slack_histogram": {str(k): c for k, c in rep.slack_histogram.items()}}
+        for rep in got
+    } == want
+
+
+def test_narrow_accumulators_fit_at_r_cap():
+    import hypmono.kubert as kb
+
+    criteria = {2: [((3, 13), (39,))],  # (small, big) multipliers of C6
+                3: [((4, 5), (20,)), ((14, 4), (28, 2, -1))]}
+    for p, r in kb.R_CAP.items():
+        n = p ** r - 1
+        sides = [(lemma.forms(r), m) for lemma in kb.LEMMAS.values() if lemma.p == p
+                 for m in (None, n)]
+        sides += [(([(c, 0) for c in small], [(c, 0) for c in big]), n)
+                  for small, big in criteria[p]]
+        for (lhs, rhs), m in sides:
+            off, bins = kb._slack_range(p, r, lhs, rhs, m)  # raises past int16
+            assert 0 < off < bins <= 2 ** 15 - 1
+
+
+@pytest.mark.parametrize("lhs,n", [
+    ([(2 ** 60, 0)], None),          # c*x passes int64
+    ([(2 ** 60, 0)], 2 ** 8 - 1),
+    ([(2 ** 40000, 0)], None),
+    ([(1, 0)] * 1200, None),         # 1200 * 30 digits leave int16
+    ([(300, 0)], None),              # carries above 255
+], ids=["int64", "int64-mod", "huge", "int16", "carry"])
+def test_scan_refuses_forms_that_leave_its_dtypes(lhs, n):
+    import hypmono.kubert as kb
+
+    r = 30 if len(lhs) > 1 else 8
+    with pytest.raises(CapExceededError):
+        kb._scan(2, r, lhs, [(1, 0)], [kb.Variant("v", 0)], n)
 
 
 def test_criteria_match_scalar_route():
