@@ -45,8 +45,6 @@ _CHUNK = 1 << 16  # elements per scan block: the block's int16 slacks fit in L2
 _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped)
 _UINT8_MAX = int(np.iinfo(np.uint8).max)
 _INT16_MAX = int(np.iinfo(np.int16).max)
-_UINT16_MAX = int(np.iinfo(np.uint16).max)
-_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 R_CAP = {2: 30, 3: 18}
@@ -387,51 +385,40 @@ def _split_blocks(p: int, r: int, lhs, rhs):
     the digit sum of c*x + o is s(m) + s(c*h + o_h + q).  The s(m) and
     the carries q <= c depend on l alone and are built once per scan,
     the high digit sums s(c*h + o_h + j), j <= max q, once per form.
-    The carries of several forms combine, mixed-radix, into one uint16
-    index, so a row is the constant low part plus one gather from a
-    table of the row's sums over every carry combination."""
+    A row is the constant low part plus one gather per form from the
+    row's high digit sums."""
     P = p ** r
     while P > max(_CHUNK, 1):
         P //= p
     rows = p ** r // P
     low = np.arange(P, dtype=np.int32)  # c*l + o_l < 2^8 * P fits while _CHUNK < 2^23
     const = np.zeros(P, dtype=np.int16)
-    groups = []  # [combined carry index, its radix, [(stride, signed high table)]]
+    parts = []  # (carries, signed high digit sums) per form
     for sign, forms in ((1, rhs), (-1, lhs)):
         for c, o in forms:
             if c < 0 or o < 0:
                 raise ValueError(f"form {c}*x + {o}: the split kernel needs c, o >= 0")
-            if c > _UINT8_MAX:
+            if c > _UINT8_MAX:  # keeps a form's high table within rows x 256
                 raise CapExceededError(f"form {c}*x + {o}: carries above 255")
             o_h, o_l = divmod(o, P)
             m = c * low + o_l
             q = m // P
             m -= q * P
             const += sign * _digit_sums(m, p).astype(np.int16)
-            width = int(q.max()) + 1
-            high = c * np.arange(rows)[:, None] + o_h + np.arange(width)
-            if not groups or groups[-1][1] * width > _UINT16_MAX:
-                groups.append([np.zeros(P, dtype=np.uint16), 1, []])
-            g = groups[-1]
-            g[0] += q.astype(np.uint16) * np.uint16(g[1])
-            g[2].append((g[1], sign * _digit_sums(high, p).astype(np.int16)))
-            g[1] *= width
-    # the carry digit of each form at every combined index
-    groups = [(index, [(high, np.arange(radix) // stride % high.shape[1])
-                       for stride, high in parts])
-              for index, radix, parts in groups]
+            high = c * np.arange(rows)[:, None] + o_h + np.arange(int(q.max()) + 1)
+            parts.append((q.astype(np.intp), sign * _digit_sums(high, p).astype(np.int16)))
+    gathered = np.empty(P, dtype=np.int16)
     for h in range(rows):
         slack = const.copy()
-        for index, parts in groups:
-            slack += sum(high[h][digit] for high, digit in parts)[index]
+        for q, high in parts:
+            slack += np.take(high[h], q, out=gathered)
         yield h * P, slack
 
 
 def _mod_blocks(p: int, lhs, rhs, n: int):
     """Slack blocks of the forms reduced mod n over [1, n)."""
-    narrow = all(abs(c) * n + abs(o) <= _INT32_MAX for c, o in (*lhs, *rhs))
     for start in range(1, n, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, n), dtype=np.int32 if narrow else np.int64)
+        xs = np.arange(start, min(start + _CHUNK, n))
         yield start, _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
 
 

@@ -2,23 +2,26 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_pairs.py --base REV --label L [--pairs 10] [--seed0 S]
-                                 [--workload NAME ...]
+    python3 tools/bench_pairs.py --base REV --label L [--seed0 S]
 
-For each workload (by default every workload in BENCHMARK.json) it runs
-the checkout's own, unchanged `perfbench/run.py --trace 0` on both sides,
-N pairs of runs, with the run length `run_seconds` from BENCHMARK.json.
-The base side is the committed tree of REV, exported with `git archive`
-into a temporary directory (the benchmark likewise runs committed files in
-a fresh directory); the other side is the working tree.  Both runs of a
-pair use the same seed, and the side that runs first alternates from pair
-to pair.  Runs go one at a time, so the two sides never share the CPU.
+For every workload in BENCHMARK.json it runs the checkout's own, unchanged
+`perfbench/run.py --trace 0` on both sides, ten pairs of runs, with the
+run length `run_seconds` from BENCHMARK.json.  The base side is the
+committed tree of REV, exported with `git archive` into a temporary
+directory (the benchmark likewise runs committed files in a fresh
+directory); the other side is the working tree.  Both runs of a pair use
+the same seed, and the side that runs first alternates from pair to pair.
+Runs go one at a time, so the two sides never share the CPU.
 
-It writes BENCH_<L>.json at the root of the checkout: per workload and
-end-to-end metric, every run's value on each side, each side's median and
-quartiles, the pairs the working tree wins (ties count for neither side),
-and whether the claim rule holds: wins in at least nine tenths of the
-pairs, and medians further apart than the base runs' quartile spread.
+It writes BENCH_<L>.json at the root of the checkout.  Each side is named
+by its commit and by the digest of its src/ tree that perfbench reports;
+the working tree's entry also lists `git status --porcelain` as it was
+when the runs began, empty when the tree measured is exactly HEAD.  Per
+workload and end-to-end metric it records every run's value on each side,
+each side's median and quartiles, the pairs the working tree wins (ties
+count for neither side), and whether the claim rule holds: wins in at
+least nine tenths of the pairs, and medians further apart than the base
+runs' quartile spread.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # the claim rule reads wins out of ten pairs
 
 
 def git(*args) -> str:
@@ -44,15 +48,15 @@ def git(*args) -> str:
 
 def export(rev: str, dest: Path) -> None:
     """Write the committed tree of rev into dest."""
-    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+    data = subprocess.run(["git", "archive", "--format=zip", rev], cwd=ROOT,
                           check=True, stdout=subprocess.PIPE).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(dest, filter="data")
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        archive.extractall(dest)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in root: its final JSON line, with the commit and
-    the digest of src/ from the run's provenance line added."""
+    """One perfbench run in root: its final JSON line, with the digest of
+    src/ from the run's provenance line added."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -64,7 +68,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     for line in lines:
         if line.startswith("provenance "):
             prov = json.loads(line[len("provenance "):])
-            result |= {k: prov[k] for k in ("commit", "src_sha256")}
+            result["src_sha256"] = prov["src_sha256"]
     return result
 
 
@@ -96,21 +100,19 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", help="default: every workload")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     out = {
         "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-        "head": {"commit": git("rev-parse", "HEAD"), "tree": "working tree"},
-        "pairs": args.pairs,
+        "head": {"commit": git("rev-parse", "HEAD"), "tree": "working tree",
+                 "status": git("status", "--porcelain").splitlines()},
+        "pairs": PAIRS,
         "run_seconds": seconds,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "processor": platform.processor()},
@@ -120,24 +122,25 @@ def main(argv=None) -> int:
         base_root = Path(tmp)
         export(args.base, base_root)
         sides = {"base": base_root, "head": ROOT}
-        for workload in workloads:
+        digests = {"base": set(), "head": set()}
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "head": []}
             seeds, first = [], []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed0 + i
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for side in order:
                     runs[side].append(run_once(sides[side], workload, seed, seconds))
-                    print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                    print(f"{workload} pair {i + 1}/{PAIRS} seed {seed} {side}: "
                           + json.dumps({k: v["value"] for k, v in
                                         runs[side][-1]["metrics"].items()}), flush=True)
                 seeds.append(seed)
                 first.append(order[0])
+            for side, rs in runs.items():
+                digests[side] |= {r["src_sha256"] for r in rs}
             out["workloads"][workload] = {
                 "seeds": seeds,
                 "first": first,
-                "src_sha256": {side: sorted({r.get("src_sha256") for r in rs})
-                               for side, rs in runs.items()},
                 "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
                 "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
                 "metrics": {
@@ -146,6 +149,8 @@ def main(argv=None) -> int:
                     for m in spec["end_to_end"]
                 },
             }
+    for side, found in digests.items():
+        out[side]["src_sha256"] = sorted(found)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
