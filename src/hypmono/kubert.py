@@ -46,7 +46,6 @@ _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped
 _UINT8_MAX = int(np.iinfo(np.uint8).max)
 _CARRY_TABLE_MAX = 1 << 16  # entries of a split row's table of carry combinations
 _INT16_MAX = int(np.iinfo(np.int16).max)
-_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 R_CAP = {2: 30, 3: 18}
@@ -422,9 +421,8 @@ def _split_blocks(p: int, r: int, lhs, rhs):
 
 def _mod_blocks(p: int, lhs, rhs, n: int):
     """Slack blocks of the forms reduced mod n over [1, n)."""
-    narrow = all(abs(c) * n + abs(o) <= _INT32_MAX for c, o in (*lhs, *rhs))
     for start in range(1, n, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, n), dtype=np.int32 if narrow else np.int64)
+        xs = np.arange(start, min(start + _CHUNK, n))
         yield start, _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
 
 

@@ -414,7 +414,7 @@ def test_lemma_data_matches_scalar_route_across_rows(monkeypatch, family, p, r_m
 
 
 @pytest.mark.parametrize("chunk", [None, 10], ids=["one-block", "rows"])
-@pytest.mark.parametrize("kernel", ["split", "mod", "mod-int64"])
+@pytest.mark.parametrize("kernel", ["split", "mod"])
 @pytest.mark.parametrize("family,p,r", [("3x13", 2, 8), ("4x5", 3, 5), ("28", 3, 5)])
 def test_scan_counterexamples_match_scalar_route(monkeypatch, family, p, r, kernel, chunk):
     # lowered allowances make both kernels report counterexamples
@@ -422,8 +422,6 @@ def test_scan_counterexamples_match_scalar_route(monkeypatch, family, p, r, kern
 
     if chunk:
         monkeypatch.setattr(kb, "_CHUNK", chunk)
-    if kernel == "mod-int64":  # the blocks of values that could pass int32
-        monkeypatch.setattr(kb, "_INT32_MAX", 0)
     variants = [kb.Variant("minus2", -2),
                 kb.Variant("minus1", -1, lead=2, allowed=frozenset({1, p + 1}))]
     if kernel == "split":
