@@ -34,7 +34,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .finite_field import _prime_factors
 _CHUNK = 1 << 16  # elements per scan block: the block's int16 slacks fit in L2
 _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped)
 _UINT8_MAX = int(np.iinfo(np.uint8).max)
-_CARRY_TABLE_MAX = 1 << 16  # entries of a split row's table of carry combinations
 _INT16_MAX = int(np.iinfo(np.int16).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -386,16 +385,15 @@ def _split_blocks(p: int, r: int, lhs, rhs):
     the digit sum of c*x + o is s(m) + s(c*h + o_h + q).  The s(m) and
     the carries q <= c depend on l alone and are built once per scan,
     the high digit sums s(c*h + o_h + j), j <= max q, once per form.
-    The carries of all forms combine into one index, so a row is the
-    constant low part plus one gather from the outer sum of the forms'
-    high digit sums over every carry combination."""
+    A row is the constant low part plus one gather per form from the
+    row's high digit sums."""
     P = p ** r
     while P > max(_CHUNK, 1):
         P //= p
     rows = p ** r // P
     low = np.arange(P, dtype=np.int32)  # c*l + o_l < 2^8 * P fits while _CHUNK < 2^23
     const = np.zeros(P, dtype=np.int16)
-    carries, widths, highs = [], [], []
+    parts = []  # (carries, signed high digit sums) per form
     for sign, forms in ((1, rhs), (-1, lhs)):
         for c, o in forms:
             if c < 0 or o < 0:
@@ -407,16 +405,14 @@ def _split_blocks(p: int, r: int, lhs, rhs):
             q = m // P
             m -= q * P
             const += sign * _digit_sums(m, p).astype(np.int16)
-            carries.append(q)
-            widths.append(int(q.max()) + 1)
-            if math.prod(widths) > _CARRY_TABLE_MAX:
-                raise CapExceededError(f"{math.prod(widths)} carry combinations at r={r}")
-            high = c * np.arange(rows)[:, None] + o_h + np.arange(widths[-1])
-            highs.append(sign * _digit_sums(high, p).astype(np.int16))
-    index = np.ravel_multi_index(carries, widths)
+            high = c * np.arange(rows)[:, None] + o_h + np.arange(int(q.max()) + 1)
+            parts.append((q.astype(np.intp), sign * _digit_sums(high, p).astype(np.int16)))
+    gathered = np.empty(P, dtype=np.int16)
     for h in range(rows):
-        table = reduce(np.add.outer, [high[h] for high in highs])
-        yield h * P, const + table.ravel()[index]
+        slack = const.copy()
+        for q, high in parts:
+            slack += np.take(high[h], q, out=gathered)
+        yield h * P, slack
 
 
 def _mod_blocks(p: int, lhs, rhs, n: int):

@@ -467,8 +467,7 @@ def test_narrow_accumulators_fit_at_r_cap():
     ([(2 ** 40000, 0)], None, 8),
     ([(1, 0)] * 1200, None, 30),        # 1200 * 30 digits leave int16
     ([(300, 0)], None, 8),              # carries above 255
-    ([(200, 0)] * 3, None, 8),          # 200^3 carry combinations
-], ids=["int64", "int64-mod", "huge", "int16", "carry", "carries"])
+], ids=["int64", "int64-mod", "huge", "int16", "carry"])
 def test_scan_refuses_forms_that_leave_its_dtypes(lhs, n, r):
     import hypmono.kubert as kb
 
