@@ -17,8 +17,8 @@ input picks the kernel:
   largest power of p not above the block size.  The low digit sums and the
   carries of c*l + o into the high part depend on l alone and are built
   once per scan; a block is one row h, and its slacks are that low
-  constant plus one gather from a small table of the row's high digit
-  sums.  No division or popcount runs per element.
+  constant plus one gather per form from a small table of the row's high
+  digit sums.  No division or popcount runs per element.
 * the bracket forms and the finite-monodromy criteria reduce c*x mod
   p^r - 1 and take uint8 digit sums of the reduced values directly
   (population count in base 2, a table of the digit sums below 3^9 in
