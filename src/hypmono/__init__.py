@@ -24,10 +24,6 @@ from .finite_field import (
 from .characters import (
     AddChar,
     MultChar,
-    chars_of_exact_order,
-    chars_of_order_dividing,
-    eval_add,
-    eval_mult,
     gauss_sum,
     hasse_davenport_lift_check,
 )
@@ -47,14 +43,10 @@ from .kubert import (
     verify_sharp_inequality,
 )
 from .exp_sums import (
-    EXTENSION_AT_ZERO,
     FAMILIES,
     TraceTable,
-    kloosterman,
     kloosterman_power_sum,
     moments,
-    pullback_table,
-    pullback_trace,
     trace_axb,
     trace_quartic,
     trace_table_all,

@@ -1,9 +1,12 @@
 """Characters of finite fields and their Gauss sums.
 
 Multiplicative characters are indexed against the fixed field generator g:
-chi_j(g^a) = zeta_{q-1}^(j*a).  The canonical additive character sends x to
-zeta_p^Tr(x).  Values are CycNumbers; sums switch between the exact
-cyclotomic path and compensated floats depending on the basis size.
+chi_e(g^a) = zeta_{q-1}^(e*a).  The canonical additive character sends x to
+zeta_p^Tr(x).  In these log coordinates the q - 1 Gauss sums
+g(psi, chi_e) = sum_a psi(g^a) zeta_{q-1}^(e*a) are one DFT of psi o antilog:
+`gauss_sums` computes them with a bound on their error and is the one source
+of float Gauss sums.  The exact `gauss_sum` counts exponents instead and is
+the reference the DFT is tested against.
 """
 
 from __future__ import annotations
@@ -13,16 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import EXACT_PHI_CAP, CycNumber, phi
+from .cyclotomic import _EPS, EXACT_PHI_CAP, CycNumber, phi
 from .finite_field import FieldTable, subfield_norm_map
 
 __all__ = [
     "MultChar",
     "AddChar",
-    "eval_mult",
-    "eval_add",
-    "chars_of_order_dividing",
-    "chars_of_exact_order",
+    "gauss_sums",
     "gauss_sum",
     "lifted_char",
     "hasse_davenport_lift_check",
@@ -79,39 +79,60 @@ class AddChar:
         return self.field.trace_to_prime(x)
 
 
-def eval_mult(chi: MultChar, x: int) -> CycNumber:
-    """chi(x) as an exact root of unity of order chi.order; x must be nonzero."""
-    if x == 0:
-        raise ValueError("multiplicative character at zero; sums skip zero")
-    return CycNumber.root_of_unity(chi.order, chi.value_exponent(int(x)))
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
-def eval_add(psi: AddChar, x: int) -> CycNumber:
-    """psi_K(x) = zeta_p^Tr(x), exact."""
-    return CycNumber.root_of_unity(psi.field.p, psi.value_exponent(int(x)))
+def _fft_eta(n: int) -> float:
+    """Normwise relative error bound of one pocketfft transform of length n.
+
+    Model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 24.2, generalised from radix 2 to mixed radix): the transform is a
+    product of scaled unitary passes, one per prime factor r of n counted
+    with multiplicity; a radix-r pass forms each output as a sum of r
+    products with rounded twiddle factors, so its normwise relative error
+    is at most (sqrt(r) + 2) * gamma_(r+4), gamma_k = k u / (1 - k u), and
+    the pass errors add.  Where pocketfft may switch to Bluestein's
+    algorithm (n >= 50 with a prime factor r, r^2 > n), the transform is
+    also counted as three transforms of an 11-smooth length N <= 4n (at
+    most log2(4n) passes of radix <= 11) plus three chirp products, and the
+    larger of the two bounds is used.
+    """
+    def gamma(k):
+        return k * _U / (1 - k * _U)
+
+    direct, rest, r, largest = 0.0, n, 2, 1
+    while rest > 1:
+        if r * r > rest:
+            r = rest
+        while rest % r == 0:
+            direct += (math.sqrt(r) + 2) * gamma(r + 4)
+            rest //= r
+            largest = r
+        r += 1
+    if n < 50 or largest * largest <= n:
+        return direct
+    bluestein = (3 * math.log2(4 * n) * (math.sqrt(11) + 2) * gamma(15)
+                 + 3 * gamma(4))
+    return max(direct, bluestein)
 
 
-def chars_of_order_dividing(
-    field: FieldTable, order: int, nontrivial_only: bool = False
-) -> list[MultChar]:
-    """The characters chi with chi^order trivial, ascending exponent."""
-    n = field.q - 1
-    if order <= 0 or n % order:
-        raise ValueError(f"order {order} does not divide q-1 = {n}")
-    start = 1 if nontrivial_only else 0
-    return [MultChar(field, j * (n // order)) for j in range(start, order)]
+def gauss_sums(field: FieldTable) -> tuple[np.ndarray, float]:
+    """All q - 1 Gauss sums G(e) = g(psi_K, chi_e), e = 0 .. q-2, as one DFT
+    of psi o antilog, with a bound on the 2-norm of their error (which also
+    bounds the error of each entry).
 
-
-def chars_of_exact_order(field: FieldTable, order: int) -> list[MultChar]:
-    """The phi(order) characters of order exactly `order`, ascending exponent."""
-    n = field.q - 1
-    if order <= 0 or n % order:
-        raise ValueError(f"order {order} does not divide q-1 = {n}")
-    return [
-        MultChar(field, u * (n // order))
-        for u in range(1, order + 1)
-        if math.gcd(u, order) == 1
-    ]
+    Each entry of psi o antilog is a rounded root of unity, off by at most
+    _EPS.  The exact DFT of n = q - 1 entries of modulus 1 has 2-norm n, so
+    the rounded input adds at most n _EPS to the 2-norm error, the
+    transform at most n eta / (1 - eta) with eta = _fft_eta(n), and the
+    scalings by 1/n and n together at most another n _EPS.
+    """
+    n, p = field.q - 1, field.p
+    zp = np.exp(2j * np.pi * np.arange(p) / p)
+    values = np.fft.ifft(zp[field.trace_table[field.antilog]])
+    values *= n
+    eta = _fft_eta(n)
+    return values, n * (eta / (1 - eta) + 2 * _EPS)
 
 
 def _gauss_mode(p: int, chi_order: int, mode: str) -> str:
@@ -131,20 +152,16 @@ def gauss_sum(psi: AddChar, chi: MultChar, mode: str = "auto") -> CycNumber:
     n = field.q - 1
     d = chi.order
     p = field.p
-    mode = _gauss_mode(p, d, mode)
+    if _gauss_mode(p, d, mode) == "float":
+        values, err = gauss_sums(field)
+        return CycNumber.from_complex(complex(values[chi.exponent]), err)
     logs = np.arange(n, dtype=np.int64)
     tr = field.trace_table[field.antilog]
     chi_exp = ((chi.exponent * logs) % n) * d // n
-    if mode == "exact":
-        m = p * d // math.gcd(p, d)
-        e = (tr * (m // p) + chi_exp * (m // d)) % m
-        counts = np.bincount(e, minlength=m)
-        return CycNumber.from_exponent_counts(m, counts)
-    # float path: compensated by numpy pairwise summation; documented error
-    # budget q * 2**-50
-    vals = np.exp(2j * np.pi * (tr / p + chi_exp / d))
-    total = complex(vals.sum())
-    return CycNumber.from_complex(total, n * 2.0 ** -50)
+    m = p * d // math.gcd(p, d)
+    e = (tr * (m // p) + chi_exp * (m // d)) % m
+    counts = np.bincount(e, minlength=m)
+    return CycNumber.from_exponent_counts(m, counts)
 
 
 def lifted_char(field: FieldTable, sub: FieldTable, chi0: MultChar) -> MultChar:
@@ -162,7 +179,8 @@ def lifted_char(field: FieldTable, sub: FieldTable, chi0: MultChar) -> MultChar:
 def hasse_davenport_lift_check(
     sub: FieldTable, field: FieldTable, chi0: MultChar, mode: str = "exact"
 ) -> bool:
-    """Verify -g(psi_K, chi0 o Norm) = (-g(psi_k0, chi0))^d exactly."""
+    """Verify -g(psi_K, chi0 o Norm) = (-g(psi_k0, chi0))^d: exactly, or in
+    float mode within the propagated error bounds."""
     d = field.k // sub.k
     if field.k % sub.k or field.p != sub.p:
         raise ValueError("not an extension of the base field")
@@ -171,4 +189,4 @@ def hasse_davenport_lift_check(
     g_bot = gauss_sum(AddChar(sub), chi0, mode=mode)
     if mode == "exact":
         return (-g_top) == (-g_bot) ** d
-    return (-g_top).approx_eq((-g_bot) ** d, tol=1e-6)
+    return (-g_top).approx_eq((-g_bot) ** d, tol=0.0)

@@ -1,19 +1,22 @@
-"""Trace functions of the hypergeometric descents, evaluated two ways.
+"""Trace functions of the hypergeometric descents, evaluated on three routes.
 
 The single-point evaluators expand the defining multi-sum directly: an
 outer sum over tuples of nonzero field elements, an additive-character
 factor, the character product, and one twisted one-variable sum per tuple
-slot.  The table builder instead substitutes u for the product of the
-tuple and works on the multiplicative group in log coordinates, Z/(q-1),
-where every stage is a cyclic convolution or correlation: the twisted sums
-come from one exact FFT correlation of trace indicators, the float
-pipeline multiplies DFTs pointwise and ends in one FFT correlation with
-the additive character, O(q log q) overall.  Equality of the two routes is
-part of the test surface, never assumed.
+slot.  The table builders substitute u for the product of the tuple and
+work on the multiplicative group in log coordinates, Z/(q-1).
 
-Both exact (integer vectors over roots of unity, final division by q^nu)
-and float (complex with an a-priori error bound) paths are provided; the
-exact stages stay O(q^2) integer convolutions below their cap of 2^10.
+Exact tables (integer vectors over roots of unity, final division by
+q^nu) take the twisted sums from one exact FFT correlation of trace
+indicators and convolve them as integer vectors, O(q^2) below their cap
+of 2^10.  Float tables use that the Mellin transform of the trace function
+is a product of Gauss sums (Katz, Exponential Sums and Differential
+Equations, ch. 8): one DFT gives all q - 1 Gauss sums
+(`characters.gauss_sums`), pointwise products the Mellin coefficients of
+the table, and one more FFT the table, O(q log q) with an a-priori error
+bound.  The float route forms no counts, so comparing it with the exact
+route, like comparing the exact route with the direct evaluator, checks
+one computation against an independent one; no equality is assumed.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNumber, _abs_sum, _check_int64
+from .characters import _fft_eta, gauss_sums
+from .cyclotomic import _EPS, CycNumber, _abs_sum, _check_int64
 from .errors import CapExceededError
 from .finite_field import FieldTable
 from .kubert import (
@@ -36,22 +40,8 @@ from .kubert import (
     multiplicative_order,
 )
 
-_FLOAT_Q_CAP = 1 << 14
 _EXACT_Q_CAP = 1 << 10
 _DIRECT_TUPLE_CAP = 1 << 20
-_EPS = 2.0 ** -50  # generous unit for rounding steps outside the FFTs
-_U = 2.0 ** -53  # unit roundoff of float64
-
-
-class ExtensionAtZero:
-    """Marker for the pullback value at s = 0, defined by the unique
-    extension across the origin rather than by the sum formula."""
-
-    def __repr__(self):
-        return "<defined-by-extension at s=0>"
-
-
-EXTENSION_AT_ZERO = ExtensionAtZero()
 
 
 @dataclass(frozen=True)
@@ -169,20 +159,6 @@ def kloosterman_power_sum(field: FieldTable, B: int, t: int, mode: str = "exact"
     return CycNumber.from_complex(-vals, field.q * _EPS)
 
 
-def kloosterman(field: FieldTable, a: int, mode: str = "exact"):
-    """sum over nonzero x of psi_K(x + a/x)."""
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    p = field.p
-    xs = field.units()
-    arg = field.add(xs, field.mul(a, field.inv(xs)))
-    counts = np.bincount(field.trace_table[arg], minlength=p)
-    if mode == "exact":
-        return CycNumber.from_exponent_counts(p, counts)
-    vals = counts @ np.exp(2j * np.pi * np.arange(p) / p)
-    return CycNumber.from_complex(vals, field.q * _EPS)
-
-
 # ----------------------------------------------------------------------
 # single-point (direct) evaluators
 
@@ -245,7 +221,7 @@ def trace_quartic(field: FieldTable, B: int, s: int, mode: str = "exact"):
 
 @dataclass
 class TraceTable:
-    family: str  # 'AxB' | 'Atimes' | 'pullback'
+    family: str  # 'AxB' | 'Atimes'
     p: int
     params: dict
     field: FieldTable
@@ -308,84 +284,71 @@ def _additive_exact(g: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
     return raw
 
 
-def _fft_eta(n: int) -> float:
-    """Normwise relative error bound of one pocketfft transform of length n.
-
-    Model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    Thm 24.2, generalised from radix 2 to mixed radix): the transform is a
-    product of scaled unitary passes, one per prime factor r of n counted
-    with multiplicity; a radix-r pass forms each output as a sum of r
-    products with rounded twiddle factors, so its normwise relative error
-    is at most (sqrt(r) + 2) * gamma_(r+4), gamma_k = k u / (1 - k u), and
-    the pass errors add.  Where pocketfft may switch to Bluestein's
-    algorithm (n >= 50 with a prime factor r, r^2 > n), the transform is
-    also counted as three transforms of an 11-smooth length N <= 4n (at
-    most log2(4n) passes of radix <= 11) plus three chirp products, and the
-    larger of the two bounds is used.
-    """
-    def gamma(k):
-        return k * _U / (1 - k * _U)
-
-    direct, rest, r, largest = 0.0, n, 2, 1
-    while rest > 1:
-        if r * r > rest:
-            r = rest
-        while rest % r == 0:
-            direct += (math.sqrt(r) + 2) * gamma(r + 4)
-            rest //= r
-            largest = r
-        r += 1
-    if n < 50 or largest * largest <= n:
-        return direct
-    bluestein = (3 * math.log2(4 * n) * (math.sqrt(11) + 2) * gamma(15)
-                 + 3 * gamma(4))
-    return max(direct, bluestein)
-
-
-def _float_pipeline(svals, twists, psi, svals_err: float):
-    """Raw float trace sums over Z/n and a bound on their max error.
-
-    raw[i] = sum over l of (f_1 * ... * f_nu)(l) * psi(l - i), where * is
-    cyclic convolution, f_k = svals * twists[k], and svals carries an
-    elementwise error of at most svals_err.  Each convolution stage is a
-    pointwise product of DFTs and the additive transform is one FFT
-    correlation, so the whole table is nu + 2 transforms.
-
-    Error bound: every transform has normwise relative error at most
-    eta = _fft_eta(n).  The recurrence tracks a bound E on the 2-norm error
-    of the running spectrum S; multiplying in a spectrum X with 2-norm
-    error R gives E' = E max|X| + (max|S| + E) R + 8u ||S X||_2 (the last
-    term covers the rounding of the complex products).  An input with
-    elementwise error e contributes n e to R through the unnormalised DFT,
-    and the transform itself eta ||X||_2 / (1 - eta).  The inverse DFT
-    divides 2-norms by sqrt(n), and the 2-norm of the final error bounds
-    its largest entry.
-    """
-    n = len(svals)
-    eta = _fft_eta(n)
-    ratio = eta / (1 - eta) + _EPS  # transform error per unit of output norm
-    smax = float(np.abs(svals).max())
-    spec = err = None
-    for twist in twists:
-        x = np.fft.fft(svals * twist)
-        xerr = n * (svals_err + smax * _EPS) + ratio * float(np.linalg.norm(x))
-        if spec is None:
-            spec, err = x, xerr
-            continue
-        prod = spec * x
-        err = (err * float(np.abs(x).max())
-               + (float(np.abs(spec).max()) + err) * xerr
-               + _EPS * float(np.linalg.norm(prod)))
-        spec = prod
-    # sum_l g(l) psi(l - i) = ifft(G * K)(i), with K(k) = sum_d psi(d) e^(2 pi i k d / n)
-    kern = n * np.fft.ifft(psi)
-    kerr = n * _EPS + ratio * float(np.linalg.norm(kern))
-    prod = spec * kern
-    err = (err * float(np.abs(kern).max())
-           + (float(np.abs(spec).max()) + err) * kerr
+def _times(a: np.ndarray, a_err: float, b: np.ndarray, b_err: float):
+    """a * b and a bound on the 2-norm of its error, from bounds a_err and
+    b_err on those of a and b: with a~ = a + da and b~ = b + db,
+    a~ b~ - a b = a~ db + da b, and max|b| <= max|b~| + b_err; _EPS per
+    entry covers the rounding of the complex products."""
+    prod = a * b
+    err = (float(np.abs(a).max()) * b_err
+           + a_err * (float(np.abs(b).max()) + b_err)
            + _EPS * float(np.linalg.norm(prod)))
-    raw = np.fft.ifft(prod)
-    return raw, (err + ratio * float(np.linalg.norm(prod))) / math.sqrt(n)
+    return prod, err
+
+
+def _gauss_table(field: FieldTable, exps: list[int], B: int):
+    """Raw float trace sums over Z/n, n = q - 1, from Gauss sums alone, and
+    a bound on their largest error.
+
+    The raw sum at i is sum over l of (f_1 * ... * f_nu)(l) psi(-g^(l-i)),
+    * being cyclic convolution, f_k(j) = zeta_n^(e_k j) S(g^j) and
+    S(t) = sum over x of psi(Bx - x^B / t).  With
+    G(e) = sum_a psi(g^a) zeta_n^(ea) (`characters.gauss_sums`),
+    h = log(-1) and lb = log(B mod p), the Mellin coefficients of S are
+    M_S(e) = sum_j S(g^j) zeta_n^(ej) = n [e = 0] + zeta_n^(ec) G(eB) G(-e)
+    with c = h - B lb (x = 0 gives the first term; for x = g^a the
+    substitution j = aB - l splits the rest into two Gauss sums).  The raw
+    table is fft(X) / n with X(e) = zeta_n^(eh) G(-e) prod_k M_S(e + e_k).
+    The twist zeta_n^(ec) is 1 at e = 0, so M_S(e) = zeta_n^(ec) P(e),
+    P(e) = n [e = 0] + G(eB) G(-e), and all the twists of X make one root
+    of unity per entry.
+
+    Error bound: the Gauss sums carry a 2-norm error of at most
+    n (eta / (1 - eta) + 2 _EPS), eta = _fft_eta(n).  Permuting entries
+    keeps a 2-norm; e -> eB hits each of its values gcd(B, n) times, so
+    G(eB) carries sqrt(gcd(B, n)) times that.  Every pointwise product
+    (nu + 2 of them, the twists an input with elementwise error _EPS) goes
+    through _times.  The unnormalised transform multiplies a 2-norm by
+    sqrt(n) and adds eta / (1 - eta) of its output norm sqrt(n) ||X||_2;
+    after the division by n the 2-norm of the error bounds its largest
+    entry.  The Gauss sums are flat (|G(e)| = sqrt(q) for e != 0,
+    G(0) = -1), so for a table of values of size about 1 the bound comes to
+    about (2 nu + 2) sqrt(n) eta, up to twice that where gcd(B, n) > 1.
+    """
+    n, p, nu = field.q - 1, field.p, len(exps)
+    G, g_err = gauss_sums(field)
+    logs = np.arange(n, dtype=np.int64)
+    h = int(field.log[field.neg(1)])
+    c = (h - B * int(field.log[B % p])) % n
+    g_neg = G[-logs]
+    # the dels below keep at most four arrays of n complex values alive
+    P, p_err = _times(G[(B * logs) % n], math.sqrt(math.gcd(B, n)) * g_err,
+                      g_neg, g_err)
+    del G
+    P[0] += n
+    p_err += _EPS * abs(P[0])
+    X, x_err = g_neg, g_err
+    for e in exps:
+        X, x_err = _times(X, x_err, np.roll(P, -e), p_err)
+    del P
+    twist = np.exp(2j * np.pi * (((h + nu * c) * logs + c * sum(exps)) % n) / n)
+    X, x_err = _times(X, x_err, twist, math.sqrt(n) * _EPS)
+    del twist
+    eta = _fft_eta(n)
+    err = (x_err + eta / (1 - eta) * float(np.linalg.norm(X))) / math.sqrt(n)
+    raw = np.fft.fft(X)
+    raw /= n
+    return raw, err
 
 
 def trace_table_all(
@@ -395,24 +358,26 @@ def trace_table_all(
     B: int | None = None,
     mode: str = "float",
 ) -> TraceTable:
-    """Full trace table over K^* via the u-substitution pipeline.
+    """Full trace table over K^* via the u-substitution, in log coordinates
+    on Z/(q-1).
 
-    The tuple sum is restructured as iterated multiplicative convolution of
-    the character-twisted one-variable sums, then one additive-character
-    transform, all over Z/(q-1) in log coordinates.  The twisted sums come
-    from an exact FFT correlation in both modes.  The float path multiplies
-    DFTs pointwise and ends in one FFT correlation, O(q log q), with the
-    a-priori bound of _float_pipeline; the exact path convolves integer
-    vectors over Z[zeta_m], O(q^2), and is capped at q = 2^10.  Spot
-    equality with the direct evaluator is enforced by the test suite on
-    every supported field size.
+    The tuple sum is an iterated multiplicative convolution of the
+    character-twisted one-variable sums followed by one additive-character
+    transform.  The exact path takes the twisted sums from an exact FFT
+    correlation and convolves integer vectors over Z[zeta_m], O(q^2),
+    capped at q = 2^10.  The float path builds the table's Mellin
+    coefficients from Gauss sums alone and ends in one FFT, O(q log q),
+    with the a-priori bound of _gauss_table as `float_err`; only the field
+    degree caps bound it.  The test suite compares the exact path with the
+    direct evaluator and the float path with the exact one.
     """
     q, n, p = field.q, field.q - 1, field.p
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    cap = _EXACT_Q_CAP if mode == "exact" else _FLOAT_Q_CAP
-    if q > cap:
-        raise CapExceededError(f"q = {q} exceeds the {mode}-mode table cap {cap}")
+    if mode == "exact" and q > _EXACT_Q_CAP:
+        raise CapExceededError(
+            f"q = {q} exceeds the exact-mode table cap {_EXACT_Q_CAP}"
+        )
     if B is None or math.gcd(B, p) != 1:
         raise ValueError("B must be given and prime to p")
     if kind == "AxB":
@@ -427,14 +392,11 @@ def trace_table_all(
     char_order = _char_order_of(field, exps)
     m = math.lcm(p, char_order)
     base_size = p ** multiplicative_order(p, char_order)
-
-    counts = _twisted_counts(field, B)
-    logs = np.arange(n, dtype=np.int64)
     sign = -1 if nu % 2 else 1
-    neg_shift = 0 if p == 2 else int(field.log[field.neg(1)])
-    w_all = field.trace_table[field.antilog]
 
     if mode == "exact":
+        counts = _twisted_counts(field, B)
+        logs = np.arange(n, dtype=np.int64)
         stages = []
         for e in exps:
             fe = np.zeros((n, m), dtype=np.int64)
@@ -446,6 +408,8 @@ def trace_table_all(
         g = stages[0]
         for fe in stages[1:]:
             g = _conv_exact(fe, g, idx, m)
+        w_all = field.trace_table[field.antilog]
+        neg_shift = int(field.log[field.neg(1)])
         W = w_all[(logs[None, :] + neg_shift - logs[:, None]) % n]
         raw = _additive_exact(g, W, p)
         den = q ** nu
@@ -455,12 +419,7 @@ def trace_table_all(
             exact_values=values,
         )
 
-    zp = np.exp(2j * np.pi * np.arange(p) / p)
-    svals = counts @ zp
-    # exact twists: a power of a rounded zeta_n would add error growing with e
-    twists = [np.exp(2j * np.pi * ((e * logs) % n) / n) for e in exps]
-    psi = zp[w_all[(logs + neg_shift) % n]]
-    values, err = _float_pipeline(svals, twists, psi, q * _EPS)
+    values, err = _gauss_table(field, exps, B)
     values *= sign / q ** nu
     total_err = err / q ** nu + float(np.abs(values).max()) * _EPS
     return TraceTable(
@@ -471,48 +430,6 @@ def trace_table_all(
 
 # ----------------------------------------------------------------------
 # derived operations on tables
-
-def pullback_trace(table: TraceTable, N: int, s: int):
-    """Value of the N-th power pullback at s: the table value at s^N.
-
-    At s = 0 the pullback extends across the origin whenever the tame
-    local order divides N; the extension value is reported symbolically,
-    never extrapolated from the sum formula.
-    """
-    p = table.p
-    if N < 1 or N % p == 0:
-        raise ValueError("N must be positive and prime to p")
-    if s == 0:
-        tame = table.params["A"] * table.params["B"] if table.family == "AxB" \
-            else table.params["A"]
-        if N % tame:
-            raise ValueError(
-                f"no extension across s=0: tame order {tame} does not divide N={N}"
-            )
-        return EXTENSION_AT_ZERO
-    return table.value_at_log(int(table.field.log[s]) * N)
-
-
-def pullback_table(table: TraceTable, N: int) -> TraceTable:
-    """The full table of the N-th power pullback over K^*."""
-    p = table.p
-    if N < 1 or N % p == 0:
-        raise ValueError("N must be positive and prime to p")
-    n = len(table)
-    params = dict(table.params, N=N, base=table.family)
-    if table.exact_values is not None:
-        values = [table.exact_values[(i * N) % n] for i in range(n)]
-        return TraceTable(
-            "pullback", p, params, table.field, table.base_size, "exact",
-            table.nu, table.value_order, exact_values=values,
-        )
-    idx = (np.arange(n) * N) % n
-    return TraceTable(
-        "pullback", p, params, table.field, table.base_size, "float",
-        table.nu, table.value_order,
-        float_values=table.float_values[idx], float_err=table.float_err,
-    )
-
 
 def moments(table: TraceTable, k: int = 1, exact: bool = False):
     """M_k: the mean of |T(s)|^(2k) over the table."""
@@ -532,8 +449,9 @@ def moments(table: TraceTable, k: int = 1, exact: bool = False):
     return float((np.abs(vals) ** (2 * k)).mean())
 
 
-def frobenius_invariance_check(table: TraceTable, tol: float = 1e-9) -> bool:
-    """T(s^(q0)) = T(s) for the base-field size q0."""
+def frobenius_invariance_check(table: TraceTable) -> bool:
+    """T(s^(q0)) = T(s) for the base-field size q0; float values may differ
+    by twice the certified bound."""
     n = len(table)
     q0 = table.base_size
     if table.exact_values is not None:
@@ -542,7 +460,8 @@ def frobenius_invariance_check(table: TraceTable, tol: float = 1e-9) -> bool:
             for i in range(n)
         )
     vals = table.float_values
-    return bool(np.allclose(vals[(q0 * np.arange(n)) % n], vals, atol=tol, rtol=0))
+    gap = np.abs(vals[(q0 * np.arange(n)) % n] - vals)
+    return bool((gap <= 2 * table.float_err).all())
 
 
 def galois_invariance_check(table: TraceTable) -> VerificationReport:
@@ -574,8 +493,9 @@ def galois_invariance_check(table: TraceTable) -> VerificationReport:
     )
 
 
-def purity_check(table: TraceTable, rank: int, tol: float = 1e-6) -> bool:
-    """Weight-zero bound |T(s)| <= rank for every s."""
+def purity_check(table: TraceTable, rank: int) -> bool:
+    """Weight-zero bound |T(s)| <= rank for every s (float values up to the
+    certified bound)."""
     if table.exact_values is not None:
         bound = Fraction(rank) ** 2
         for v in table.exact_values:
@@ -583,14 +503,15 @@ def purity_check(table: TraceTable, rank: int, tol: float = 1e-6) -> bool:
             if not a2.is_rational or a2.as_fraction() > bound:
                 return False
         return True
-    return bool((np.abs(table.float_values) <= rank + tol).all())
+    return bool((np.abs(table.float_values) <= rank + table.float_err).all())
 
 
-def rationality_check(table: TraceTable, tol: float = 1e-9) -> bool:
-    """All values rational (exact) or with vanishing imaginary part (float)."""
+def rationality_check(table: TraceTable) -> bool:
+    """All values rational (exact), or with an imaginary part within the
+    certified bound (float)."""
     if table.exact_values is not None:
         return all(v.is_rational for v in table.exact_values)
-    return bool((np.abs(table.float_values.imag) <= tol).all())
+    return bool((np.abs(table.float_values.imag) <= table.float_err).all())
 
 
 def integrality_check(table: TraceTable) -> bool:

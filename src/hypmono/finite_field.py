@@ -305,9 +305,6 @@ class FieldTable:
             return a
         return self.add(a, a)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def scalar_mul(self, c: int, a):
         """(c mod p)-fold sum of a."""
         c %= self.p
@@ -366,9 +363,6 @@ class FieldTable:
     def trace_to_prime(self, x):
         out = self.trace_table[x]
         return int(out) if np.ndim(out) == 0 else out
-
-    def frobenius(self, x, i: int = 1):
-        return self.pow(x, self.p ** i)
 
     def elements(self) -> np.ndarray:
         return np.arange(self.q, dtype=np.int64)

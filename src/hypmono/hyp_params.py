@@ -29,7 +29,6 @@ __all__ = [
     "selfdual_test",
     "det_product_check",
     "inertia_model",
-    "to_mult_chars",
     "classification_report",
 ]
 
@@ -363,18 +362,6 @@ def inertia_model(spec: HypSpec) -> InertiaModel:
     return InertiaModel(
         p, N, f, spec.downstairs, f"C{p}^{f} : C{N}", case, hypothesis
     )
-
-
-def to_mult_chars(spec: HypSpec, fld) -> list:
-    """Upstairs residues as multiplicative characters of a concrete field
-    whose multiplicative order is divisible by M."""
-    from .characters import MultChar
-
-    n = fld.q - 1
-    if n % spec.M:
-        raise ValueError(f"M = {spec.M} does not divide q-1 = {n}")
-    step = n // spec.M
-    return [MultChar(fld, r * step) for r in spec.upstairs]
 
 
 def classification_report(spec: HypSpec, label: str, params: dict) -> dict:

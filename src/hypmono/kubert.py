@@ -182,12 +182,19 @@ def sequence_AB(r: int) -> tuple[int, int]:
     return (2 ** (r + 1) - 1) // 3, (2 ** r - 2) // 3
 
 
-def repunit_scaling_check(x: int, r: int, k: int, p: int) -> bool:
-    """Digit replication: [x*(p^(kr)-1)/(p^r-1)]_{kr} = k*[x]_r."""
-    if not 0 <= x < p ** r - 1:
+def repunit_scaling_check(x, r: int, k: int, p: int):
+    """Digit replication: [x*(p^(kr)-1)/(p^r-1)]_{kr} = k*[x]_r, for one x
+    or elementwise for an array of them, in int64."""
+    if p ** (k * r) > _INT64_MAX:
+        raise CapExceededError(f"p^(kr) = {p}^{k * r} leaves int64")
+    n = p ** r - 1
+    x = np.asarray(x)
+    if r < 1 or ((x < 0) | (x >= n)).any():
         raise ValueError("x must lie in [0, p^r - 1)")
-    rep = x * (p ** (k * r) - 1) // (p ** r - 1)
-    return bracket(rep, p, k * r) == k * bracket(x, p, r)
+    x = x.astype(np.int64)
+    rep = x * ((p ** (k * r) - 1) // n)
+    ok = bracket_vec(rep, p, k * r) == k * bracket_vec(x, p, r)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,22 @@ import pytest
 from hypmono.characters import (
     AddChar,
     MultChar,
-    chars_of_exact_order,
-    chars_of_order_dividing,
-    eval_add,
-    eval_mult,
     gauss_sum,
+    gauss_sums,
     hasse_davenport_lift_check,
 )
 from hypmono.cyclotomic import CycNumber
 from hypmono.finite_field import build_field
+
+
+def _chi(chi, x):
+    """chi(x) as an exact root of unity."""
+    return CycNumber.root_of_unity(chi.order, chi.value_exponent(x))
+
+
+def _psi(psi, x):
+    """psi(x) as an exact root of unity."""
+    return CycNumber.root_of_unity(psi.field.p, psi.value_exponent(x))
 
 
 def test_char_order_and_group_law():
@@ -26,68 +33,42 @@ def test_char_order_and_group_law():
     assert MultChar(f16, 0).order == 1
 
 
-def test_chars_of_order_dividing_counts():
-    f4 = build_field(2, 2)
-    assert len(chars_of_order_dividing(f4, 3, nontrivial_only=True)) == 2
-    f9 = build_field(3, 2)
-    quartics = chars_of_order_dividing(f9, 4, nontrivial_only=True)
-    assert len(quartics) == 3
-    assert sorted(c.order for c in quartics) == [2, 4, 4]
-    assert [c.exponent for c in chars_of_order_dividing(f4, 1)] == [0]
-    assert chars_of_order_dividing(f4, 1, nontrivial_only=True) == []
-    with pytest.raises(ValueError):
-        chars_of_order_dividing(f4, 5)
-
-
-def test_chars_of_exact_order():
-    f729 = build_field(3, 6)  # q - 1 = 728 is divisible by 28
-    chars = chars_of_exact_order(f729, 28)
-    assert len(chars) == 12
-    assert all(c.order == 28 for c in chars)
-    f9 = build_field(3, 2)
-    assert len(chars_of_exact_order(f9, 2)) == 1
-    assert chars_of_exact_order(f9, 2)[0].order == 2
-    assert len(chars_of_exact_order(f9, 4)) == 2
-
-
 def test_eval_add_examples():
     f4 = build_field(2, 2)
     psi = AddChar(f4)
-    assert eval_add(psi, 0) == 1
-    assert eval_add(psi, f4.generator) == -1  # Tr(w) = 1
+    assert _psi(psi, 0) == 1
+    assert _psi(psi, f4.generator) == -1  # Tr(w) = 1
     f9 = build_field(3, 2)
-    psi9 = AddChar(f9)
-    cube_roots = {CycNumber.root_of_unity(3, j) for j in range(3)}
-    for x in range(9):
-        assert eval_add(psi9, x) in cube_roots
+    assert {AddChar(f9).value_exponent(x) for x in range(9)} == {0, 1, 2}
 
 
 def test_eval_mult_examples():
     f4 = build_field(2, 2)
     trivial = MultChar(f4, 0)
     for x in (1, 2, 3):
-        assert eval_mult(trivial, x) == 1
+        assert _chi(trivial, x) == 1
     cubic = MultChar(f4, 1)
-    assert eval_mult(cubic, f4.generator) == CycNumber.root_of_unity(3, 1)
-    assert eval_mult(cubic, 1) == 1
+    assert _chi(cubic, f4.generator) == CycNumber.root_of_unity(3, 1)
+    assert _chi(cubic, 1) == 1
     with pytest.raises(ValueError):
-        eval_mult(cubic, 0)
+        cubic.value_exponent(0)
 
 
 def test_orthogonality():
     for p, k in ((2, 2), (2, 4), (2, 6), (3, 2), (3, 3)):
         field = build_field(p, k)
         n = field.q - 1
-        for chi in chars_of_order_dividing(field, n, nontrivial_only=True):
+        for e in range(1, n):
+            chi = MultChar(field, e)
             total = CycNumber.zero(chi.order)
             for x in field.units():
-                total = total + eval_mult(chi, int(x))
+                total = total + _chi(chi, int(x))
             assert total == 0
         # sum over all characters of chi(x) = (q-1) [x = 1]
         for x in (1, int(field.generator)):
             total = CycNumber.zero(1)
-            for chi in chars_of_order_dividing(field, n):
-                total = total + eval_mult(chi, x)
+            for e in range(n):
+                total = total + _chi(MultChar(field, e), x)
             assert total == (n if x == 1 else 0)
 
 
@@ -105,8 +86,8 @@ def test_gauss_sum_norm_small_fields_exhaustive():
             field = build_field(p, k)
             n = field.q - 1
             psi = AddChar(field)
-            for chi in chars_of_order_dividing(field, n, nontrivial_only=True):
-                assert gauss_sum(psi, chi).abs2() == field.q
+            for e in range(1, n):
+                assert gauss_sum(psi, MultChar(field, e)).abs2() == field.q
 
 
 @pytest.mark.parametrize("p,k,exps", [(2, 7, (1, 5, 127 // 7)), (2, 8, (1, 3, 5, 17, 85))])
@@ -136,7 +117,7 @@ def test_gauss_sum_conjugation_identity():
         for e in range(1, n):
             chi = MultChar(field, e)
             lhs = gauss_sum(psi, chi.conjugate())
-            sign = eval_mult(chi, field.neg(1))
+            sign = _chi(chi, field.neg(1))
             assert lhs == sign * gauss_sum(psi, chi).conjugate()
 
 
@@ -153,6 +134,29 @@ def test_hasse_davenport():
         assert hasse_davenport_lift_check(f9, f81, MultChar(f9, e))
     with pytest.raises(ValueError):
         hasse_davenport_lift_check(f16, f4, MultChar(f16, 1))
+    # float mode reads both sides from the Gauss DFT of each field, so
+    # this ties the DFTs of a field and of its subfields together, here
+    # also beyond the exact-mode sizes
+    for p, k0, ks in ((2, 1, (3, 8)), (2, 2, (4, 6, 12)), (2, 3, (6, 12)),
+                      (3, 1, (2, 5)), (3, 2, (4, 8))):
+        sub = build_field(p, k0)
+        for k in ks:
+            field = build_field(p, k)
+            for e in range(sub.q - 1):
+                assert hasse_davenport_lift_check(sub, field, MultChar(sub, e),
+                                                  mode="float")
+
+
+@pytest.mark.parametrize("p, k", [(2, k) for k in range(1, 7)]
+                         + [(3, k) for k in range(1, 5)])
+def test_gauss_dft_matches_exact_gauss_sums(p, k):
+    # every character of every field up to 2^6 and 3^4, within the bound
+    field = build_field(p, k)
+    values, err = gauss_sums(field)
+    psi = AddChar(field)
+    for e in range(field.q - 1):
+        exact = gauss_sum(psi, MultChar(field, e), mode="exact")
+        assert CycNumber.from_complex(values[e], err).approx_eq(exact, tol=0.0)
 
 
 def test_auto_mode_switches_to_float():
@@ -176,11 +180,11 @@ def test_exact_float_paths_agree_per_field():
             chi = MultChar(field, rng.randrange(n))
             x = int(field.antilog[rng.randrange(n)])
             y = int(field.antilog[rng.randrange(n)])
-            exact = eval_mult(chi, x) * eval_add(psi, y) + eval_mult(chi, y)
+            exact = _chi(chi, x) * _psi(psi, y) + _chi(chi, y)
             approx = (
-                CycNumber.from_complex(eval_mult(chi, x).to_complex())
-                * CycNumber.from_complex(eval_add(psi, y).to_complex())
-                + CycNumber.from_complex(eval_mult(chi, y).to_complex())
+                CycNumber.from_complex(_chi(chi, x).to_complex())
+                * CycNumber.from_complex(_psi(psi, y).to_complex())
+                + CycNumber.from_complex(_chi(chi, y).to_complex())
             )
             assert approx.approx_eq(CycNumber.from_complex(exact.to_complex()),
                                     tol=1e-9)

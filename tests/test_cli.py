@@ -105,6 +105,10 @@ def test_cap_exit_code(capsys):
     rc = main(["trace-table", "--family", "3x13", "--field-degree", "12",
                "--mode", "exact"])
     assert rc == 3
+    # float tables have no cap of their own; the field degree caps bound them
+    rc = main(["trace-table", "--family", "3x13", "--field-degree", "26",
+               "--mode", "float"])
+    assert rc == 3
 
 
 def test_field_cache_env(tmp_path, monkeypatch, capsys):
@@ -168,3 +172,11 @@ def test_reproduce_all_plumbing(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "timings.json").exists()
     out = capsys.readouterr().out
     assert "C9 PASS" in out and "C10 PASS" in out
+
+
+def test_reproduce_all_manifest_bytes(tmp_path, capsys):
+    # the manifest is bit-identical to the one of every earlier version
+    rc = main(["reproduce-all", "--out", str(tmp_path)])
+    assert rc == 0
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == "0c24ddf2b8989499ee60086a28932c8a6164c2c642a0164b429fa1e3c80ba0aa"

@@ -8,21 +8,17 @@ import pytest
 from hypmono.cyclotomic import CycNumber
 from hypmono.errors import CapExceededError
 from hypmono.exp_sums import (
-    EXTENSION_AT_ZERO,
     FAMILIES,
     _additive_exact,
     _conv_exact,
     _power_sum_counts,
     _twisted_counts,
     export_csv,
-    pullback_table,
     frobenius_invariance_check,
     galois_invariance_check,
     integrality_check,
-    kloosterman,
     kloosterman_power_sum,
     moments,
-    pullback_trace,
     purity_check,
     rationality_check,
     table_stats,
@@ -60,21 +56,6 @@ def test_twisted_sum_examples(f4):
         kloosterman_power_sum(f4, 13, 0)
     with pytest.raises(ValueError):
         kloosterman_power_sum(f4, 2, 1)  # B not prime to p
-
-
-def test_kloosterman_examples():
-    f2 = build_field(2, 1)
-    assert kloosterman(f2, 1).as_fraction() == 1
-    f4 = build_field(2, 2)
-    for a in f4.units():
-        v = kloosterman(f4, int(a))
-        assert v.is_rational  # Galois invariance in char 2
-    for field in (build_field(2, 4), build_field(2, 6), build_field(3, 3)):
-        for a in field.units():
-            val = kloosterman(field, int(a), mode="float").to_complex()
-            assert abs(val) <= 2 * math.sqrt(field.q) + 1e-9
-    with pytest.raises(ValueError):
-        kloosterman(f4, 0)
 
 
 def test_trace_f4_closed_form(f4):
@@ -228,33 +209,6 @@ def test_trace_preconditions(f4, f9, f16):
         trace_quartic(f9, 3, 1)  # B divisible by p
 
 
-def test_pullback(f4):
-    table = trace_table_all(f4, "AxB", A=3, B=13, mode="exact")
-    # N = 1 is the identity on tables
-    for s in f4.units():
-        assert pullback_trace(table, 1, int(s)) == table.value(int(s))
-    # N = 39: s^39 = 1 for every unit, so the pullback is constant T(1) = +1
-    for s in f4.units():
-        assert pullback_trace(table, 39, int(s)).as_fraction() == 1
-    assert pullback_trace(table, 39, 0) is EXTENSION_AT_ZERO
-    with pytest.raises(ValueError):
-        pullback_trace(table, 2, 1)  # divisible by p
-    with pytest.raises(ValueError):
-        pullback_trace(table, 13, 0)  # tame order 39 does not divide 13
-
-
-def test_pullback_constant_on_power_cosets(f16):
-    table = trace_table_all(f16, "AxB", A=3, B=13, mode="exact")
-    N = 5
-    n = f16.q - 1
-    for i in range(n):
-        for j in range(n):
-            if (i - j) * N % n == 0:
-                a = pullback_trace(table, N, int(f16.antilog[i]))
-                b = pullback_trace(table, N, int(f16.antilog[j]))
-                assert a == b
-
-
 def test_moments(f4, f16):
     table = trace_table_all(f4, "AxB", A=3, B=13, mode="exact")
     assert moments(table, 1) == pytest.approx(1.0)  # values are +-1
@@ -333,20 +287,6 @@ def test_f256_float_table_bounded_and_real():
     assert frobenius_invariance_check(table)
 
 
-def test_pullback_table(f4, f16):
-    base = trace_table_all(f4, "AxB", A=3, B=13, mode="exact")
-    ident = pullback_table(base, 1)
-    assert ident.family == "pullback"
-    assert all(ident.value_at_log(i) == base.value_at_log(i) for i in range(3))
-    const = pullback_table(base, 39)
-    assert all(const.value_at_log(i).as_fraction() == 1 for i in range(3))
-    tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
-    pb = pullback_table(tf, 5)
-    assert np.array_equal(pb.float_values, tf.float_values[(np.arange(15) * 5) % 15])
-    with pytest.raises(ValueError):
-        pullback_table(base, 2)
-
-
 def test_conv_exact_refuses_int64_overflow():
     n, m = 3, 2
     logs = np.arange(n)
@@ -372,8 +312,8 @@ def test_large_float_table_q4096():
     f4096 = build_field(2, 12)
     table = trace_table_all(f4096, "AxB", A=3, B=13, mode="float")
     assert purity_check(table, 24)
-    assert frobenius_invariance_check(table, tol=1e-6)
-    assert rationality_check(table, tol=1e-6)
+    assert frobenius_invariance_check(table)
+    assert rationality_check(table)
     assert abs(moments(table, 1) - 1.0) <= 10 / math.sqrt(4096)
 
 

@@ -67,7 +67,7 @@ def test_unit_group_order(p, k):
 def test_frobenius_permutes_and_fixes_prime_field(p, k):
     field = build_field(p, k)
     xs = field.elements()
-    fr = field.frobenius(xs)
+    fr = field.pow(xs, p)
     assert sorted(fr.tolist()) == sorted(xs.tolist())
     fixed = xs[fr == xs]
     assert fixed.tolist() == list(range(p))
@@ -152,7 +152,7 @@ def test_trace_table_matches_conjugate_sum(p, k):
     xs = field.elements()
     acc = np.zeros_like(xs)
     for i in range(k):
-        acc = field.add(acc, field.frobenius(xs, i))
+        acc = field.add(acc, field.pow(xs, p ** i))
     assert np.array_equal(field.trace_table, acc)
 
 
@@ -307,15 +307,15 @@ def test_ring_laws(args):
     assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    assert f.sub(a, a) == 0
+    assert f.add(a, f.neg(a)) == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(elements(2))
 def test_frobenius_and_trace_laws(args):
     f, a, b = args
-    fr = f.frobenius
-    assert fr(f.add(a, b)) == f.add(fr(a), fr(b))
-    assert fr(f.mul(a, b)) == f.mul(fr(a), fr(b))
+    p = f.p  # Frobenius is x -> x^p
+    assert f.pow(f.add(a, b), p) == f.add(f.pow(a, p), f.pow(b, p))
+    assert f.pow(f.mul(a, b), p) == f.mul(f.pow(a, p), f.pow(b, p))
     tr = f.trace_to_prime
     assert tr(f.add(a, b)) == (tr(a) + tr(b)) % f.p

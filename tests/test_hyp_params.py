@@ -13,9 +13,7 @@ from hypmono.hyp_params import (
     kummer_induction_candidates,
     primitivity_verdict,
     selfdual_test,
-    to_mult_chars,
 )
-from hypmono.finite_field import build_field
 
 
 def test_build_axb_counts():
@@ -139,17 +137,6 @@ def test_inertia_models():
         assert pow(p, m.f, m.N) == 1
     with pytest.raises(ValueError):
         inertia_model(HypSpec(2, 15, (1, 2), ()))  # N = 2 divisible by p
-
-
-def test_to_mult_chars_bridging():
-    spec = build_AxB(2, 3, 13)
-    f = build_field(2, 12)  # q - 1 = 4095 = 39 * 105
-    chars = to_mult_chars(spec, f)
-    assert len(chars) == 24
-    orders = sorted({c.order for c in chars})
-    assert orders == [39]  # every product character has full order 39
-    with pytest.raises(ValueError):
-        to_mult_chars(spec, build_field(2, 4))
 
 
 def test_classification_report_shape():

@@ -236,6 +236,15 @@ def test_repunit_scaling():
         k = rng.randint(1, 3)
         x = rng.randrange(0, p ** r - 1) if p ** r > 2 else 0
         assert repunit_scaling_check(x, r, k, p)
+    # arrays: elementwise, with the same range check, refused past int64
+    ok = repunit_scaling_check(np.arange(3 ** 5 - 1), 5, 2, 3)
+    assert ok.shape == (3 ** 5 - 1,) and ok.all()
+    with pytest.raises(ValueError):
+        repunit_scaling_check(np.array([0, 3 ** 5 - 1]), 5, 2, 3)
+    with pytest.raises(ValueError):
+        repunit_scaling_check(-1, 5, 2, 3)
+    with pytest.raises(CapExceededError):
+        repunit_scaling_check(1, 32, 2, 2)  # 2^64 - 1 leaves int64
 
 
 def test_slack_identity_links_v_to_brackets():
