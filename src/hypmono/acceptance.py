@@ -9,6 +9,7 @@ bit-identical manifest.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,11 +170,14 @@ def _c5_v_identities(seed):
             for k in range(1, 4):
                 ok = kubert.repunit_scaling_check(np.arange(p ** r - 1), r, k, p)
                 rep_bad += int((~ok).sum())
-    rng = np.random.default_rng(seed)
-    ps = rng.choice((2, 3), 100_000)
-    rs = rng.integers(1, 13, ps.size)
-    ks = rng.integers(1, np.where(ps == 2, 5, 3))  # k <= 4 in base 2, <= 2 in base 3
-    xs = rng.integers(0, ps ** rs - 1)
+    # the cases come from seeded random words (numpy.random would add 6 MB
+    # of resident modules to the run)
+    words = np.frombuffer(random.Random(seed).randbytes(8 * 4 * 100_000),
+                          dtype=np.int64).reshape(4, -1)  # % m lands in [0, m)
+    ps = 2 + words[0] % 2
+    rs = 1 + words[1] % 12
+    ks = 1 + words[2] % np.where(ps == 2, 4, 2)  # k <= 4 in base 2, <= 2 in base 3
+    xs = words[3] % (ps ** rs - 1)
     key = (ps * 16 + rs) * 8 + ks  # (p, r, k) as one integer
     for group in np.unique(key).tolist():
         p, r, k = group // 128, group // 8 % 16, group % 8
