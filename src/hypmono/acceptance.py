@@ -163,26 +163,23 @@ def _c5_v_identities(seed):
     details["duplication_violations"] = dup
 
     # repunit digit replication: exhaustive small window plus seeded fuzz,
-    # one array call per (p, r, k)
+    # one array call per (p, r, k); int64 words % m land in [0, m)
     rep_bad = 0
     for p, rmax in ((2, 6), (3, 4)):
         for r in range(1, rmax + 1):
             for k in range(1, 4):
                 ok = kubert.repunit_scaling_check(np.arange(p ** r - 1), r, k, p)
                 rep_bad += int((~ok).sum())
-    # the cases come from seeded random words (numpy.random would add 6 MB
-    # of resident modules to the run)
-    words = np.frombuffer(random.Random(seed).randbytes(8 * 4 * 100_000),
-                          dtype=np.int64).reshape(4, -1)  # % m lands in [0, m)
-    ps = 2 + words[0] % 2
-    rs = 1 + words[1] % 12
-    ks = 1 + words[2] % np.where(ps == 2, 4, 2)  # k <= 4 in base 2, <= 2 in base 3
-    xs = words[3] % (ps ** rs - 1)
-    key = (ps * 16 + rs) * 8 + ks  # (p, r, k) as one integer
-    for group in np.unique(key).tolist():
-        p, r, k = group // 128, group // 8 % 16, group % 8
-        ok = kubert.repunit_scaling_check(xs[key == group], r, k, p)
-        rep_bad += int((~ok).sum())
+    # seeded fuzz: 1e5 cases spread evenly over p, r <= 12 and k (<= 4 in
+    # base 2, <= 2 in base 3), x drawn from seeded random words
+    rng = random.Random(seed)
+    for p, kmax in ((2, 4), (3, 2)):
+        size = -(-50_000 // (12 * kmax))
+        for r in range(1, 13):
+            for k in range(1, kmax + 1):
+                words = np.frombuffer(rng.randbytes(8 * size), dtype=np.int64)
+                ok = kubert.repunit_scaling_check(words % (p ** r - 1), r, k, p)
+                rep_bad += int((~ok).sum())
     details["repunit_violations"] = rep_bad
 
     # scalar V agrees with the bracket evaluation on a deterministic sample
