@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import _EPS, EXACT_PHI_CAP, CycNumber, phi
+from .errors import CapExceededError
 from .finite_field import FieldTable, subfield_norm_map
 
 __all__ = [
@@ -138,14 +139,23 @@ def gauss_sums(field: FieldTable) -> tuple[np.ndarray, float]:
 def _gauss_mode(p: int, chi_order: int, mode: str) -> str:
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "auto":
+    if mode == "float":
         return mode
-    m = p * chi_order // math.gcd(p, chi_order)
-    return "exact" if phi(m) <= EXACT_PHI_CAP else "float"
+    deg = phi(math.lcm(p, chi_order))
+    if mode == "auto":
+        return "exact" if deg <= EXACT_PHI_CAP else "float"
+    if deg > EXACT_PHI_CAP:
+        raise CapExceededError(
+            f"an exact Gauss sum in degree phi = {deg} exceeds the cap {EXACT_PHI_CAP}"
+        )
+    return mode
 
 
 def gauss_sum(psi: AddChar, chi: MultChar, mode: str = "auto") -> CycNumber:
-    """g(psi, chi) = sum over nonzero x of psi(x) chi(x)."""
+    """g(psi, chi) = sum over nonzero x of psi(x) chi(x): exactly in
+    Q(zeta_m), m = lcm(p, order of chi), while phi(m) <= EXACT_PHI_CAP
+    (`mode="exact"` raises CapExceededError beyond it), or read from the
+    DFT of `gauss_sums`; "auto" takes the exact route below the cap."""
     field = psi.field
     if chi.field is not field:
         raise ValueError("characters live on different fields")

@@ -108,7 +108,11 @@ def _check_int64(bound: int, what: str) -> None:
 
 
 def phi(m: int) -> int:
-    return _context(m)[0]
+    """Euler's totient, the degree of Q(zeta_m), from the primes of m."""
+    out = m
+    for ell in _prime_factors(m):
+        out = out // ell * (ell - 1)
+    return out
 
 
 def _reduce_exponents(m: int, terms) -> tuple[int, ...]:

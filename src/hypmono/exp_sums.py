@@ -8,10 +8,12 @@ work on the multiplicative group in log coordinates, Z/(q-1).
 
 Exact tables (integer vectors over roots of unity, final division by
 q^nu) take the twisted sums from one exact FFT correlation of trace
-indicators and convolve them as integer vectors, O(q^2) below their cap
-of 2^10.  Float tables use that the Mellin transform of the trace function
-is a product of Gauss sums (Katz, Exponential Sums and Differential
-Equations, ch. 8): one DFT gives all q - 1 Gauss sums
+indicators; the character stages and the additive transform are each one
+exact 2-D cyclic convolution on Z/(q-1) x Z/m (`_cyclic_conv2`: float
+FFTs on limbs, rounded under a certified bound), O(q log q) below their
+cap of 2^10.  Float tables use that the Mellin transform of the trace
+function is a product of Gauss sums (Katz, Exponential Sums and
+Differential Equations, ch. 8): one DFT gives all q - 1 Gauss sums
 (`characters.gauss_sums`), pointwise products the Mellin coefficients of
 the table, and one more FFT the table, O(q log q) with an a-priori error
 bound.  The float route forms no counts, so comparing it with the exact
@@ -258,30 +260,90 @@ class TraceTable:
         return np.array([v.to_complex() for v in self.exact_values])
 
 
-def _conv_exact(fa: np.ndarray, fb: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
-    # every partial sum of an output entry is bounded by sum|fa| * max|fb|
-    _check_int64(_abs_sum(fa) * int(np.abs(fb).max()), "exact convolution")
-    out = np.zeros_like(fa)
-    for e2 in range(m):
-        gathered = fb[:, e2][idx]
-        for e1 in range(m):
-            col = fa[:, e1]
-            if not col.any():
-                continue
-            out[:, (e1 + e2) % m] += gathered @ col
+def _cyclic_conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact 2-D cyclic convolution of nonnegative int64 arrays of one shape
+    (n, m): c[i, e] = sum over j, e1 of a[j, e1] * b[i - j, e - e1], the
+    indices taken mod n and mod m.
+
+    The operand with the larger entries, `big`, is split into limbs of w
+    bits, and each pair of limbs is packed into one complex array x (one
+    limb as its real part, the next as its imaginary part).  Its product
+    with the spectrum of the other operand y, transformed back, holds the
+    convolutions of both limbs with y, which are integers: they are
+    rounded and recombined in int64, no partial sum above
+    min(sum a * max b, sum b * max a).
+
+    Rounding bound: with N = n m and eta = eta_n + eta_m + eta_n eta_m,
+    eta_k = _fft_eta(k) (the 2-D transform is length-m transforms of every
+    row, then length-n transforms of every column, each with normwise
+    relative error eta_k), the computed spectra have 2-norm errors at most
+    e_x = eta sqrt(N) |x|_2 and e_y = eta sqrt(N) |y|_2.  The exact spectra
+    have entries at most |x|_1 and |y|_1 and 2-norms sqrt(N) times those of
+    x and y, so the product spectrum is off by at most
+    eP = (|x|_1 + e_x) e_y + e_x |y|_1
+         + _EPS (|y|_1 + e_y) (sqrt(N) |x|_2 + e_x)
+    (the last term the rounding of the products) and has 2-norm at most
+    nP = |y|_1 sqrt(N) |x|_2 + eP.  The unnormalised inverse transform
+    multiplies eP by sqrt(N) and adds eta sqrt(N) nP, its scaling by 1/N
+    at most _EPS (1 + eta) sqrt(N) nP; after the division by N the error
+    has 2-norm, and so every entry an error, at most
+    err = (eP + (eta + _EPS (1 + eta)) nP) / sqrt(N).
+    A limb is at most 2^w - 1 and vanishes where big does, so
+    |x|_1 <= 2 min(|big|_1, (2^w - 1) nnz(big)) and
+    |x|_2 <= sqrt(2) min(|big|_2, (2^w - 1) sqrt(nnz(big))).  w is the
+    largest width (at most the bit length of big) with err < 1/4; with
+    none, CapExceededError.  Every rounding is checked to lie within err.
+    """
+    if a.shape != b.shape:
+        raise ValueError("the operands must have one shape")
+    if (a < 0).any() or (b < 0).any():
+        raise ValueError("the operands must be nonnegative")
+    a_max, b_max = int(a.max(initial=0)), int(b.max(initial=0))
+    a_sum, b_sum = _abs_sum(a), _abs_sum(b)
+    _check_int64(min(a_sum * b_max, b_sum * a_max), "exact convolution")
+    out = np.zeros(a.shape, dtype=np.int64)
+    if a_max == 0 or b_max == 0:
+        return out
+    big, y, big_sum, y_sum = a, b, a_sum, b_sum
+    if a_max < b_max:
+        big, y, big_sum, y_sum = b, a, b_sum, a_sum
+    n, m = a.shape
+    N = n * m
+    eta_n, eta_m = _fft_eta(n), _fft_eta(m)
+    eta = eta_n + eta_m + eta_n * eta_m
+    # float 2-norms, raised by N _EPS to cover the rounding of their sums
+    big_l2, y_l2 = (float(np.linalg.norm(v.astype(np.float64))) * (1 + N * _EPS)
+                    for v in (big, y))
+    nnz = int(np.count_nonzero(big))
+
+    def bound(w: int) -> float:
+        top = (1 << w) - 1
+        x1 = 2 * min(big_sum, top * nnz)
+        x2 = math.sqrt(2) * min(big_l2, top * math.sqrt(nnz))
+        e_x, e_y = eta * math.sqrt(N) * x2, eta * math.sqrt(N) * y_l2
+        e_p = ((x1 + e_x) * e_y + e_x * y_sum
+               + _EPS * (y_sum + e_y) * (math.sqrt(N) * x2 + e_x))
+        n_p = y_sum * math.sqrt(N) * x2 + e_p
+        return (e_p + (eta + _EPS * (1 + eta)) * n_p) / math.sqrt(N)
+
+    bits = max(a_max, b_max).bit_length()
+    w = next((w for w in range(bits, 0, -1) if bound(w) < 0.25), 0)
+    if w == 0:
+        raise CapExceededError(
+            f"no limb width certifies an FFT convolution of shape {a.shape}"
+        )
+    err = bound(w)
+    fy = np.fft.fft2(y.astype(np.complex128))
+    mask = (1 << w) - 1
+    for k in range(0, bits, 2 * w):
+        x = ((big >> k) & mask) + 1j * ((big >> (k + w)) & mask)
+        z = np.fft.ifft2(np.fft.fft2(x) * fy)
+        for part, shift in ((z.real, k), (z.imag, k + w)):
+            rounded = np.rint(part)
+            if np.abs(part - rounded).max() > err:
+                raise AssertionError("FFT convolution beyond its rounding bound")
+            out += rounded.astype(np.int64) << shift
     return out
-
-
-def _additive_exact(g: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
-    """raw[i] = sum over l of g[l] * zeta_p^W[i, l], with the exponent of
-    zeta_p moved onto the zeta_m axis of g (m = g.shape[1])."""
-    # every partial sum of an output entry is bounded by sum|g|
-    _check_int64(_abs_sum(g), "exact additive transform")
-    m = g.shape[1]
-    raw = np.zeros((W.shape[0], m), dtype=np.int64)
-    for v in range(p):
-        raw += np.roll((W == v).astype(np.int64) @ g, v * (m // p), axis=1)
-    return raw
 
 
 def _times(a: np.ndarray, a_err: float, b: np.ndarray, b_err: float):
@@ -364,12 +426,14 @@ def trace_table_all(
     The tuple sum is an iterated multiplicative convolution of the
     character-twisted one-variable sums followed by one additive-character
     transform.  The exact path takes the twisted sums from an exact FFT
-    correlation and convolves integer vectors over Z[zeta_m], O(q^2),
-    capped at q = 2^10.  The float path builds the table's Mellin
-    coefficients from Gauss sums alone and ends in one FFT, O(q log q),
-    with the a-priori bound of _gauss_table as `float_err`; only the field
-    degree caps bound it.  The test suite compares the exact path with the
-    direct evaluator and the float path with the exact one.
+    correlation and convolves integer vectors over Z[zeta_m] as exact 2-D
+    cyclic convolutions on Z/(q-1) x Z/m, O(q log q) by float FFTs with a
+    certified rounding (`_cyclic_conv2`), capped at q = 2^10.  The float
+    path builds the table's Mellin coefficients from Gauss sums alone and
+    ends in one FFT, O(q log q), with the a-priori bound of _gauss_table as
+    `float_err`; only the field degree caps bound it.  The test suite
+    compares the exact path with the direct evaluator and the float path
+    with the exact one.
     """
     q, n, p = field.q, field.q - 1, field.p
     if mode not in ("exact", "float"):
@@ -404,14 +468,17 @@ def trace_table_all(
             for v in range(p):
                 fe[logs, (v * (m // p) + ce) % m] += counts[:, v]
             stages.append(fe)
-        idx = (logs[:, None] - logs[None, :]) % n
         g = stages[0]
         for fe in stages[1:]:
-            g = _conv_exact(fe, g, idx, m)
-        w_all = field.trace_table[field.antilog]
-        neg_shift = int(field.log[field.neg(1)])
-        W = w_all[(logs[None, :] + neg_shift - logs[:, None]) % n]
-        raw = _additive_exact(g, W, p)
+            g = _cyclic_conv2(fe, g)
+        # raw[i] = sum over l of g[l] zeta_p^w(h + l - i), w = Tr o antilog,
+        # h = log(-1): the convolution of g with the indicator kernel
+        # K[d, w(h - d) m / p] = 1
+        w = field.trace_table[field.antilog]
+        h = int(field.log[field.neg(1)])
+        kernel = np.zeros((n, m), dtype=np.int64)
+        kernel[logs, w[(h - logs) % n] * (m // p)] = 1
+        raw = _cyclic_conv2(kernel, g)
         den = q ** nu
         values = [CycNumber.from_exponent_counts(m, sign * row, den) for row in raw]
         return TraceTable(

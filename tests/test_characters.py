@@ -10,6 +10,7 @@ from hypmono.characters import (
     hasse_davenport_lift_check,
 )
 from hypmono.cyclotomic import CycNumber
+from hypmono.errors import CapExceededError
 from hypmono.finite_field import build_field
 
 
@@ -165,6 +166,15 @@ def test_auto_mode_switches_to_float():
     g = gauss_sum(AddChar(field), MultChar(field, 1))
     assert g.mode == "float"
     assert math.isclose(abs(g.to_complex()) ** 2, field.q, rel_tol=1e-9)
+
+
+def test_exact_gauss_sum_refuses_beyond_cap():
+    # phi(lcm(2, 1023)) = 600 > EXACT_PHI_CAP: exact mode raises, auto floats
+    field = build_field(2, 10)
+    psi, chi = AddChar(field), MultChar(field, 1)
+    with pytest.raises(CapExceededError):
+        gauss_sum(psi, chi, mode="exact")
+    assert gauss_sum(psi, chi).mode == "float"
 
 
 def test_exact_float_paths_agree_per_field():

@@ -2,10 +2,11 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hypmono.cyclotomic import CycNumber, cyclotomic_polynomial
+from hypmono.cyclotomic import CycNumber, cyclotomic_polynomial, phi
 from hypmono.errors import CapExceededError
 
 
@@ -15,6 +16,19 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert cyclotomic_polynomial(30) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
+
+
+def _totient(m):
+    """#{1 <= k <= m : gcd(k, m) = 1}, counted directly."""
+    return int(np.count_nonzero(np.gcd(np.arange(1, m + 1), m) == 1))
+
+
+def test_phi_is_the_totient():
+    for m in range(1, 200):
+        assert phi(m) == _totient(m) == len(cyclotomic_polynomial(m)) - 1
+    # the order of a full-order character of F_2^20 times p: it stays fast
+    m = 2 * (2**20 - 1)
+    assert phi(m) == _totient(m) == 480000
 
 
 def test_roots_of_unity_basic():

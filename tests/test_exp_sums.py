@@ -9,8 +9,7 @@ from hypmono.cyclotomic import CycNumber
 from hypmono.errors import CapExceededError
 from hypmono.exp_sums import (
     FAMILIES,
-    _additive_exact,
-    _conv_exact,
+    _cyclic_conv2,
     _power_sum_counts,
     _twisted_counts,
     export_csv,
@@ -287,24 +286,71 @@ def test_f256_float_table_bounded_and_real():
     assert frobenius_invariance_check(table)
 
 
-def test_conv_exact_refuses_int64_overflow():
-    n, m = 3, 2
-    logs = np.arange(n)
-    idx = (logs[:, None] - logs[None, :]) % n
-    fa = np.zeros((n, m), dtype=np.int64)
-    fb = np.zeros((n, m), dtype=np.int64)
+def _naive_conv2(a, b):
+    """c[i, e] = sum over j, e1 of a[j, e1] * b[i - j, e - e1], one shifted
+    copy of b per nonzero entry of a, in int64."""
+    out = np.zeros_like(b)
+    for j, e1 in zip(*np.nonzero(a)):
+        out += a[j, e1] * np.roll(b, (j, e1), axis=(0, 1))
+    return out
+
+
+# n = 15 is 3 * 5, 728 = 2^3 * 7 * 13 and 1023 = 3 * 11 * 31 are mixed
+# radix, 2047 = 23 * 89 a length where pocketfft may take Bluestein's route;
+# the dense operand's 40-bit entries need several limbs at every n
+@pytest.mark.parametrize("n", [15, 728, 1023, 2047])
+@pytest.mark.parametrize("m", [1, 6, 12])
+def test_cyclic_conv2_matches_naive(n, m):
+    rng = np.random.default_rng(n * 100 + m)
+    dense = rng.integers(0, 1 << 40, (n, m))
+    sparse = np.zeros((n, m), dtype=np.int64)
+    nnz = min(n * m, 40)
+    flat = rng.choice(n * m, nnz, replace=False)
+    sparse.flat[flat] = rng.integers(1, 1 << 12, nnz)
+    expected = _naive_conv2(sparse, dense)
+    assert np.array_equal(_cyclic_conv2(sparse, dense), expected)
+    assert np.array_equal(_cyclic_conv2(dense, sparse), expected)
+    # the larger entries on the sparse side: it is the one split into limbs
+    big = sparse << 28
+    small = rng.integers(0, 1 << 12, (n, m))
+    assert np.array_equal(_cyclic_conv2(big, small), _naive_conv2(big, small))
+
+
+def test_cyclic_conv2_refuses_bad_input():
+    a = np.ones((3, 2), dtype=np.int64)
+    with pytest.raises(ValueError):
+        _cyclic_conv2(a, -a)
+    with pytest.raises(ValueError):
+        _cyclic_conv2(a, np.ones((2, 3), dtype=np.int64))
+    assert not _cyclic_conv2(a, 0 * a).any()
+
+
+def test_cyclic_conv2_refuses_int64_overflow():
+    fa = np.zeros((3, 2), dtype=np.int64)
+    fb = np.zeros((3, 2), dtype=np.int64)
     fa[0, 0] = fb[0, 0] = 1 << 32  # the product 2^64 would wrap
     with pytest.raises(CapExceededError):
-        _conv_exact(fa, fb, idx, m)
+        _cyclic_conv2(fa, fb)
 
 
-def test_additive_exact_refuses_int64_overflow():
+def test_additive_kernel_refuses_int64_overflow():
+    # the additive transform with Tr o antilog = 0: K[d, 0] = 1 for every d
+    kernel = np.zeros((2, 2), dtype=np.int64)
+    kernel[:, 0] = 1
     g = np.zeros((2, 2), dtype=np.int64)
     g[:, 0] = 1 << 62  # two rows summing to 2^63 would wrap
-    W = np.zeros((2, 2), dtype=np.int64)
     with pytest.raises(CapExceededError):
-        _additive_exact(g, W, 2)
-    assert np.array_equal(_additive_exact(g // 2, W, 2), [[1 << 62, 0]] * 2)
+        _cyclic_conv2(kernel, g)
+    assert np.array_equal(_cyclic_conv2(kernel, g // 2), [[1 << 62, 0]] * 2)
+
+
+def test_cyclic_conv2_refuses_uncertified_rounding():
+    # within int64, but even one-bit limbs leave a rounding bound above 1/4
+    small = np.full((2047, 12), 1 << 26, dtype=np.int64)
+    big = np.zeros_like(small)
+    big[0, 0] = 1 << 27
+    with pytest.raises(CapExceededError):
+        _cyclic_conv2(big, small)
 
 
 def test_large_float_table_q4096():
