@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -74,6 +74,31 @@ _CACHE_MAGIC = b"HMFT0001"
 # 2^22 and 3^13 on a 2-core VM, also with another process holding a core,
 # when 8192 rows took 2.7x as long (BLAS threads contend)
 _BLOCK = 1 << 11
+# base-3 digits added per lookup in the digit-wise addition table (uint16,
+# 3^(2C) entries): one add of 531k random pairs at 3^12 took a median 20 ms
+# with 6 (two blocks, 1.06 MB), 35 ms with 5 (three blocks, 0.12 MB), 32 ms
+# with 7 (9.6 MB) and 184 ms digit by digit; 4.8M pairs at 3^13 and 3^15
+# (three blocks at 5 and at 6) took 0.40-0.42 s with 5, 0.42-0.45 s with 6
+# (2-core VM)
+_ADD_DIGITS = 6
+
+
+@cache
+def _digit_add_table() -> np.ndarray:
+    """Flat 3^C x 3^C table, C = _ADD_DIGITS: entry a * 3^C + b is the
+    digit-wise sum mod 3 of the C-digit words a and b.
+
+    Built one top digit at a time from the 3 x 3 table, on the first base-3
+    addition of the process (not at import); read-only, as it is shared.
+    """
+    one = np.add.outer(np.arange(3, dtype=np.uint16), np.arange(3, dtype=np.uint16)) % 3
+    table = one
+    for c in range(1, _ADD_DIGITS):
+        w = 3 ** c  # [a_top, a_low, b_top, b_low] -> row a_top w + a_low
+        table = (one[:, None, :, None] * w + table[None, :, None, :]).reshape(3 * w, 3 * w)
+    table = table.ravel()
+    table.flags.writeable = False
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +214,7 @@ class FieldTable:
         if trace is None:
             trace = self._fill_trace()
         self.trace_table = np.ascontiguousarray(trace, dtype=np.int64)
-        self._validate()
-
-        # the antilog is a bijection onto 1..q-1 once _validate has passed
-        log = np.full(self.q, -1, dtype=np.int64)
-        log[self.antilog] = np.arange(self.q - 1)
-        self.log = log
+        self.log = self._validate()
         self._embeddings: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     # ------------------------------------------------------------------
@@ -247,25 +267,33 @@ class FieldTable:
             power = power @ m % p
         return trace
 
-    def _validate(self) -> None:
+    def _validate(self) -> np.ndarray:
+        """Check every structural invariant of the tables, independently of
+        how they were filled, and return the log table.
+
+        The log is one scatter log[antilog[i]] = i, which is also the
+        bijection check: q - 1 entries in 1..q-1 fill every slot 1..q-1
+        exactly when no two are equal.  The range is checked first, as
+        every later step indexes by the entries and a negative one would
+        wrap silently.
+        """
         q, p, k = self.q, self.p, self.k
-        if not np.array_equal(np.sort(self.antilog), np.arange(1, q)):
-            raise AssertionError(
-                "antilog table is not a bijection onto the nonzero elements; "
-                "the generator order is below q-1"
-            )
-        if self.antilog[0] != 1:
+        antilog = self.antilog
+        if antilog.shape != (q - 1,) or antilog.min() < 1 or antilog.max() >= q:
+            raise AssertionError("antilog entries must lie in 1..q-1, one per exponent")
+        if antilog[0] != 1:
             raise AssertionError("antilog[0] must be 1")
-        if k >= 2 and self.antilog[1] != p:
+        if k >= 2 and antilog[1] != p:
             raise AssertionError("antilog[1] must be the class of t")
         if not _is_irreducible(self.modulus, p):
             raise AssertionError("modulus is reducible")
         # multiply-by-t recurrence in digit arithmetic, independent of the
         # fill: shift every digit up, and a carried-out top digit c adds c t^k
         red = sum(-c % p * p ** i for i, c in enumerate(self.modulus[:-1]))
-        lead, rem = np.divmod(self.antilog * p, q)
         corr = np.array([self.scalar_mul(c, red) for c in range(p)])
-        if not np.array_equal(self.add(rem, corr[lead]), np.roll(self.antilog, -1)):
+        lead, rem = np.divmod(antilog * p, q)
+        lead = corr[lead]  # c -> c t^k, rebound so that c is freed before the add
+        if not np.array_equal(self.add(rem, lead), np.roll(antilog, -1)):
             raise AssertionError("antilog recurrence broken")
         # equidistribution of the trace, equivalent to exact cancellation of
         # every nontrivial additive character sum
@@ -279,6 +307,14 @@ class FieldTable:
         rhs = (self.trace_table[a] + self.trace_table[b]) % p
         if not np.array_equal(lhs, rhs):
             raise AssertionError("trace is not additive")
+        log = np.full(q, -1, dtype=np.int64)
+        log[antilog] = np.arange(q - 1)
+        if np.any(log[1:] < 0):
+            raise AssertionError(
+                "antilog table is not a bijection onto the nonzero elements; "
+                "the generator order is below q-1"
+            )
+        return log
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -289,15 +325,23 @@ class FieldTable:
         return self._add3(a, b)
 
     def _add3(self, a, b):
+        """Digit-wise sum mod 3, _ADD_DIGITS digits per table lookup."""
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        table, base = _digit_add_table(), 3 ** _ADD_DIGITS
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        sh = 1
-        for _ in range(self.k):
-            out += ((a % 3 + b % 3) % 3) * sh
-            a, b = a // 3, b // 3
-            sh *= 3
+        scale = 1
+        for _ in range(-(-self.k // _ADD_DIGITS)):
+            a, row = np.divmod(a, base)
+            b, col = np.divmod(b, base)
+            row *= base
+            row += col
+            del col  # one int64 array fewer at the peak
+            # widened by the int64 scale: a uint16 times a Python int above
+            # 65535 overflows
+            out += table[row] * np.int64(scale)
+            scale *= base
         return int(out) if scalar else out
 
     def neg(self, a):

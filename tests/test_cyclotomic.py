@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -150,6 +151,14 @@ def test_from_exponent_counts_matches_sum():
     assert v == manual
 
 
+def _value(order, terms, scale=1):
+    """sum of c * zeta_order^(e * scale) over the (e, c) in terms"""
+    total = CycNumber.zero(order)
+    for e, c in terms:
+        total = total + CycNumber.root_of_unity(order, e * scale, c)
+    return total
+
+
 _terms = st.lists(
     st.tuples(st.integers(0, 60), st.fractions(min_value=-3, max_value=3, max_denominator=5)),
     min_size=1, max_size=4,
@@ -161,22 +170,34 @@ _terms = st.lists(
 # 1 against zeta_12^0
 @example(m=1, k=12, extra=1, terms=[(0, Fraction(1))], other=[(0, Fraction(1))])
 def test_equal_values_have_equal_hashes(m, k, extra, terms, other):
-    def value(order, scale, ts):
-        total = CycNumber.zero(order)
-        for e, c in ts:
-            total = total + CycNumber.root_of_unity(order, e * scale, c)
-        return total
-
-    a = value(m, 1, terms)
+    a = _value(m, terms)
     # the same value written over zeta_(mk), then moved up to lcm(mk, extra)
     z = CycNumber.root_of_unity(extra, 1)
-    b = (value(m * k, k, terms) + z) - z
+    b = (_value(m * k, terms, k) + z) - z
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     if a.is_rational:
         assert hash(a) == hash(a.as_fraction())
-    c = value(m, 1, other)
+    c = _value(m, other)
     if a == c:
         assert hash(a) == hash(c)
+
+
+@given(m=st.integers(1, 30), i=st.integers(0, 7), j=st.integers(0, 7),
+       ta=_terms, tb=_terms, tc=_terms)
+def test_ring_laws_and_galois_compatibility(m, i, j, ta, tb, tc):
+    units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+    u, v = units[i % len(units)], units[j % len(units)]
+    a, b, c = _value(m, ta), _value(m, tb), _value(m, tc)
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == 0 == a - a
+    # zeta_m -> zeta_m^u is a ring automorphism, and u -> sigma_u a homomorphism
+    assert (a + b).galois(u) == a.galois(u) + b.galois(u)
+    assert (a * b).galois(u) == a.galois(u) * b.galois(u)
+    assert a.galois(u).galois(v) == a.galois(u * v % m or 1)  # m = 1: the unit 1
+    assert a.galois(u).to_complex() == pytest.approx(
+        sum(complex(w) * np.exp(2j * np.pi * e * u / m) for e, w in ta), abs=1e-9)
 
 
 def test_from_exponent_counts_refuses_int64_overflow():

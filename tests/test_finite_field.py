@@ -109,22 +109,37 @@ def test_build_errors():
         build_field(2, 3).inv(0)
 
 
-def _add_reference(a: int, b: int, p: int, k: int) -> int:
-    """Sum of two encodings, one scalar base-p digit at a time."""
+def _add_reference(a, b, p: int, k: int):
+    """Sum of two encodings, one base-p digit at a time (ints or arrays)."""
     return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(k))
 
 
-@pytest.mark.parametrize("k,pairs", [(3, None), (9, 3000), (12, 3000)],
-                         ids=["F27-all", "F3^9-random", "F3^12-random"])
+# degrees below, at and across the table's block width (_ADD_DIGITS = 6);
+# every pair at F3^6 reads every table entry
+@pytest.mark.parametrize("k,pairs", [(3, None), (5, 3000), (6, None), (7, 3000),
+                                     (9, 3000), (11, 3000), (12, 3000)],
+                         ids=["F27-all", "F3^5-random", "F3^6-all", "F3^7-random",
+                              "F3^9-random", "F3^11-random", "F3^12-random"])
 def test_add_matches_digit_reference(k, pairs):
     field = build_field(3, k)
     if pairs is None:  # every pair
         a, b = np.divmod(np.arange(field.q ** 2), field.q)
     else:
         a, b = np.random.default_rng(k).integers(0, field.q, size=(2, pairs))
-    ref = [_add_reference(x, y, 3, k) for x, y in zip(a.tolist(), b.tolist())]
-    assert field.add(a, b).tolist() == ref
-    assert field.add(int(a[-1]), int(b[-1])) == ref[-1]
+    ref = _add_reference(a, b, 3, k)
+    out = field.add(a, b)
+    assert out.dtype == np.int64 and np.array_equal(out, ref)
+    x, y = int(a[-1]), int(b[-1])
+    assert type(field.add(x, y)) is int and field.add(x, y) == _add_reference(x, y, 3, k)
+    # a 2-D array against a scalar, both ways round
+    grid = a[:20].reshape(4, 5)
+    ref2 = _add_reference(grid, y, 3, k)
+    assert field.add(grid, y).dtype == np.int64
+    assert np.array_equal(field.add(grid, y), ref2) and np.array_equal(field.add(y, grid), ref2)
+    # -x = x + x = 2x
+    doubled = _add_reference(a, a, 3, k)
+    assert np.array_equal(field.neg(a), doubled) and np.array_equal(field.scalar_mul(2, a), doubled)
+    assert type(field.neg(x)) is int and field.neg(x) == field.scalar_mul(2, x) == doubled[-1]
 
 
 # every embedded modulus up to 2^12 and 3^8
@@ -266,6 +281,11 @@ MALFORMED = {
     "other-linear-form": lambda blob, f: _resealed(
         blob, f, f.antilog, f.trace_table[f.mul(f.elements(), f.generator)]),
     "short-body": lambda blob, f: _resealed(blob, f, f.antilog[:-1], f.trace_table),
+    # one entry copied over another: every entry in range, one log slot empty
+    "duplicate-antilog-entry": lambda blob, f: _resealed(
+        blob, f, _changed(f.antilog, 4, f.antilog[3]), f.trace_table),
+    "zero-antilog-entry": lambda blob, f: _resealed(
+        blob, f, _changed(f.antilog, 5, 0), f.trace_table),
 }
 
 
@@ -277,6 +297,23 @@ def test_cache_rejects_malformed(tmp_path, case):
     path.write_bytes(MALFORMED[case](path.read_bytes(), field))
     with pytest.raises(ValueError):
         load_cache(path)
+
+
+def test_negative_antilog_entry_is_rejected():
+    # x - q indexes the same log slot as x, so the scatter alone would
+    # still fill every slot
+    field = build_field(3, 4)
+    antilog = _changed(field.antilog, 5, field.antilog[5] - field.q)
+    with pytest.raises(AssertionError, match="1..q-1"):
+        FieldTable(3, 4, field.modulus, antilog=antilog, trace=field.trace_table)
+
+
+# irreducible but not primitive: t has order 4 in F_9 and 5 in F_16, so the
+# recurrence holds and only the log scatter leaves slots empty
+@pytest.mark.parametrize("p,modulus", [(3, (1, 0, 1)), (2, (1, 1, 1, 1, 1))])
+def test_non_primitive_modulus_fails_the_bijection_check(p, modulus):
+    with pytest.raises(AssertionError, match="not a bijection"):
+        FieldTable(p, len(modulus) - 1, modulus)
 
 
 def test_moduli_table_is_primitive_everywhere():
