@@ -5,8 +5,10 @@ chi_e(g^a) = zeta_{q-1}^(e*a).  The canonical additive character sends x to
 zeta_p^Tr(x).  In these log coordinates the q - 1 Gauss sums
 g(psi, chi_e) = sum_a psi(g^a) zeta_{q-1}^(e*a) are one DFT of psi o antilog:
 `gauss_sums` computes them with a bound on their error and is the one source
-of float Gauss sums.  The exact `gauss_sum` counts exponents instead and is
-the reference the DFT is tested against.
+of float Gauss sums.  The exact `gauss_sum` counts exponents instead, below
+the cap EXACT_PHI_CAP on its degree, and is the reference the DFT is tested
+against.  `_fft_eta` and `_times` are the error rules of every certified
+float bound, here and in `exp_sums`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import _EPS, EXACT_PHI_CAP, CycNumber, phi
+from .cyclotomic import EXACT_PHI_CAP, CycNumber, phi
 from .errors import CapExceededError
 from .finite_field import FieldTable, subfield_norm_map
 
@@ -81,6 +83,8 @@ class AddChar:
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
+# the error allowed per rounded entry or product: 2^-50, eight unit roundoffs
+_EPS = 2.0 ** -50
 
 
 def _fft_eta(n: int) -> float:
@@ -117,6 +121,18 @@ def _fft_eta(n: int) -> float:
     return max(direct, bluestein)
 
 
+def _times(a: np.ndarray, a_err: float, b: np.ndarray, b_err: float):
+    """a * b and a bound on the 2-norm of its error, from bounds a_err and
+    b_err on those of a and b: with a~ = a + da and b~ = b + db,
+    a~ b~ - a b = a~ db + da b, and max|b| <= max|b~| + b_err; _EPS per
+    entry covers the rounding of the complex products."""
+    prod = a * b
+    err = (float(np.abs(a).max()) * b_err
+           + a_err * (float(np.abs(b).max()) + b_err)
+           + _EPS * float(np.linalg.norm(prod)))
+    return prod, err
+
+
 def gauss_sums(field: FieldTable) -> tuple[np.ndarray, float]:
     """All q - 1 Gauss sums G(e) = g(psi_K, chi_e), e = 0 .. q-2, as one DFT
     of psi o antilog, with a bound on the 2-norm of their error (which also
@@ -136,39 +152,26 @@ def gauss_sums(field: FieldTable) -> tuple[np.ndarray, float]:
     return values, n * (eta / (1 - eta) + 2 * _EPS)
 
 
-def _gauss_mode(p: int, chi_order: int, mode: str) -> str:
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "float":
-        return mode
-    deg = phi(math.lcm(p, chi_order))
-    if mode == "auto":
-        return "exact" if deg <= EXACT_PHI_CAP else "float"
-    if deg > EXACT_PHI_CAP:
-        raise CapExceededError(
-            f"an exact Gauss sum in degree phi = {deg} exceeds the cap {EXACT_PHI_CAP}"
-        )
-    return mode
-
-
-def gauss_sum(psi: AddChar, chi: MultChar, mode: str = "auto") -> CycNumber:
-    """g(psi, chi) = sum over nonzero x of psi(x) chi(x): exactly in
-    Q(zeta_m), m = lcm(p, order of chi), while phi(m) <= EXACT_PHI_CAP
-    (`mode="exact"` raises CapExceededError beyond it), or read from the
-    DFT of `gauss_sums`; "auto" takes the exact route below the cap."""
+def gauss_sum(psi: AddChar, chi: MultChar) -> CycNumber:
+    """g(psi, chi) = sum over nonzero x of psi(x) chi(x), exactly in
+    Q(zeta_m), m = lcm(p, order of chi).  Raises CapExceededError when
+    phi(m) exceeds EXACT_PHI_CAP; `gauss_sums` gives every Gauss sum of a
+    field in floats."""
     field = psi.field
     if chi.field is not field:
         raise ValueError("characters live on different fields")
     n = field.q - 1
     d = chi.order
     p = field.p
-    if _gauss_mode(p, d, mode) == "float":
-        values, err = gauss_sums(field)
-        return CycNumber.from_complex(complex(values[chi.exponent]), err)
+    m = math.lcm(p, d)
+    deg = phi(m)
+    if deg > EXACT_PHI_CAP:
+        raise CapExceededError(
+            f"an exact Gauss sum in degree phi = {deg} exceeds the cap {EXACT_PHI_CAP}"
+        )
     logs = np.arange(n, dtype=np.int64)
     tr = field.trace_table[field.antilog]
     chi_exp = ((chi.exponent * logs) % n) * d // n
-    m = p * d // math.gcd(p, d)
     e = (tr * (m // p) + chi_exp * (m // d)) % m
     counts = np.bincount(e, minlength=m)
     return CycNumber.from_exponent_counts(m, counts)
@@ -189,14 +192,23 @@ def lifted_char(field: FieldTable, sub: FieldTable, chi0: MultChar) -> MultChar:
 def hasse_davenport_lift_check(
     sub: FieldTable, field: FieldTable, chi0: MultChar, mode: str = "exact"
 ) -> bool:
-    """Verify -g(psi_K, chi0 o Norm) = (-g(psi_k0, chi0))^d: exactly, or in
-    float mode within the propagated error bounds."""
+    """Verify -g(psi_K, chi0 o Norm) = (-g(psi_k0, chi0))^d: exactly
+    (`gauss_sum`), or in float mode from the Gauss DFTs of both fields
+    (`gauss_sums`), the two sides within the sum of their error bounds, the
+    d-th power bounded factor by factor with `_times`."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
     d = field.k // sub.k
     if field.k % sub.k or field.p != sub.p:
         raise ValueError("not an extension of the base field")
     chi_lift = lifted_char(field, sub, chi0)
-    g_top = gauss_sum(AddChar(field), chi_lift, mode=mode)
-    g_bot = gauss_sum(AddChar(sub), chi0, mode=mode)
     if mode == "exact":
-        return (-g_top) == (-g_bot) ** d
-    return (-g_top).approx_eq((-g_bot) ** d, tol=0.0)
+        g_top = gauss_sum(AddChar(field), chi_lift)
+        return -g_top == (-gauss_sum(AddChar(sub), chi0)) ** d
+    top, top_err = gauss_sums(field)
+    bot, bot_err = gauss_sums(sub)
+    base = -bot[chi0.exponent:chi0.exponent + 1]
+    power, power_err = base, bot_err
+    for _ in range(d - 1):
+        power, power_err = _times(power, power_err, base, bot_err)
+    return bool(abs(top[chi_lift.exponent] + power[0]) <= top_err + power_err)

@@ -74,12 +74,12 @@ def cmd_verify_digit_lemma(args) -> int:
         all_pass &= rep.passed
         records.extend(rep.to_json_records())
     for r in range(1, r_max + 1):
-        if family == "3x13" and (r % 2 or r < 2):
+        if kubert.LEMMAS[family].even_r_brackets and r % 2:
             continue
         rep = kubert.verify_bracket_corollaries(family, r)
         all_pass &= rep.passed
         records.extend(rep.to_json_records())
-        if family != "3x13" and r < 2:
+        if r < 2:
             continue
         rep = kubert.verify_sharp_inequality(family, r)
         all_pass &= rep.passed

@@ -1,10 +1,11 @@
-"""Exact and floating arithmetic with roots of unity.
+"""Exact arithmetic with roots of unity.
 
-A CycNumber is either an exact element of Q(zeta_m), stored as a rational
+A CycNumber is an exact element of Q(zeta_m), stored as a rational
 coefficient vector on the power basis 1, zeta, ..., zeta^(phi(m)-1) reduced
-mod the m-th cyclotomic polynomial, or a complex double carrying a running
-error bound.  Exact values of different orders are aligned through the
-canonical embedding Q(zeta_m) -> Q(zeta_lcm) before combining.
+mod the m-th cyclotomic polynomial.  Values of different orders are aligned
+through the canonical embedding Q(zeta_m) -> Q(zeta_lcm) before combining.
+Float values live elsewhere, as numpy arrays with one certified error bound
+(`characters.gauss_sums`, the float trace tables of `exp_sums`).
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ from functools import lru_cache
 from .errors import CapExceededError
 from .finite_field import _prime_factors
 
-# Exact arithmetic is enabled by default only up to this basis size;
-# coefficient-vector multiplication is quadratic in phi(m).
+# The largest basis size of an exact Gauss sum (`characters.gauss_sum`
+# raises CapExceededError beyond it); coefficient-vector multiplication is
+# quadratic in phi(m).
 EXACT_PHI_CAP = 256
-
-# Unit roundoff bookkeeping for the float path (documented budget:
-# q * 2**-50 per q-term sum).
-_EPS = 2.0 ** -50
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -159,38 +157,29 @@ def _minimal_form(order: int, num: tuple[int, ...]) -> tuple[int, tuple[int, ...
 
 
 class CycNumber:
-    """Element of Q(zeta_m), exact (rational vector) or float (complex).
+    """Exact element of Q(zeta_m): a rational vector on the power basis.
 
-    Exact values are normalised: gcd of numerators and denominator is 1 and
-    the denominator is positive.  Mixing an exact and a float operand
-    produces a float result with a propagated error bound.
+    Values are normalised: gcd of numerators and denominator is 1 and the
+    denominator is positive.
     """
 
-    __slots__ = ("order", "num", "den", "cval", "err")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order, num=None, den=1, cval=None, err=0.0):
+    def __init__(self, order, num, den=1):
         self.order = order
-        if num is not None:
-            deg, _ = _context(order)
-            if len(num) != deg:
-                raise ValueError("coefficient vector has wrong length")
-            g = 0
-            for v in num:
-                g = math.gcd(g, v)
-            g = math.gcd(g, den)
-            if g == 0:
-                g, den = 1, 1
-            if den < 0:
-                g = -g
-            self.num = tuple(v // g for v in num)
-            self.den = den // g
-            self.cval = None
-            self.err = 0.0
-        else:
-            self.num = None
-            self.den = 1
-            self.cval = complex(cval)
-            self.err = float(err)
+        deg, _ = _context(order)
+        if len(num) != deg:
+            raise ValueError("coefficient vector has wrong length")
+        g = 0
+        for v in num:
+            g = math.gcd(g, v)
+        g = math.gcd(g, den)
+        if g == 0:
+            g, den = 1, 1
+        if den < 0:
+            g = -g
+        self.num = tuple(v // g for v in num)
+        self.den = den // g
 
     # ------------------------------------------------------------------
     # constructors
@@ -229,25 +218,11 @@ class CycNumber:
         num = tuple(int(v) for v in counts.astype(np.int64) @ rows)
         return cls(order, num, den)
 
-    @classmethod
-    def from_complex(cls, value, err: float = 0.0) -> "CycNumber":
-        return cls(1, cval=value, err=err)
-
     # ------------------------------------------------------------------
     # predicates and conversions
 
     @property
-    def is_exact(self) -> bool:
-        return self.num is not None
-
-    @property
-    def mode(self) -> str:
-        return "exact" if self.is_exact else "float"
-
-    @property
     def is_rational(self) -> bool:
-        if not self.is_exact:
-            raise ValueError("rationality test requires exact mode")
         return all(v == 0 for v in self.num[1:])
 
     def as_fraction(self) -> Fraction:
@@ -256,8 +231,6 @@ class CycNumber:
         return Fraction(self.num[0], self.den)
 
     def to_complex(self) -> complex:
-        if not self.is_exact:
-            return self.cval
         total = 0j
         for i, c in enumerate(self.num):
             if c:
@@ -266,8 +239,6 @@ class CycNumber:
 
     def lift(self, order: int) -> "CycNumber":
         """Embed into Q(zeta_order); requires self.order | order."""
-        if not self.is_exact:
-            return self
         if order == self.order:
             return self
         if order % self.order:
@@ -285,39 +256,21 @@ class CycNumber:
     def _coerce(value) -> "CycNumber":
         if isinstance(value, CycNumber):
             return value
-        if isinstance(value, complex):
-            return CycNumber.from_complex(value)
         return CycNumber.from_rational(value)
 
     def _align(self, other: "CycNumber"):
         m = self.order * other.order // math.gcd(self.order, other.order)
         return self.lift(m), other.lift(m)
 
-    def _as_float(self) -> tuple[complex, float]:
-        if self.is_exact:
-            z = self.to_complex()
-            return z, abs(z) * _EPS * (len(self.num) + 1)
-        return self.cval, self.err
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.is_exact and other.is_exact:
-            a, b = self._align(other)
-            num = tuple(
-                x * b.den + y * a.den for x, y in zip(a.num, b.num)
-            )
-            return CycNumber(a.order, num, a.den * b.den)
-        za, ea = self._as_float()
-        zb, eb = other._as_float()
-        z = za + zb
-        return CycNumber.from_complex(z, ea + eb + abs(z) * _EPS)
+        a, b = self._align(self._coerce(other))
+        num = tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num))
+        return CycNumber(a.order, num, a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_exact:
-            return CycNumber(self.order, tuple(-v for v in self.num), self.den)
-        return CycNumber.from_complex(-self.cval, self.err)
+        return CycNumber(self.order, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -326,28 +279,21 @@ class CycNumber:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_exact and other.is_exact:
-            a, b = self._align(other)
-            deg, rows = _context(a.order)
-            conv = [0] * (2 * deg - 1)
-            for i, x in enumerate(a.num):
-                if x:
-                    for j, y in enumerate(b.num):
-                        if y:
-                            conv[i + j] += x * y
-            out = [0] * deg
-            for e, c in enumerate(conv):
-                if c:
-                    for j, v in enumerate(rows[e]):
-                        if v:
-                            out[j] += c * v
-            return CycNumber(a.order, tuple(out), a.den * b.den)
-        za, ea = self._as_float()
-        zb, eb = other._as_float()
-        z = za * zb
-        err = abs(za) * eb + abs(zb) * ea + ea * eb + abs(z) * _EPS
-        return CycNumber.from_complex(z, err)
+        a, b = self._align(self._coerce(other))
+        deg, rows = _context(a.order)
+        conv = [0] * (2 * deg - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num):
+                    if y:
+                        conv[i + j] += x * y
+        out = [0] * deg
+        for e, c in enumerate(conv):
+            if c:
+                for j, v in enumerate(rows[e]):
+                    if v:
+                        out[j] += c * v
+        return CycNumber(a.order, tuple(out), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -365,13 +311,11 @@ class CycNumber:
         return out
 
     def galois(self, a: int, p: int | None = None) -> "CycNumber":
-        """Apply zeta_m -> zeta_m**a; requires exact mode and gcd(a, m) = 1.
+        """Apply zeta_m -> zeta_m**a; requires gcd(a, m) = 1.
 
         When the residue characteristic p is given, a must fix zeta_p, i.e.
         a = 1 mod p whenever p divides m; rational values are unchanged.
         """
-        if not self.is_exact:
-            raise ValueError("galois action requires exact mode")
         if math.gcd(a, self.order) != 1:
             raise ValueError("exponent not coprime to the order")
         if p is not None and self.order % p == 0 and a % p != 1 % p:
@@ -382,8 +326,6 @@ class CycNumber:
         return CycNumber(self.order, num, self.den)
 
     def conjugate(self) -> "CycNumber":
-        if not self.is_exact:
-            return CycNumber.from_complex(self.cval.conjugate(), self.err)
         if self.order <= 2:
             return self
         return self.galois(self.order - 1)
@@ -396,46 +338,26 @@ class CycNumber:
     # comparison and display
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if self.is_exact and other.is_exact:
-            a, b = self._align(other)
-            return a.num == b.num and a.den == b.den
-        raise TypeError("exact equality undefined for float mode; use approx_eq")
+        a, b = self._align(self._coerce(other))
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        if not self.is_exact:
-            raise TypeError("float-mode values are unhashable")
         order, num = _minimal_form(self.order, self.num)
         canon = CycNumber(order, num, self.den)
         if order == 1:
             return hash(Fraction(canon.num[0], canon.den))
         return hash((order, canon.num, canon.den))
 
-    def approx_eq(self, other, tol: float = 1e-9) -> bool:
-        za, ea = self._as_float()
-        zb, eb = self._coerce(other)._as_float()
-        return abs(za - zb) <= tol + ea + eb
-
     def __repr__(self):
-        if self.is_exact:
-            return f"CycNumber(order={self.order}, num={self.num}, den={self.den})"
-        return f"CycNumber(float={self.cval!r}, err={self.err:.3g})"
+        return f"CycNumber(order={self.order}, num={self.num}, den={self.den})"
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json(self) -> dict:
-        if self.is_exact:
-            return {
-                "order": self.order,
-                "num": list(self.num),
-                "den": self.den,
-            }
-        return {"re": self.cval.real, "im": self.cval.imag}
+        return {"order": self.order, "num": list(self.num), "den": self.den}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CycNumber":
-        if "order" in obj:
-            return cls(obj["order"], tuple(obj["num"]), obj["den"])
-        return cls.from_complex(complex(obj["re"], obj["im"]))
+        return cls(obj["order"], tuple(obj["num"]), obj["den"])
 

@@ -6,19 +6,20 @@ factor, the character product, and one twisted one-variable sum per tuple
 slot.  The table builders substitute u for the product of the tuple and
 work on the multiplicative group in log coordinates, Z/(q-1).
 
-Exact tables (integer vectors over roots of unity, final division by
-q^nu) take the twisted sums from one exact FFT correlation of trace
-indicators; the character stages and the additive transform are each one
-exact 2-D cyclic convolution on Z/(q-1) x Z/m (`_cyclic_conv2`: float
-FFTs on limbs, rounded under a certified bound), O(q log q) below their
-cap of 2^10.  Float tables use that the Mellin transform of the trace
-function is a product of Gauss sums (Katz, Exponential Sums and
-Differential Equations, ch. 8): one DFT gives all q - 1 Gauss sums
-(`characters.gauss_sums`), pointwise products the Mellin coefficients of
-the table, and one more FFT the table, O(q log q) with an a-priori error
-bound.  The float route forms no counts, so comparing it with the exact
-route, like comparing the exact route with the direct evaluator, checks
-one computation against an independent one; no equality is assumed.
+The direct evaluators and the exact tables give exact values in
+Q(zeta_m) (`CycNumber`).  Exact tables (integer vectors over roots of
+unity, final division by q^nu) take the twisted sums, the character stages
+and the additive transform each from one exact 2-D cyclic convolution on
+Z/(q-1) x Z/m (`_cyclic_conv2`: float FFTs on limbs, rounded under a
+certified bound), O(q log q) below their cap of 2^10.  Float tables are
+numpy arrays with one a-priori error bound.  They use that the Mellin
+transform of the trace function is a product of Gauss sums (Katz,
+Exponential Sums and Differential Equations, ch. 8): one DFT gives all
+q - 1 Gauss sums (`characters.gauss_sums`), pointwise products the Mellin
+coefficients of the table, and one more FFT the table, O(q log q).  The
+float route forms no counts, so comparing it with the exact route, like
+comparing the exact route with the direct evaluator, checks one
+computation against an independent one; no equality is assumed.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import _fft_eta, gauss_sums
-from .cyclotomic import _EPS, CycNumber, _abs_sum, _check_int64
+from .characters import _EPS, _fft_eta, _times, gauss_sums
+from .cyclotomic import CycNumber, _abs_sum, _check_int64
 from .errors import CapExceededError
 from .finite_field import FieldTable
 from .kubert import (
@@ -84,8 +85,8 @@ def _char_exponents(field: FieldTable, kind: str, A: int) -> list[int]:
     family; the conjugate pair of quartic characters otherwise."""
     n = field.q - 1
     if kind == "AxB":
-        if A < 3 or n % A:
-            raise ValueError(f"A = {A} must be >= 3 and divide q-1 = {n}")
+        if A is None or A < 3 or n % A:
+            raise ValueError(f"A = {A} must be given, >= 3 and divide q-1 = {n}")
         return [j * (n // A) for j in range(1, A)]
     if n % 4:
         raise ValueError(f"q-1 = {n} must be divisible by 4")
@@ -107,30 +108,18 @@ def _twisted_counts(field: FieldTable, B: int) -> np.ndarray:
     including the x = 0 term.
 
     With x = g^a and w(c) = Tr(g^c), Tr(Bx - x^B / t_j) = B w(a) - w(Ba - j)
-    mod p.  The indicator of B w(a) = v1, pushed forward along a -> Ba
-    (which need not be a bijection), correlated over Z/(q-1) with the
-    indicator of w = v2 counts the x with that pair of values for every j
-    at once.  The correlations run as float FFTs; their exact values are
-    integers, so the result is rounded with the margin checked.
+    mod p.  With P[l, v1] = #{a : Ba = l mod q-1, B w(a) = v1 mod p} (a -> Ba
+    need not be a bijection) and I[d, u] = [w(-d) = -u mod p], the count
+    over x = g^a is the exact cyclic convolution of P and I on
+    Z/(q-1) x Z/p, for every j at once.
     """
     q, n, p = field.q, field.q - 1, field.p
     logs = np.arange(n, dtype=np.int64)
     w = field.trace_table[field.antilog]
-    pushed = np.array([
-        np.bincount((B * logs) % n, weights=(B * w) % p == v, minlength=n)
-        for v in range(p)
-    ])
-    indicators = np.array([w == v for v in range(p)], dtype=np.float64)
-    fp = np.fft.rfft(pushed, axis=1)
-    fi = np.fft.rfft(indicators, axis=1).conj()
-    spec = np.array([
-        sum(fp[v1] * fi[(v1 - v) % p] for v1 in range(p)) for v in range(p)
-    ])
-    raw = np.fft.irfft(spec, n=n, axis=1).T
-    counts = np.rint(raw)
-    if np.abs(raw - counts).max(initial=0.0) >= 0.25:
-        raise AssertionError("twisted-count correlation too far from integers")
-    counts = counts.astype(np.int64)
+    pushed = np.bincount((B * logs) % n * p + (B * w) % p, minlength=n * p)
+    indicator = np.zeros((n, p), dtype=np.int64)
+    indicator[logs, -w[-logs % n] % p] = 1
+    counts = _cyclic_conv2(pushed.reshape(n, p), indicator)
     counts[:, 0] += 1  # x = 0 contributes Tr(0) = 0
     if np.any(counts.sum(axis=1) != q):
         raise AssertionError("twisted counts do not sum to q")
@@ -147,24 +136,19 @@ def _power_sum_counts(field: FieldTable, B: int, t: int) -> np.ndarray:
     return np.bincount(field.trace_table[arg], minlength=field.p)
 
 
-def kloosterman_power_sum(field: FieldTable, B: int, t: int, mode: str = "exact"):
+def kloosterman_power_sum(field: FieldTable, B: int, t: int) -> CycNumber:
     """-sum over x in K of psi_K(-x^B/t + Bx); t nonzero, gcd(B, p) = 1."""
     if t == 0:
         raise ValueError("t must be nonzero")
     if math.gcd(B, field.p) != 1:
         raise ValueError("B must be prime to p")
-    p = field.p
-    counts = _power_sum_counts(field, B, t)
-    if mode == "exact":
-        return -CycNumber.from_exponent_counts(p, counts)
-    vals = counts @ np.exp(2j * np.pi * np.arange(p) / p)
-    return CycNumber.from_complex(-vals, field.q * _EPS)
+    return -CycNumber.from_exponent_counts(field.p, _power_sum_counts(field, B, t))
 
 
 # ----------------------------------------------------------------------
 # single-point (direct) evaluators
 
-def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int, mode: str):
+def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumber:
     import itertools
 
     q, n, p = field.q, field.q - 1, field.p
@@ -179,10 +163,10 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int, mode: str)
     s_inv_log = (-field.log[s]) % n
     neg_shift = 0 if p == 2 else field.log[field.neg(1)]
     svals = [
-        kloosterman_power_sum(field, B, int(field.antilog[j]), mode) * (-1)
+        kloosterman_power_sum(field, B, int(field.antilog[j])) * (-1)
         for j in range(n)
     ]
-    total = CycNumber.zero(m) if mode == "exact" else CycNumber.from_complex(0j)
+    total = CycNumber.zero(m)
     for tlogs in itertools.product(range(n), repeat=nu):
         prod_log = sum(tlogs) % n
         w = int(field.trace_table[field.antilog[(prod_log + neg_shift + s_inv_log) % n]])
@@ -192,12 +176,10 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int, mode: str)
             term = term * svals[j]
         total = total + term
     sign = -1 if nu % 2 else 1
-    if mode == "exact":
-        return total * Fraction(sign, q ** nu)
-    return total * (sign / q ** nu)
+    return total * Fraction(sign, q ** nu)
 
 
-def trace_axb(field: FieldTable, A: int, B: int, s: int, mode: str = "exact"):
+def trace_axb(field: FieldTable, A: int, B: int, s: int) -> CycNumber:
     """Trace at s of the two-parameter family: the (A-1)-fold sum
     psi(-prod t_i / s) * prod chi_i(t_i) * prod of twisted sums,
     times (-1/q)^(A-1)."""
@@ -205,17 +187,17 @@ def trace_axb(field: FieldTable, A: int, B: int, s: int, mode: str = "exact"):
         raise ValueError("need coprime A, B >= 3")
     if A % field.p == 0 or B % field.p == 0:
         raise ValueError("A and B must be prime to p")
-    return _trace_direct(field, _char_exponents(field, "AxB", A), B, s, mode)
+    return _trace_direct(field, _char_exponents(field, "AxB", A), B, s)
 
 
-def trace_quartic(field: FieldTable, B: int, s: int, mode: str = "exact"):
+def trace_quartic(field: FieldTable, B: int, s: int) -> CycNumber:
     """Trace at s of the quartic-pair family: the double sum with factor
     chi4(u) * conj(chi4)(v) and the twisted sums for x^B, times (1/q^2)."""
     if field.p == 2:
         raise ValueError("this family lives in odd characteristic")
     if B % field.p == 0:
         raise ValueError("B must be prime to p")
-    return _trace_direct(field, _char_exponents(field, "Atimes", 0), B, s, mode)
+    return _trace_direct(field, _char_exponents(field, "Atimes", 0), B, s)
 
 
 # ----------------------------------------------------------------------
@@ -243,13 +225,13 @@ class TraceTable:
         """The literal (-1/q)^nu normalization applied to the raw sums."""
         return Fraction((-1) ** self.nu, self.field.q ** self.nu)
 
-    def value_at_log(self, i: int):
-        i %= self.field.q - 1
-        if self.exact_values is not None:
-            return self.exact_values[i]
-        return CycNumber.from_complex(self.float_values[i], self.float_err)
+    def value_at_log(self, i: int) -> CycNumber:
+        """The exact value at s = g^i; float tables hold `float_values`."""
+        if self.exact_values is None:
+            raise ValueError("exact values need an exact-mode table")
+        return self.exact_values[i % (self.field.q - 1)]
 
-    def value(self, s: int):
+    def value(self, s: int) -> CycNumber:
         if s == 0:
             raise ValueError("the table is indexed by nonzero s")
         return self.value_at_log(int(self.field.log[s]))
@@ -346,18 +328,6 @@ def _cyclic_conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times(a: np.ndarray, a_err: float, b: np.ndarray, b_err: float):
-    """a * b and a bound on the 2-norm of its error, from bounds a_err and
-    b_err on those of a and b: with a~ = a + da and b~ = b + db,
-    a~ b~ - a b = a~ db + da b, and max|b| <= max|b~| + b_err; _EPS per
-    entry covers the rounding of the complex products."""
-    prod = a * b
-    err = (float(np.abs(a).max()) * b_err
-           + a_err * (float(np.abs(b).max()) + b_err)
-           + _EPS * float(np.linalg.norm(prod)))
-    return prod, err
-
-
 def _gauss_table(field: FieldTable, exps: list[int], B: int):
     """Raw float trace sums over Z/n, n = q - 1, from Gauss sums alone, and
     a bound on their largest error.
@@ -425,8 +395,8 @@ def trace_table_all(
 
     The tuple sum is an iterated multiplicative convolution of the
     character-twisted one-variable sums followed by one additive-character
-    transform.  The exact path takes the twisted sums from an exact FFT
-    correlation and convolves integer vectors over Z[zeta_m] as exact 2-D
+    transform.  The exact path takes the twisted sums from one exact
+    convolution and convolves integer vectors over Z[zeta_m] as exact 2-D
     cyclic convolutions on Z/(q-1) x Z/m, O(q log q) by float FFTs with a
     certified rounding (`_cyclic_conv2`), capped at q = 2^10.  The float
     path builds the table's Mellin coefficients from Gauss sums alone and

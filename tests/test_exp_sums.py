@@ -206,6 +206,8 @@ def test_trace_preconditions(f4, f9, f16):
         trace_quartic(f4, 13, 1)  # even characteristic
     with pytest.raises(ValueError):
         trace_quartic(f9, 3, 1)  # B divisible by p
+    with pytest.raises(ValueError):
+        trace_table_all(f16, "AxB", A=None, B=13)
 
 
 def test_moments(f4, f16):
@@ -221,6 +223,8 @@ def test_galois_check_requires_exact(f16):
     tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
     with pytest.raises(ValueError):
         galois_invariance_check(tf)
+    with pytest.raises(ValueError):
+        tf.value(1)
 
 
 def test_exact_cap():
