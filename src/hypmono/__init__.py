@@ -10,23 +10,10 @@ from .cyclotomic import CycNumber, cyclotomic_polynomial
 from .errors import (
     CapExceededError,
     DegreeOutOfRangeError,
-    NotASubfieldError,
     UnsupportedCharacteristicError,
 )
-from .finite_field import (
-    FieldTable,
-    build_field,
-    load_cache,
-    save_cache,
-    subfield_embedding,
-    subfield_norm_map,
-)
-from .characters import (
-    AddChar,
-    MultChar,
-    gauss_sum,
-    hasse_davenport_lift_check,
-)
+from .finite_field import FieldTable, build_field, load_cache, save_cache
+from .characters import gauss_sum
 from .kubert import (
     QmodZ,
     bracket,

@@ -1,85 +1,28 @@
-"""Characters of finite fields and their Gauss sums.
+"""Gauss sums of finite fields, indexed by character exponent.
 
-Multiplicative characters are indexed against the fixed field generator g:
-chi_e(g^a) = zeta_{q-1}^(e*a).  The canonical additive character sends x to
-zeta_p^Tr(x).  In these log coordinates the q - 1 Gauss sums
-g(psi, chi_e) = sum_a psi(g^a) zeta_{q-1}^(e*a) are one DFT of psi o antilog:
-`gauss_sums` computes them with a bound on their error and is the one source
-of float Gauss sums.  The exact `gauss_sum` counts exponents instead, below
-the cap EXACT_PHI_CAP on its degree, and is the reference the DFT is tested
-against.  `_fft_eta` and `_times` are the error rules of every certified
-float bound, here and in `exp_sums`.
+A multiplicative character is its exponent e against the fixed field
+generator g: chi_e(g^a) = zeta_{q-1}^(e*a).  The additive character is the
+canonical psi(x) = zeta_p^Tr(x).  In these log coordinates the q - 1 Gauss
+sums G(e) = g(psi, chi_e) = sum_a psi(g^a) zeta_{q-1}^(e*a) are one DFT of
+psi o antilog: `gauss_sums` computes them with a bound on their error and
+is the one source of float Gauss sums.  The exact `gauss_sum(field, e)`
+counts exponents instead, below the cap EXACT_PHI_CAP on its degree, and is
+the reference the DFT is tested against; both take the same e.  `_fft_eta`
+and `_times` are the error rules of every certified float bound, here and
+in `exp_sums`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import EXACT_PHI_CAP, CycNumber, phi
 from .errors import CapExceededError
-from .finite_field import FieldTable, subfield_norm_map
+from .finite_field import FieldTable
 
-__all__ = [
-    "MultChar",
-    "AddChar",
-    "gauss_sums",
-    "gauss_sum",
-    "lifted_char",
-    "hasse_davenport_lift_check",
-]
-
-
-@dataclass(frozen=True)
-class MultChar:
-    """Multiplicative character chi_j of field^*, j taken mod q-1."""
-
-    field: FieldTable
-    exponent: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % (self.field.q - 1))
-
-    @property
-    def order(self) -> int:
-        n = self.field.q - 1
-        return n // math.gcd(self.exponent, n)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.exponent == 0
-
-    def __mul__(self, other: "MultChar") -> "MultChar":
-        if other.field is not self.field:
-            raise ValueError("characters live on different fields")
-        return MultChar(self.field, self.exponent + other.exponent)
-
-    def __pow__(self, e: int) -> "MultChar":
-        return MultChar(self.field, self.exponent * e)
-
-    def conjugate(self) -> "MultChar":
-        return MultChar(self.field, -self.exponent)
-
-    def value_exponent(self, x) -> int:
-        """Exponent a with chi(x) = zeta_d^a, d = self.order; x nonzero."""
-        n = self.field.q - 1
-        d = self.order
-        j = self.exponent
-        if np.ndim(x) == 0 and x == 0:
-            raise ValueError("multiplicative character at zero")
-        return ((j * self.field.log[x]) % n) * d // n
-
-
-@dataclass(frozen=True)
-class AddChar:
-    """The canonical additive character psi_K with psi(1) = zeta_p."""
-
-    field: FieldTable
-
-    def value_exponent(self, x) -> int:
-        return self.field.trace_to_prime(x)
+__all__ = ["gauss_sums", "gauss_sum"]
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -152,17 +95,14 @@ def gauss_sums(field: FieldTable) -> tuple[np.ndarray, float]:
     return values, n * (eta / (1 - eta) + 2 * _EPS)
 
 
-def gauss_sum(psi: AddChar, chi: MultChar) -> CycNumber:
-    """g(psi, chi) = sum over nonzero x of psi(x) chi(x), exactly in
-    Q(zeta_m), m = lcm(p, order of chi).  Raises CapExceededError when
-    phi(m) exceeds EXACT_PHI_CAP; `gauss_sums` gives every Gauss sum of a
-    field in floats."""
-    field = psi.field
-    if chi.field is not field:
-        raise ValueError("characters live on different fields")
-    n = field.q - 1
-    d = chi.order
-    p = field.p
+def gauss_sum(field: FieldTable, e: int) -> CycNumber:
+    """G(e) = g(psi_K, chi_e), the entry `gauss_sums(field)[e]`, exactly in
+    Q(zeta_m), m = lcm(p, d) with d the order of chi_e.  Raises
+    CapExceededError when phi(m) exceeds EXACT_PHI_CAP; `gauss_sums` gives
+    every Gauss sum of a field in floats."""
+    n, p = field.q - 1, field.p
+    e %= n
+    d = n // math.gcd(e, n)
     m = math.lcm(p, d)
     deg = phi(m)
     if deg > EXACT_PHI_CAP:
@@ -171,44 +111,6 @@ def gauss_sum(psi: AddChar, chi: MultChar) -> CycNumber:
         )
     logs = np.arange(n, dtype=np.int64)
     tr = field.trace_table[field.antilog]
-    chi_exp = ((chi.exponent * logs) % n) * d // n
-    e = (tr * (m // p) + chi_exp * (m // d)) % m
-    counts = np.bincount(e, minlength=m)
+    chi_exp = ((e * logs) % n) * d // n
+    counts = np.bincount((tr * (m // p) + chi_exp * (m // d)) % m, minlength=m)
     return CycNumber.from_exponent_counts(m, counts)
-
-
-def lifted_char(field: FieldTable, sub: FieldTable, chi0: MultChar) -> MultChar:
-    """chi0 composed with the norm map field -> sub, as a character of field."""
-    if chi0.field is not sub:
-        raise ValueError("chi0 must live on the subfield")
-    g_norm = subfield_norm_map(field, sub, field.generator)
-    n0 = sub.q - 1
-    step = (field.q - 1) // n0
-    # norm(g) = g0^t, so chi0(norm(g^a)) = zeta_{n0}^(e0 * t * a)
-    t = int(sub.log[g_norm])
-    return MultChar(field, chi0.exponent * t * step)
-
-
-def hasse_davenport_lift_check(
-    sub: FieldTable, field: FieldTable, chi0: MultChar, mode: str = "exact"
-) -> bool:
-    """Verify -g(psi_K, chi0 o Norm) = (-g(psi_k0, chi0))^d: exactly
-    (`gauss_sum`), or in float mode from the Gauss DFTs of both fields
-    (`gauss_sums`), the two sides within the sum of their error bounds, the
-    d-th power bounded factor by factor with `_times`."""
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    d = field.k // sub.k
-    if field.k % sub.k or field.p != sub.p:
-        raise ValueError("not an extension of the base field")
-    chi_lift = lifted_char(field, sub, chi0)
-    if mode == "exact":
-        g_top = gauss_sum(AddChar(field), chi_lift)
-        return -g_top == (-gauss_sum(AddChar(sub), chi0)) ** d
-    top, top_err = gauss_sums(field)
-    bot, bot_err = gauss_sums(sub)
-    base = -bot[chi0.exponent:chi0.exponent + 1]
-    power, power_err = base, bot_err
-    for _ in range(d - 1):
-        power, power_err = _times(power, power_err, base, bot_err)
-    return bool(abs(top[chi_lift.exponent] + power[0]) <= top_err + power_err)

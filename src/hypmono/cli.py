@@ -124,8 +124,8 @@ def cmd_trace_table(args) -> int:
         _dump(stats, fh)
     print(f"trace-table {args.family} over q={field.q}: "
           f"M1={stats['M1']:.6f} max|T|={stats['max_abs']:.4f} -> {out_dir}")
-    failed = stats["frobenius_pass"] is False or stats["purity_pass"] is False
-    return 1 if failed else 0
+    failed = any(v is False for key, v in stats.items() if key.endswith("_pass"))
+    return 1 if failed or stats.get("float_gap_over_tol") else 0
 
 
 def cmd_classify(args) -> int:

@@ -15,7 +15,3 @@ class DegreeOutOfRangeError(CapExceededError):
 
 class UnsupportedCharacteristicError(ValueError):
     """Characteristic other than 2 or 3."""
-
-
-class NotASubfieldError(ValueError):
-    """The claimed subfield relation does not hold."""

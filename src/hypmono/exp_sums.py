@@ -100,6 +100,13 @@ def _char_order_of(field: FieldTable, exps: list[int]) -> int:
     return math.lcm(*(n // math.gcd(e, n) for e in exps))
 
 
+def _check_point(field: FieldTable, s) -> None:
+    """Refuse s unless it encodes a nonzero element, 0 < s < q: the field
+    tables are indexed by s, from their end for a negative s."""
+    if not 0 < s < field.q:
+        raise ValueError(f"the point {s} is not a nonzero element of F_{field.q}")
+
+
 # ----------------------------------------------------------------------
 # building-block sums
 
@@ -138,8 +145,7 @@ def _power_sum_counts(field: FieldTable, B: int, t: int) -> np.ndarray:
 
 def kloosterman_power_sum(field: FieldTable, B: int, t: int) -> CycNumber:
     """-sum over x in K of psi_K(-x^B/t + Bx); t nonzero, gcd(B, p) = 1."""
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    _check_point(field, t)
     if math.gcd(B, field.p) != 1:
         raise ValueError("B must be prime to p")
     return -CycNumber.from_exponent_counts(field.p, _power_sum_counts(field, B, t))
@@ -157,8 +163,7 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumb
         raise CapExceededError(
             f"direct evaluation over {n}^{nu} tuples exceeds the cap"
         )
-    if s == 0:
-        raise ValueError("s must be nonzero")
+    _check_point(field, s)
     m = math.lcm(p, _char_order_of(field, exps))
     s_inv_log = (-field.log[s]) % n
     neg_shift = 0 if p == 2 else field.log[field.neg(1)]
@@ -232,8 +237,7 @@ class TraceTable:
         return self.exact_values[i % (self.field.q - 1)]
 
     def value(self, s: int) -> CycNumber:
-        if s == 0:
-            raise ValueError("the table is indexed by nonzero s")
+        _check_point(self.field, s)
         return self.value_at_log(int(self.field.log[s]))
 
     def complex_values(self) -> np.ndarray:

@@ -15,11 +15,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .errors import (
-    DegreeOutOfRangeError,
-    NotASubfieldError,
-    UnsupportedCharacteristicError,
-)
+from .errors import DegreeOutOfRangeError, UnsupportedCharacteristicError
 
 DEGREE_CAPS = {2: 24, 3: 15}
 
@@ -102,7 +98,7 @@ def _digit_add_table() -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# polynomial helpers over F_p (build-time verification, subfield roots)
+# polynomial helpers over F_p (the irreducibility test of the modulus)
 
 def _pol_mul_mod(a, b, f, p):
     k = len(f) - 1
@@ -215,7 +211,6 @@ class FieldTable:
             trace = self._fill_trace()
         self.trace_table = np.ascontiguousarray(trace, dtype=np.int64)
         self.log = self._validate()
-        self._embeddings: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     # ------------------------------------------------------------------
     # construction: multiplication by t and the trace are F_p-linear maps
@@ -420,66 +415,6 @@ class FieldTable:
 
     def __repr__(self):
         return f"FieldTable(p={self.p}, k={self.k}, q={self.q})"
-
-    # ------------------------------------------------------------------
-    # subfield structure
-
-    def _embedding_tables(self, sub: "FieldTable"):
-        if sub.p != self.p or self.k % sub.k:
-            raise NotASubfieldError(
-                f"F_{sub.p}^{sub.k} is not a subfield of F_{self.p}^{self.k}"
-            )
-        key = (sub.k, sub.modulus)
-        cached = self._embeddings.get(key)
-        if cached is not None:
-            return cached
-        if sub.k == self.k and sub.modulus == self.modulus:
-            sigma = np.arange(self.q, dtype=np.int64)
-            inverse = {x: x for x in range(self.q)}
-            self._embeddings[key] = (sigma, inverse)
-            return sigma, inverse
-        q0 = sub.q
-        step = (self.q - 1) // (q0 - 1)
-        # roots of the subfield modulus among the elements of order dividing
-        # q0 - 1; the smallest encoding is the canonical choice
-        root = None
-        for j in range(q0 - 1):
-            cand = int(self.antilog[(j * step) % (self.q - 1)])
-            acc = 0
-            for c in reversed(sub.modulus):
-                acc = self.add(self.mul(acc, cand), c % self.p)
-            if acc == 0 and (root is None or cand < root):
-                root = cand
-        if root is None:
-            raise AssertionError("no root of the subfield modulus found")
-        powers = [1]
-        for _ in range(sub.k - 1):
-            powers.append(self.mul(powers[-1], root))
-        sigma = np.zeros(q0, dtype=np.int64)
-        for x in range(q0):
-            acc, v = 0, x
-            for i in range(sub.k):
-                v, d = divmod(v, sub.p)
-                acc = self.add(acc, self.scalar_mul(d, powers[i]))
-            sigma[x] = acc
-        inverse = {int(sigma[x]): x for x in range(q0)}
-        self._embeddings[key] = (sigma, inverse)
-        return sigma, inverse
-
-
-def subfield_embedding(field: FieldTable, sub: FieldTable) -> np.ndarray:
-    """Table of the canonical field embedding sub -> field."""
-    sigma, _ = field._embedding_tables(sub)
-    return sigma
-
-
-def subfield_norm_map(field: FieldTable, sub: FieldTable, x: int) -> int:
-    """Norm from field down to sub: x^((q-1)/(q0-1)), returned in sub."""
-    _, inverse = field._embedding_tables(sub)
-    if x == 0:
-        return 0
-    y = field.pow(x, (field.q - 1) // (sub.q - 1))
-    return inverse[int(y)]
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -68,6 +69,24 @@ def test_trace_table_outputs(tmp_path, capsys):
     assert 0.0 < stats["float_err"] < 1e-9
     assert (tmp_path / "trace_3x13_q16_exact.csv").exists()
     assert (tmp_path / "trace_3x13_q16_float.csv").exists()
+
+
+@pytest.mark.parametrize("family, module, name, fake", [
+    ("4x5", "exp_sums", "integrality_check", lambda table: False),
+    ("4x5", "exp_sums", "galois_invariance_check",
+     lambda table: SimpleNamespace(passed=False)),
+    ("3x13", "exp_sums", "rationality_check", lambda table: False),
+    ("4x5", "acceptance", "_float_agrees", lambda exact, flt: 0.5),
+], ids=["integrality", "galois", "rationality", "float-gap"])
+def test_trace_table_fails_on_any_failed_check(tmp_path, monkeypatch, capsys,
+                                               family, module, name, fake):
+    # every *_pass flag and a nonzero float gap set the exit code
+    import hypmono.cli as cli_mod
+
+    monkeypatch.setattr(getattr(cli_mod, module), name, fake)
+    rc = main(["trace-table", "--family", family, "--field-degree", "2",
+               "--mode", "both", "--out", str(tmp_path)])
+    assert rc == 1
 
 
 def test_trace_table_quartic(tmp_path, capsys):

@@ -210,6 +210,20 @@ def test_trace_preconditions(f4, f9, f16):
         trace_table_all(f16, "AxB", A=None, B=13)
 
 
+def test_points_out_of_range_are_refused(f9):
+    # a point is a nonzero element, 0 < s < q; -1 would wrap to s = 8 and
+    # s = q would index past the tables
+    table = trace_table_all(f9, "AxB", A=4, B=5, mode="exact")
+    for s in (-1, 0, 9):
+        with pytest.raises(ValueError):
+            table.value(s)
+        with pytest.raises(ValueError):
+            trace_axb(f9, 4, 5, s)
+    for t in (-2, 0, 9):
+        with pytest.raises(ValueError):
+            kloosterman_power_sum(f9, 5, t)
+
+
 def test_moments(f4, f16):
     table = trace_table_all(f4, "AxB", A=3, B=13, mode="exact")
     assert moments(table, 1) == pytest.approx(1.0)  # values are +-1

@@ -6,19 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypmono.errors import (
-    DegreeOutOfRangeError,
-    NotASubfieldError,
-    UnsupportedCharacteristicError,
-)
+from hypmono.errors import DegreeOutOfRangeError, UnsupportedCharacteristicError
 from hypmono.finite_field import (
     PRIMITIVE_POLYS,
     FieldTable,
     build_field,
     load_cache,
     save_cache,
-    subfield_embedding,
-    subfield_norm_map,
 )
 from hypmono.kubert import multiplicative_order
 
@@ -183,54 +177,6 @@ def test_field_axioms_small():
                     assert field.mul(a, field.add(b, c)) == field.add(
                         field.mul(a, b), field.mul(a, c)
                     )
-
-
-def test_norm_map():
-    f16, f4 = build_field(2, 4), build_field(2, 2)
-    assert subfield_norm_map(f16, f4, 1) == 1
-    assert subfield_norm_map(f16, f4, 0) == 0
-    g16 = f16.generator
-    img = subfield_norm_map(f16, f4, g16)
-    # the norm of a generator generates the subfield units
-    assert f4.log[img] % 3 != 0 or f4.q - 1 == 3
-    order = 1
-    cur = img
-    while cur != 1:
-        cur = f4.mul(cur, img)
-        order += 1
-    assert order == 3
-    # multiplicativity on random pairs
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b = int(rng.integers(1, 16)), int(rng.integers(1, 16))
-        assert subfield_norm_map(f16, f4, f16.mul(a, b)) == f4.mul(
-            subfield_norm_map(f16, f4, a), subfield_norm_map(f16, f4, b)
-        )
-
-
-def test_norm_f9_to_f3_is_fourth_power():
-    f9, f3 = build_field(3, 2), build_field(3, 1)
-    for x in range(1, 9):
-        y = f9.pow(x, 4)
-        assert y in (1, 2)  # lands in the prime subfield
-        assert subfield_norm_map(f9, f3, x) == y
-
-
-def test_embedding_is_field_homomorphism():
-    f16, f4 = build_field(2, 4), build_field(2, 2)
-    sigma = subfield_embedding(f16, f4)
-    for a in range(4):
-        for b in range(4):
-            assert sigma[f4.add(a, b)] == f16.add(sigma[a], sigma[b])
-            assert sigma[f4.mul(a, b)] == f16.mul(sigma[a], sigma[b])
-
-
-def test_not_a_subfield():
-    f8, f4 = build_field(2, 3), build_field(2, 2)
-    with pytest.raises(NotASubfieldError):
-        subfield_norm_map(f8, f4, 1)
-    with pytest.raises(NotASubfieldError):
-        subfield_norm_map(build_field(3, 2), build_field(2, 1), 1)
 
 
 def test_cache_roundtrip(tmp_path):
