@@ -94,29 +94,16 @@ def _c3_digit_lemma_28(seed):
 
 
 def _c4_bracket_forms(seed):
-    bad = {}
-    bad["sharp-3x13"] = sum(
-        not kubert.verify_sharp_inequality("3x13", r).passed
-        for r in range(2, 21, 2)
-    )
-    bad["sharp-4x5"] = sum(
-        not kubert.verify_sharp_inequality("4x5", r).passed for r in range(2, 13)
-    )
-    bad["sharp-28"] = sum(
-        not kubert.verify_sharp_inequality("28", r).passed for r in range(2, 13)
-    )
-    bad["corollary-3x13"] = sum(
-        not kubert.verify_bracket_corollaries("3x13", r).passed
-        for r in range(2, 21, 2)
-    )
-    bad["corollary-4x5"] = sum(
-        not kubert.verify_bracket_corollaries("4x5", r).passed
-        for r in range(1, 13)
-    )
-    bad["corollary-28"] = sum(
-        not kubert.verify_bracket_corollaries("28", r).passed
-        for r in range(1, 13)
-    )
+    sharp, corollary = {}, {}
+    for family, rs in (("3x13", range(2, 21, 2)), ("4x5", range(1, 13)),
+                       ("28", range(1, 13))):
+        sharp[f"sharp-{family}"] = corollary[f"corollary-{family}"] = 0
+        for r in rs:
+            cor, sh = kubert.verify_brackets(family, r)
+            corollary[f"corollary-{family}"] += not cor.passed
+            if r >= 2:
+                sharp[f"sharp-{family}"] += not sh.passed
+    bad = {**sharp, **corollary}
     return all(v == 0 for v in bad.values()), bad
 
 

@@ -76,14 +76,10 @@ def cmd_verify_digit_lemma(args) -> int:
     for r in range(1, r_max + 1):
         if kubert.LEMMAS[family].even_r_brackets and r % 2:
             continue
-        rep = kubert.verify_bracket_corollaries(family, r)
-        all_pass &= rep.passed
-        records.extend(rep.to_json_records())
-        if r < 2:
-            continue
-        rep = kubert.verify_sharp_inequality(family, r)
-        all_pass &= rep.passed
-        records.extend(rep.to_json_records())
+        corollary, sharp = kubert.verify_brackets(family, r)
+        for rep in (corollary, sharp) if r >= 2 else (corollary,):
+            all_pass &= rep.passed
+            records.extend(rep.to_json_records())
     out = Path(args.out) / f"digit_lemma_{family}.ndjson" if args.out else None
     _emit_records(records, out, f"digit-lemma {family}")
     return 0 if all_pass else 1

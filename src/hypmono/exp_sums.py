@@ -3,8 +3,12 @@
 The single-point evaluators expand the defining multi-sum directly: an
 outer sum over tuples of nonzero field elements, an additive-character
 factor, the character product, and one twisted one-variable sum per tuple
-slot.  The table builders substitute u for the product of the tuple and
-work on the multiplicative group in log coordinates, Z/(q-1).
+slot.  Every tuple is its own term.  The twisted sums are count vectors
+in the group ring Z[Z/p], counted element by element, their products over
+all tuples int64 arrays, and the terms are added exactly into counts of
+the exponents of zeta_m.  The table builders substitute u for the
+product of the tuple and work on the multiplicative group in log
+coordinates, Z/(q-1).
 
 The direct evaluators and the exact tables give exact values in
 Q(zeta_m) (`CycNumber`).  Exact tables (integer vectors over roots of
@@ -155,8 +159,23 @@ def kloosterman_power_sum(field: FieldTable, B: int, t: int) -> CycNumber:
 # single-point (direct) evaluators
 
 def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumber:
-    import itertools
+    """The defining tuple sum at one point, every tuple its own term:
+    (-1)^nu / q^nu times the sum over (t_1, ..., t_nu) in (K^*)^nu of
+    psi(-t_1 ... t_nu / s) * prod chi_i(t_i) * prod S(t_i), with
+    S(t) = sum over x in K of psi(Bx - x^B / t) and chi_i(g^j) = zeta_n^(e_i j).
 
+    S(t) lies in the group ring Z[Z/p]: its count vector, from
+    `_power_sum_counts` (element by element), is formed once per call for
+    every t.  A tuple's product of the S(t_i) is a cyclic product of
+    length p, built for all n^nu tuples at once with one broadcast per
+    factor.  Its count at v lands on the exponent
+    (Tr(-t_1 ... t_nu / s) + v) m/p + sum of (e_i j_i mod n) m/n of
+    zeta_m, t_i = g^(j_i), and the counts of all tuples are added exactly
+    in int64 into m exponent counts; they total (n q)^nu, which is checked
+    against int64 first.  No twisted-count convolution, Gauss sum or
+    transform of the tables is used, so comparing this route with
+    `trace_table_all` checks one computation against an independent one.
+    """
     q, n, p = field.q, field.q - 1, field.p
     nu = len(exps)
     if n ** nu > _DIRECT_TUPLE_CAP:
@@ -164,24 +183,24 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumb
             f"direct evaluation over {n}^{nu} tuples exceeds the cap"
         )
     _check_point(field, s)
+    _check_int64((n * q) ** nu, "direct tuple sum")
     m = math.lcm(p, _char_order_of(field, exps))
-    s_inv_log = (-field.log[s]) % n
-    neg_shift = 0 if p == 2 else field.log[field.neg(1)]
-    svals = [
-        kloosterman_power_sum(field, B, int(field.antilog[j])) * (-1)
-        for j in range(n)
-    ]
-    total = CycNumber.zero(m)
-    for tlogs in itertools.product(range(n), repeat=nu):
-        prod_log = sum(tlogs) % n
-        w = int(field.trace_table[field.antilog[(prod_log + neg_shift + s_inv_log) % n]])
-        ce = sum(((e * j) % n) * m // n for e, j in zip(exps, tlogs)) % m
-        term = CycNumber.root_of_unity(m, (w * (m // p) + ce) % m)
-        for j in tlogs:
-            term = term * svals[j]
-        total = total + term
+    logs, digits = np.arange(n, dtype=np.int64), np.arange(p)
+    counts = np.array([_power_sum_counts(field, B, int(t)) for t in field.antilog])
+    # shifted[j, u, v] = counts[j, v - u]: multiplication by S(g^j) in Z[Z/p]
+    shifted = counts[:, (digits - digits[:, None]) % p]
+    prod, log_sum, char_exp = counts, logs, ((exps[0] * logs) % n) * m // n
+    for e in exps[1:]:
+        prod = np.einsum("tu,juv->tjv", prod, shifted).reshape(-1, p)
+        log_sum = (log_sum[:, None] + logs).ravel()
+        char_exp = (char_exp[:, None] + ((e * logs) % n) * m // n).ravel()
+    neg_shift = 0 if p == 2 else int(field.log[field.neg(1)])
+    w = field.trace_table[field.antilog[(log_sum + neg_shift - field.log[s]) % n]]
+    exponents = ((w[:, None] + digits) % p * (m // p) + char_exp[:, None]) % m
+    total = np.zeros(m, dtype=np.int64)
+    np.add.at(total, exponents.ravel(), prod.ravel())
     sign = -1 if nu % 2 else 1
-    return total * Fraction(sign, q ** nu)
+    return CycNumber.from_exponent_counts(m, sign * total, q ** nu)
 
 
 def trace_axb(field: FieldTable, A: int, B: int, s: int) -> CycNumber:

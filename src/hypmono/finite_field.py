@@ -211,6 +211,9 @@ class FieldTable:
             trace = self._fill_trace()
         self.trace_table = np.ascontiguousarray(trace, dtype=np.int64)
         self.log = self._validate()
+        # build_field hands this one object to every caller
+        for table in (self.antilog, self.trace_table, self.log):
+            table.flags.writeable = False
 
     # ------------------------------------------------------------------
     # construction: multiplication by t and the trace are F_p-linear maps

@@ -515,7 +515,17 @@ def verify_lemma_28(r: int) -> VerificationReport:
     return _verify_lemma("28", r)
 
 
-def _verify_brackets(family: str, r: int, sharp: bool) -> VerificationReport:
+def verify_brackets(family: str, r: int) -> tuple[VerificationReport, VerificationReport]:
+    """The bracket corollary and the sharp inequality of a family at r,
+    from one scan over 0 < x < p^r - 1.
+
+    Both compare the same forms, reduced mod p^r - 1, and differ only in
+    the allowance: `bracket_allowance` for the corollary (variant
+    bracket_plus<a>), 0 for the sharp form (variant sharp).  One `_scan`
+    with both variants forms the slacks once and shares their bincount;
+    each report carries the scan's elapsed time.  The 3x13 family is
+    stated for even r only.  Returns (corollary, sharp).
+    """
     t0 = time.perf_counter()
     if family not in LEMMAS:
         raise ValueError(f"unknown family {family!r}")
@@ -523,17 +533,15 @@ def _verify_brackets(family: str, r: int, sharp: bool) -> VerificationReport:
     p = lemma.p
     _require_r(p, r)
     if lemma.even_r_brackets and r % 2:
-        kind = "sharp inequality" if sharp else "bracket corollary"
-        raise ValueError(f"the base-{p} {kind} requires even r")
-    if sharp:
-        name, variant = f"sharp-{family}", Variant("sharp", 0)
-    else:
-        allowance = lemma.bracket_allowance
-        name = f"corollary-{family}"
-        variant = Variant(f"bracket_plus{allowance}", allowance)
-    n = p ** r - 1
-    variants = _scan(p, r, *lemma.forms(r), [variant], n)
-    return VerificationReport(name, p, r, variants, (time.perf_counter() - t0) * 1000.0)
+        raise ValueError(f"the base-{p} bracket forms require even r")
+    allowance = lemma.bracket_allowance
+    corollary, sharp = _scan(
+        p, r, *lemma.forms(r),
+        [Variant(f"bracket_plus{allowance}", allowance), Variant("sharp", 0)],
+        p ** r - 1)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return (VerificationReport(f"corollary-{family}", p, r, [corollary], elapsed_ms),
+            VerificationReport(f"sharp-{family}", p, r, [sharp], elapsed_ms))
 
 
 def verify_bracket_corollaries(family: str, r: int) -> VerificationReport:
@@ -542,7 +550,7 @@ def verify_bracket_corollaries(family: str, r: int) -> VerificationReport:
     Slack allowances: 5 for the 3x13 family (even r only), 6 for 4x5,
     3 for the 28 family.
     """
-    return _verify_brackets(family, r, sharp=False)
+    return verify_brackets(family, r)[0]
 
 
 def verify_sharp_inequality(family: str, r: int) -> VerificationReport:
@@ -551,7 +559,7 @@ def verify_sharp_inequality(family: str, r: int) -> VerificationReport:
     This is the finite-level form of the finite-monodromy criterion;
     the 3x13 family is stated for even r only.
     """
-    return _verify_brackets(family, r, sharp=True)
+    return verify_brackets(family, r)[1]
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,20 @@ def test_direct_equals_restructured_f16(f16, table_f16):
         assert trace_axb(f16, 3, 13, int(s)) == table_f16.value(int(s))
 
 
+@pytest.mark.parametrize("p, k, kind, A, B", [
+    (2, 6, "AxB", 3, 13), (3, 4, "Atimes", None, 7),
+])
+def test_direct_equals_exact_table_at_every_point(p, k, kind, A, B):
+    field = build_field(p, k)
+    table = trace_table_all(field, kind, A=A, B=B, mode="exact")
+    for s in field.units():
+        if kind == "AxB":
+            direct = trace_axb(field, A, B, int(s))
+        else:
+            direct = trace_quartic(field, B, int(s))
+        assert direct == table.value(int(s))
+
+
 def test_f16_table_properties(table_f16, f16):
     assert len(table_f16) == f16.q - 1
     assert rationality_check(table_f16)

@@ -82,6 +82,17 @@ def test_rebuild_is_bit_identical():
     assert np.array_equal(a.trace_table, b.trace_table)
 
 
+def test_shared_field_tables_are_read_only():
+    # build_field returns one cached object, so a write would reach every
+    # later caller
+    f9 = build_field(3, 2)
+    for name in ("antilog", "trace_table", "log"):
+        with pytest.raises(ValueError):
+            getattr(f9, name)[1] = 5
+    fresh = build_field(3, 2)
+    assert fresh.log[1] == 0 and fresh.antilog[1] == 3 and fresh.trace_table[1] == 2
+
+
 def test_roots_of_unity_extensions():
     # F_2(mu_23) has degree 11, F_3(mu_11) has degree 5
     f = build_field(2, 11)

@@ -18,6 +18,7 @@ from hypmono.kubert import (
     repunit_scaling_check,
     sequence_AB,
     verify_bracket_corollaries,
+    verify_brackets,
     verify_lemma_28,
     verify_lemma_3x13,
     verify_lemma_4x5,
@@ -180,6 +181,8 @@ def test_bracket_corollaries():
     assert verify_bracket_corollaries("28", 4).passed
     with pytest.raises(ValueError):
         verify_bracket_corollaries("3x13", 5)  # parity violation
+    with pytest.raises(ValueError):
+        verify_brackets("3x13", 5)
     # the offset points x = A_r, B_r are inside the checked range
     rep = verify_bracket_corollaries("3x13", 6)
     assert rep.variants[0].checked == 2 ** 6 - 2
@@ -452,6 +455,23 @@ def test_scan_counterexamples_match_scalar_route(monkeypatch, family, p, r, kern
                       "slack_histogram": {str(k): c for k, c in rep.slack_histogram.items()}}
         for rep in got
     } == want
+
+
+@pytest.mark.parametrize("family,r_range", [
+    ("3x13", range(2, 21, 2)), ("4x5", range(1, 13)), ("28", range(1, 13)),
+])
+def test_one_bracket_scan_equals_a_scan_per_variant(family, r_range):
+    # the ranges of acceptance criterion C4; verify_brackets shares the
+    # slacks and their bincounts between its two variants
+    import hypmono.kubert as kb
+
+    lemma = kb.LEMMAS[family]
+    p, a = lemma.p, lemma.bracket_allowance
+    for r in r_range:
+        got = [rep.variants for rep in verify_brackets(family, r)]
+        want = [kb._scan(p, r, *lemma.forms(r), [v], p ** r - 1)
+                for v in (kb.Variant(f"bracket_plus{a}", a), kb.Variant("sharp", 0))]
+        assert got == want
 
 
 def test_narrow_accumulators_fit_at_r_cap():
