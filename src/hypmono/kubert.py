@@ -7,22 +7,23 @@ The digit lemma verifiers enumerate every x below p^r and check the
 bracket inequalities in all their leading-digit variants, recording slack
 histograms and (expected empty) counterexample lists.
 
-One scan loop, `_scan`, checks every x on its own: it forms the slack
-of each x in int16, takes one bincount of the slacks per block and
-recomputes both sides at an x only when the slack shows a counterexample.
-Two kernels feed it blocks of at most `_CHUNK` = 2^16 values, and the
-input picks the kernel:
+One entry point, `_scan`, checks every x: it counts the slacks of all x
+in a histogram and recomputes both sides at an x only when the slack
+shows a counterexample.  The input picks the kernel:
 
 * the lemmas (offsets o >= 0, no modulus) split x = h*P + l, with P the
-  largest power of p not above the block size.  The low digit sums and the
+  largest power of p not above `_CHUNK` = 2^16 and p^(r - lead), so every
+  leading-digit scope is whole rows h.  The low digit sums and the
   carries of c*l + o into the high part depend on l alone and are built
-  once per scan; a block is one row h, and its slacks are that low
-  constant plus one gather per form from a small table of the row's high
-  digit sums.  No division or popcount runs per element.
+  once per scan; the l with one tuple of carries form a carry class (27
+  for 3x13, 16 for 4x5, 15 for 28), and x = h*P + l has the slack of its
+  l plus that of its row and class.  So the histograms are exact counts
+  per class and row, and no step of the scan runs per x.
 * the bracket forms and the finite-monodromy criteria reduce c*x mod
-  p^r - 1 and take uint8 digit sums of the reduced values directly
-  (population count in base 2, a table of the digit sums below 3^9 in
-  base 3).
+  p^r - 1, still element by element: blocks of at most `_CHUNK` values,
+  int16 slacks from uint8 digit sums of the reduced values (population
+  count in base 2, a table of the digit sums below 3^9 in base 3) and one
+  bincount per block.
 
 Both sides' digit-sum totals are bounded from the forms before a scan, and
 a form whose values could leave int64 or int16 raises CapExceededError.
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import CapExceededError
 from .finite_field import _prime_factors
 
-_CHUNK = 1 << 16  # elements per scan block: the block's int16 slacks fit in L2
+_CHUNK = 1 << 16  # low values of a lemma scan, or x per mod-n block; int16 slacks fit in L2
 _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped)
 _UINT8_MAX = int(np.iinfo(np.uint8).max)
 _INT16_MAX = int(np.iinfo(np.int16).max)
@@ -91,7 +92,11 @@ def _digit_sums(values: np.ndarray, p: int) -> np.ndarray:
 
 
 def digit_sum_vec(values: np.ndarray, p: int) -> np.ndarray:
-    return _digit_sums(np.asarray(values), p).astype(np.int64)
+    """int64 digit sums of nonnegative integers, elementwise."""
+    values = np.asarray(values)
+    if values.min(initial=0) < 0:
+        raise ValueError("digit sums are defined for nonnegative integers")
+    return _digit_sums(values, p).astype(np.int64)
 
 
 def bracket(x: int, p: int, r: int) -> int:
@@ -385,61 +390,79 @@ def _form_sum(xs: np.ndarray, forms, p: int, n: int | None) -> np.ndarray:
     return total
 
 
-def _split_blocks(p: int, r: int, lhs, rhs):
-    """Slack blocks of the forms over [0, p^r), one row h per block.
+def _class_counts(p: int, r: int, lhs, rhs, variants):
+    """(lowest slack, slack counts, arrays of violating x) per variant over
+    [0, p^r).
 
     With x = h*P + l, o = o_h*P + o_l and c*l + o_l = q*P + m (m < P),
-    the digit sum of c*x + o is s(m) + s(c*h + o_h + q).  The s(m) and
-    the carries q <= c depend on l alone and are built once per scan,
-    the high digit sums s(c*h + o_h + j), j <= max q, once per form.
-    A row is the constant low part plus one gather per form from the
-    row's high digit sums."""
-    P = p ** r
-    while P > max(_CHUNK, 1):
-        P //= p
-    rows = p ** r // P
+    the digit sum of c*x + o is s(m) + s(c*h + o_h + q).  So the slack
+    of x is const[l], the signed sum of the s(m), plus D[h, k], that of
+    the s(c*h + o_h + q) at the carries q of l.  Each carry is
+    non-decreasing in l, so the l with one tuple k of carries form a run,
+    a carry class.  Per class the scan keeps the histogram H[k] of const
+    and its least const; per variant C[k] counts the D[h, k] of its rows,
+    and the anti-diagonal sums of H.T @ C count its slacks.  Only the
+    cells (h, k) whose least slack breaks the allowance are expanded to
+    their x.  P divides p^(r - lead) for every variant, so each scope is
+    whole rows."""
+    lead = max((v.lead for v in variants), default=0)
+    P = 1  # the largest power of p at most _CHUNK and p^(r - lead)
+    while P * p <= min(_CHUNK, p ** max(r - lead, 0)):
+        P *= p
     low = np.arange(P, dtype=np.int32)  # c*l + o_l < 2^8 * P fits while _CHUNK < 2^23
     const = np.zeros(P, dtype=np.int16)
-    parts = []  # (carries, signed high digit sums) per form
+    new = low == 0  # the l where some carry steps up: a class starts
+    parts = []  # (sign, c, o_h, carries) per form
     for sign, forms in ((1, rhs), (-1, lhs)):
         for c, o in forms:
             if c < 0 or o < 0:
                 raise ValueError(f"form {c}*x + {o}: the split kernel needs c, o >= 0")
-            if c > _UINT8_MAX:  # keeps a form's high table within rows x 256
+            if c > _UINT8_MAX:  # carries q <= c are kept in uint8
                 raise CapExceededError(f"form {c}*x + {o}: carries above 255")
             o_h, o_l = divmod(o, P)
-            m = c * low + o_l
-            q = m // P
-            m -= q * P
+            q, m = np.divmod(c * low + o_l, P)
             const += sign * _digit_sums(m, p).astype(np.int16)
-            high = c * np.arange(rows)[:, None] + o_h + np.arange(int(q.max()) + 1)
-            parts.append((q.astype(np.intp), sign * _digit_sums(high, p).astype(np.int16)))
-    gathered = np.empty(P, dtype=np.int16)
-    for h in range(rows):
-        slack = const.copy()
-        for q, high in parts:
-            slack += np.take(high[h], q, out=gathered)
-        yield h * P, slack
+            new[1:] |= q[1:] != q[:-1]
+            parts.append((sign, c, o_h, q.astype(np.uint8)))
+    starts = np.flatnonzero(new)
+    row = np.arange(p ** r // P)[:, None]
+    D = np.zeros((row.size, starts.size), dtype=np.int16)
+    for sign, c, o_h, q in parts:
+        D += sign * _digit_sums(c * row + o_h + q[starts], p).astype(np.int16)
+    cmin, dmin = int(const.min()), int(D.min())
+    nc, nd = int(const.max()) - cmin + 1, int(D.max()) - dmin + 1
+    classes = np.split(const, starts[1:])
+    H = np.array([np.bincount(k - cmin, minlength=nc) for k in classes])
+    kmin = np.minimum.reduceat(const, starts)
+    found = []
+    for v in variants:
+        rows = np.zeros(row.size, dtype=bool)
+        for a, b in v.ranges(p, r):
+            rows[a // P:b // P] = True
+        Dv = D[rows] - dmin + np.arange(starts.size) * nd
+        C = np.bincount(Dv.ravel(), minlength=starts.size * nd).reshape(-1, nd)
+        # anti-diagonal sums of H.T @ C: rereading padded rows one shorter shifts row i by i
+        sums = np.zeros((nc, nc + nd), dtype=np.int64)
+        sums[:, :nd] = H.T @ C
+        got = sums.ravel()[:nc * (nc + nd - 1)].reshape(nc, -1).sum(axis=0)
+        # the cells by row, then by class, so their x come out ascending
+        cells = zip(*np.nonzero((D + kmin < -v.allowance) & rows[:, None]))
+        xs = [h * P + starts[k] + np.flatnonzero(classes[k] < -v.allowance - D[h, k])
+              for h, k in cells]
+        found.append((cmin + dmin, got, xs))
+    return found
 
 
-def _mod_blocks(p: int, lhs, rhs, n: int):
-    """Slack blocks of the forms reduced mod n over [1, n)."""
-    for start in range(1, n, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, n))
-        yield start, _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
-
-
-def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
-    """Check sum over lhs <= sum over rhs + allowance of every variant at
-    each x, where a form (c, o) contributes the base-p digit sum of
-    c*x + o.  Without n, x runs over [0, p^r) through the split kernel;
-    with n = p^r - 1, over [1, n) with every c*x + o reduced mod n."""
-    off, bins = _slack_range(p, r, lhs, rhs, n)
-    blocks = _split_blocks(p, r, lhs, rhs) if n is None else _mod_blocks(p, lhs, rhs, n)
+def _mod_counts(p: int, r: int, lhs, rhs, variants, n: int, off: int, bins: int):
+    """(lowest slack, slack counts, arrays of violating x) per variant over
+    [1, n), every form reduced mod n, in blocks of at most _CHUNK x with one
+    bincount each."""
     spans = [v.ranges(p, r) for v in variants]
     counts = [np.zeros(bins, dtype=np.int64) for _ in variants]
     bad: list[list[np.ndarray]] = [[] for _ in variants]
-    for start, slack in blocks:
+    for start in range(1, n, _CHUNK):
+        xs = np.arange(start, min(start + _CHUNK, n))
+        slack = _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
         whole = None  # one bincount serves every variant covering the block
         for i, v in enumerate(variants):
             for a, b in spans[i]:
@@ -456,10 +479,23 @@ def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
                 counts[i] += got
                 if got[:max(off - v.allowance, 0)].any():
                     bad[i].append(np.flatnonzero(part < -v.allowance) + a)
+    return [(-off, got, xs) for got, xs in zip(counts, bad)]
+
+
+def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
+    """Check sum over lhs <= sum over rhs + allowance of every variant at
+    each x, where a form (c, o) contributes the base-p digit sum of
+    c*x + o.  Without n, x runs over [0, p^r), counted per carry class;
+    with n = p^r - 1, over [1, n) with every c*x + o reduced mod n."""
+    off, bins = _slack_range(p, r, lhs, rhs, n)
+    if n is None:
+        found = _class_counts(p, r, lhs, rhs, variants)
+    else:
+        found = _mod_counts(p, r, lhs, rhs, variants, n, off, bins)
     reports = []
-    for v, got, xs in zip(variants, counts, bad):
+    for v, (lo, got, xs) in zip(variants, found):
         hist = np.zeros(_SLACK_CAP + 2, dtype=np.int64)
-        np.add.at(hist, np.clip(np.arange(bins) - off + v.allowance, -1, _SLACK_CAP) + 1, got)
+        np.add.at(hist, np.clip(np.arange(got.size) + lo + v.allowance, -1, _SLACK_CAP) + 1, got)
         cx = []
         if xs:
             xs = np.concatenate(xs)

@@ -39,6 +39,18 @@ def test_digit_sum_examples():
     assert digit_sum_vec(values, 3).tolist() == [digit_sum(int(v), 3) for v in values]
 
 
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_digit_sums_refuse_negative_input(p):
+    # a negative value would index the base-3 table from its end, and the
+    # base-2 population count would read |x|
+    with pytest.raises(ValueError):
+        digit_sum(-1, p)
+    for values in ([-1, -5], [4, -5], -1):
+        with pytest.raises(ValueError):
+            digit_sum_vec(np.array(values), p)
+    assert digit_sum_vec(np.array([], dtype=np.int64), p).tolist() == []
+
 def test_bracket_examples():
     assert bracket(20, 2, 4) == 2  # 20 mod 15 = 5 = 0101
     assert bracket(2 ** 4 - 1, 2, 4) == 0
@@ -488,6 +500,88 @@ def test_narrow_accumulators_fit_at_r_cap():
         for (lhs, rhs), m in sides:
             off, bins = kb._slack_range(p, r, lhs, rhs, m)  # raises past int16
             assert 0 < off < bins <= 2 ** 15 - 1
+
+
+@pytest.mark.parametrize("family,r_range", [
+    ("3x13", range(25, 31)), ("4x5", range(15, 19)), ("28", range(13, 19)),
+])
+def test_lemmas_hold_past_the_cli_defaults_up_to_r_cap(family, r_range):
+    # every x below 2^30 or 3^18, counted per carry class
+    import hypmono.kubert as kb
+
+    verify = {"3x13": verify_lemma_3x13, "4x5": verify_lemma_4x5, "28": verify_lemma_28}[family]
+    lemma = kb.LEMMAS[family]
+    assert r_range[-1] == kb.R_CAP[lemma.p]
+    for r in r_range:
+        report = verify(r)
+        variants = [v for v in lemma.variants if r >= v.min_r]
+        assert [v.variant for v in report.variants] == [v.name for v in variants]
+        for got, v in zip(report.variants, variants):
+            assert got.counterexamples == []
+            assert min(got.slack_histogram) == 0
+            assert got.checked == len(v.allowed) * lemma.p ** (r - v.lead)
+            assert sum(got.slack_histogram.values()) == got.checked
+
+
+def _reference_scan(p, r, lhs, rhs, variants):
+    """The reports of `_scan` without n, x by x through digit_sum_vec."""
+    import hypmono.kubert as kb
+
+    xs = np.arange(p ** r)
+
+    def side(forms):
+        return sum((digit_sum_vec(c * xs + o, p) for c, o in forms), np.zeros(xs.size, int))
+
+    lhs_sum, rhs_sum = side(lhs), side(rhs)
+    reports = []
+    for v in variants:
+        inside = np.isin(xs * p ** v.lead // p ** r, sorted(v.allowed))
+        slack = rhs_sum + v.allowance - lhs_sum
+        keys, counts = np.unique(np.clip(slack[inside], -1, 32), return_counts=True)
+        cx = [kb.Counterexample(int(x), int(lhs_sum[x]), int(rhs_sum[x] + v.allowance))
+              for x in np.flatnonzero(inside & (slack < 0))]
+        reports.append(kb.VariantReport(v.name, int(inside.sum()), cx,
+                                        dict(zip(keys.tolist(), counts.tolist()))))
+    return reports
+
+
+def _random_scans(seed, cases):
+    import hypmono.kubert as kb
+
+    rng = random.Random(seed)
+    for _ in range(cases):
+        p = rng.choice([2, 3])
+        r = rng.randint(1, 9 if p == 2 else 6)
+
+        def forms():
+            out = [(rng.choice([0, 1, rng.randint(0, 40)]), rng.randrange(p ** r))
+                   for _ in range(rng.randint(1, 4))]
+            return out + out[:rng.choice([0, 0, 1])]  # sometimes a form twice
+
+        variants = []
+        for i in range(rng.randint(1, 3)):
+            lead = rng.randint(0, r + 1)
+            allowed = frozenset(rng.sample(range(p ** lead), rng.randint(1, min(p ** lead, 4))))
+            variants.append(kb.Variant(f"v{i}", rng.randint(-3, 3), lead=lead, allowed=allowed))
+        yield p, r, forms(), forms(), variants
+
+
+@pytest.mark.parametrize("chunk", [None, 10, 97], ids=["default", "chunk10", "chunk97"])
+def test_class_counts_match_a_per_x_reference(monkeypatch, chunk):
+    # random forms (c = 0 and repeated forms included), leading-digit scopes
+    # up to lead = r + 1 and lowered allowances, so counterexamples show
+    import hypmono.kubert as kb
+
+    if chunk:
+        monkeypatch.setattr(kb, "_CHUNK", chunk)
+    cases = list(_random_scans(1414, 80))
+    # 70 forms: the product of their carry widths, 2^70, passes int64
+    cases += [(2, 5, [(1, 0)] * 70, [(13, 7), (1, 0)], [kb.Variant("many", 60)]),
+              (3, 4, [(1, o) for o in range(70)], [(2, 40)] * 3,
+               [kb.Variant("many", 200), kb.Variant("top", 190, lead=1, allowed=frozenset({2}))])]
+    assert any(rep.counterexamples for case in cases for rep in _reference_scan(*case))
+    for p, r, lhs, rhs, variants in cases:
+        assert kb._scan(p, r, lhs, rhs, variants) == _reference_scan(p, r, lhs, rhs, variants)
 
 
 @pytest.mark.parametrize("lhs,n,r", [
