@@ -39,8 +39,7 @@ def _table_cached(p, k, kind, A, B, mode):
 def _float_agrees(table_exact, table_float) -> float:
     """The largest gap between the two tables if it exceeds the float
     table's certified bound, else 0.0."""
-    exact = np.array([v.to_complex() for v in table_exact.exact_values])
-    gap = float(np.abs(exact - table_float.float_values).max())
+    gap = exp_sums.float_gap(table_exact, table_float)
     return gap if gap > table_float.float_err else 0.0
 
 

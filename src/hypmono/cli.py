@@ -109,8 +109,9 @@ def cmd_trace_table(args) -> int:
     if "float" in tables:
         stats["float_err"] = tables["float"].float_err
     if len(tables) == 2:
-        gap = acceptance._float_agrees(tables["exact"], tables["float"])
-        stats["float_gap_over_tol"] = gap
+        gap = exp_sums.float_gap(tables["exact"], tables["float"])
+        stats["float_gap"] = gap
+        stats["float_gap_over_tol"] = gap if gap > stats["float_err"] else 0.0
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     base = f"trace_{args.family}_q{field.q}"

@@ -575,12 +575,18 @@ def rationality_check(table: TraceTable) -> bool:
 
 
 def integrality_check(table: TraceTable) -> bool:
-    """q^nu * T(s) is an algebraic integer: the reduced denominator of
-    every exact value divides q^nu."""
+    """Every T(s) is an algebraic integer: it has integer coordinates
+    (den 1) on the power basis, an integral basis of Z[zeta_m]."""
     if table.exact_values is None:
         raise ValueError("integrality requires an exact-mode table")
-    den = table.field.q ** table.nu
-    return all(den % v.den == 0 for v in table.exact_values)
+    return all(v.den == 1 for v in table.exact_values)
+
+
+def float_gap(table_exact: TraceTable, table_float: TraceTable) -> float:
+    """The observed error of a float table: max |exact - float| against the
+    exact table of the same family and field."""
+    exact = np.array([v.to_complex() for v in table_exact.exact_values])
+    return float(np.abs(exact - table_float.float_values).max())
 
 
 def table_stats(table: TraceTable) -> dict:

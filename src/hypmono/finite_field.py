@@ -22,7 +22,8 @@ DEGREE_CAPS = {2: 24, 3: 15}
 # Fixed moduli, coefficients c0..ck low to high: for each (p, k) the monic
 # primitive polynomial of degree k whose non-leading coefficient word
 # (c_{k-1}, ..., c_0) is lexicographically smallest.  Frozen as data for
-# cross-run reproducibility and re-verified at build time.
+# cross-run reproducibility; every build checks again that t has order
+# p^k - 1, which is primitivity (FieldTable._validate).
 PRIMITIVE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 1): (1, 1),
     (2, 2): (1, 1, 1),
@@ -65,7 +66,7 @@ PRIMITIVE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
     (3, 15): (1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
 }
 
-_CACHE_MAGIC = b"HMFT0001"
+_CACHE_MAGIC = b"HMFT0002"  # body: the antilog table alone
 # antilog rows per companion-matrix product: the fastest of 256..8192 at
 # 2^22 and 3^13 on a 2-core VM, also with another process holding a core,
 # when 8192 rows took 2.7x as long (BLAS threads contend)
@@ -97,58 +98,6 @@ def _digit_add_table() -> np.ndarray:
     return table
 
 
-# ----------------------------------------------------------------------
-# polynomial helpers over F_p (the irreducibility test of the modulus)
-
-def _pol_mul_mod(a, b, f, p):
-    k = len(f) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * f[j]) % p
-    out = out[:k]
-    return out + [0] * (k - len(out))
-
-
-def _pol_pow_mod(a, e, f, p):
-    k = len(f) - 1
-    out = [1] + [0] * (k - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _pol_mul_mod(out, base, f, p)
-        base = _pol_mul_mod(base, base, f, p)
-        e >>= 1
-    return out
-
-
-def _pol_gcd(a, b, p):
-    a, b = list(a), list(b)
-
-    def deg(v):
-        d = len(v) - 1
-        while d >= 0 and v[d] == 0:
-            d -= 1
-        return d
-
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        c = a[da] * pow(b[db], p - 2, p) % p
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-    return a
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -163,35 +112,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible(modulus, p) -> bool:
-    """Rabin test: x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) trivial."""
-    k = len(modulus) - 1
-    if k == 1:
-        return True
-    x = [0, 1] + [0] * (k - 2)
-    if _pol_pow_mod(x, p ** k, modulus, p) != x:
-        return False
-    for ell in _prime_factors(k):
-        d = _pol_pow_mod(x, p ** (k // ell), modulus, p)
-        diff = [(u - v) % p for u, v in zip(d, x)]
-        g = _pol_gcd(list(modulus), diff, p)
-        if max((i for i, v in enumerate(g) if v), default=-1) > 0:
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 
 class FieldTable:
     """Precomputed arithmetic model of F_{p^k}.
 
-    All tables are immutable after construction and every operation is a
-    pure read, so a FieldTable can be shared freely across threads.
-    Operations accept plain ints or numpy arrays and return the matching
-    kind.
+    All tables are read-only after construction and every operation is a
+    pure read.  Operations accept plain ints or numpy arrays and return the
+    matching kind: an int for scalar input, an int64 array otherwise.
     """
 
-    def __init__(self, p: int, k: int, modulus, antilog=None, trace=None):
+    def __init__(self, p: int, k: int, modulus, antilog=None):
         if p not in (2, 3):
             raise UnsupportedCharacteristicError(f"characteristic {p} not supported")
         cap = DEGREE_CAPS[p]
@@ -207,9 +138,7 @@ class FieldTable:
         if antilog is None:
             antilog = self._fill_antilog()
         self.antilog = np.ascontiguousarray(antilog, dtype=np.int64)
-        if trace is None:
-            trace = self._fill_trace()
-        self.trace_table = np.ascontiguousarray(trace, dtype=np.int64)
+        self.trace_table = self._fill_trace().astype(np.int64)
         self.log = self._validate()
         # build_field hands this one object to every caller
         for table in (self.antilog, self.trace_table, self.log):
@@ -274,17 +203,20 @@ class FieldTable:
         exactly when no two are equal.  The range is checked first, as
         every later step indexes by the entries and a negative one would
         wrap silently.
+
+        These checks also prove the modulus f primitive, so it needs no
+        irreducibility test of its own.  From antilog[0] = 1 the recurrence
+        gives antilog[i] = t^i, and its wrap gives t^(q-1) = 1.  By the
+        range and bijection checks these q - 1 powers are the nonzero
+        residues, each once.  So t has order q - 1, every nonzero residue
+        is a unit, F_p[t]/(f) is a field and f is irreducible.
         """
-        q, p, k = self.q, self.p, self.k
+        q, p = self.q, self.p
         antilog = self.antilog
         if antilog.shape != (q - 1,) or antilog.min() < 1 or antilog.max() >= q:
             raise AssertionError("antilog entries must lie in 1..q-1, one per exponent")
         if antilog[0] != 1:
             raise AssertionError("antilog[0] must be 1")
-        if k >= 2 and antilog[1] != p:
-            raise AssertionError("antilog[1] must be the class of t")
-        if not _is_irreducible(self.modulus, p):
-            raise AssertionError("modulus is reducible")
         # multiply-by-t recurrence in digit arithmetic, independent of the
         # fill: shift every digit up, and a carried-out top digit c adds c t^k
         red = sum(-c % p * p ** i for i, c in enumerate(self.modulus[:-1]))
@@ -358,49 +290,27 @@ class FieldTable:
         return out
 
     def mul(self, a, b):
-        n = self.q - 1
-        if np.ndim(a) == 0 and np.ndim(b) == 0:
-            if a == 0 or b == 0:
-                return 0
-            return int(self.antilog[(self.log[a] + self.log[b]) % n])
-        a = np.asarray(a)
-        b = np.asarray(b)
-        nz = (a != 0) & (b != 0)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        idx = (self.log[a] + self.log[b]) % n
-        out[nz] = self.antilog[idx][nz]
-        return out
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self.antilog[(self.log[a] + self.log[b]) % (self.q - 1)]
+        out = np.where((a != 0) & (b != 0), prod, 0)
+        return int(out) if out.ndim == 0 else out
 
     def inv(self, a):
-        n = self.q - 1
-        if np.ndim(a) == 0:
-            if a == 0:
-                raise ZeroDivisionError("inversion of zero")
-            return int(self.antilog[(-self.log[a]) % n])
         a = np.asarray(a)
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of zero")
-        return self.antilog[(-self.log[a]) % n]
+        out = self.antilog[-self.log[a] % (self.q - 1)]
+        return int(out) if out.ndim == 0 else out
 
     def pow(self, a, e: int):
+        """a^e, with 0^0 = 1; e is reduced mod q - 1 first, so no product
+        of a log and e leaves int64."""
         n = self.q - 1
-        if np.ndim(a) == 0:
-            if a == 0:
-                if e == 0:
-                    return 1
-                if e < 0:
-                    raise ZeroDivisionError("inversion of zero")
-                return 0
-            return int(self.antilog[(self.log[a] * e) % n])
         a = np.asarray(a)
-        nz = a != 0
-        if e < 0 and not np.all(nz):
+        if e < 0 and np.any(a == 0):
             raise ZeroDivisionError("inversion of zero")
-        out = np.zeros(a.shape, dtype=np.int64)
-        out[nz] = self.antilog[(self.log[a[nz]] * e) % n]
-        if e == 0:
-            out[~nz] = 1
-        return out
+        out = np.where(a != 0, self.antilog[self.log[a] * (e % n) % n], int(e == 0))
+        return int(out) if out.ndim == 0 else out
 
     def trace_to_prime(self, x):
         out = self.trace_table[x]
@@ -431,15 +341,12 @@ def build_field(p: int, k: int) -> FieldTable:
 # optional binary cache (an optimization only, never a correctness input)
 
 def save_cache(field: FieldTable, path) -> None:
-    """Write header, antilog and trace tables, little-endian."""
+    """Write header, checksum and antilog table, little-endian."""
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<III", field.p, field.k, len(field.modulus)))
         fh.write(np.asarray(field.modulus, dtype="<u4").tobytes())
-        body = (
-            field.antilog.astype("<u4").tobytes()
-            + field.trace_table.astype("<u4").tobytes()
-        )
+        body = field.antilog.astype("<u4").tobytes()
         fh.write(hashlib.sha256(body).digest())
         fh.write(body)
 
@@ -448,10 +355,10 @@ def load_cache(path) -> FieldTable:
     """Load a cached field; every malformed cache raises ValueError.
 
     The checksum guards file integrity; the FieldTable constructor then
-    re-verifies every structural invariant (bijection, generator recurrence,
-    irreducibility, trace equidistribution), and the trace table is
-    recomputed from the modulus and compared bit for bit.  A cache can
-    therefore accelerate startup but never change results.
+    re-verifies every structural invariant of the antilog (range,
+    generator recurrence, bijection), and rebuilds the log and trace
+    tables from it and from the modulus.  A cache can therefore
+    accelerate startup but never change results.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != _CACHE_MAGIC:
@@ -468,15 +375,9 @@ def load_cache(path) -> FieldTable:
         raise ValueError("cache modulus does not match the embedded table")
     if hashlib.sha256(body).digest() != digest:
         raise ValueError("cache checksum mismatch")
-    q = p ** k
-    if len(body) != 4 * (2 * q - 1):
+    if len(body) != 4 * (p ** k - 1):
         raise ValueError("cache body has the wrong length")
-    antilog = np.frombuffer(body[: 4 * (q - 1)], dtype="<u4").astype(np.int64)
-    trace = np.frombuffer(body[4 * (q - 1):], dtype="<u4").astype(np.int64)
     try:
-        field = FieldTable(p, k, modulus, antilog=antilog, trace=trace)
+        return FieldTable(p, k, modulus, antilog=np.frombuffer(body, dtype="<u4"))
     except AssertionError as exc:
         raise ValueError(f"cached tables fail validation: {exc}") from exc
-    if not np.array_equal(field.trace_table, field._fill_trace()):
-        raise ValueError("cached trace table differs from recomputation")
-    return field

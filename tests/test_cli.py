@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from hypmono.cli import main
+from hypmono.finite_field import build_field
 
 
 def test_verify_digit_lemma_stream(capsys):
@@ -67,6 +68,7 @@ def test_trace_table_outputs(tmp_path, capsys):
     assert stats["rationality_pass"] is True
     assert stats["float_gap_over_tol"] == 0.0
     assert 0.0 < stats["float_err"] < 1e-9
+    assert 0.0 <= stats["float_gap"] <= stats["float_err"]
     assert (tmp_path / "trace_3x13_q16_exact.csv").exists()
     assert (tmp_path / "trace_3x13_q16_float.csv").exists()
 
@@ -76,7 +78,7 @@ def test_trace_table_outputs(tmp_path, capsys):
     ("4x5", "exp_sums", "galois_invariance_check",
      lambda table: SimpleNamespace(passed=False)),
     ("3x13", "exp_sums", "rationality_check", lambda table: False),
-    ("4x5", "acceptance", "_float_agrees", lambda exact, flt: 0.5),
+    ("4x5", "exp_sums", "float_gap", lambda exact, flt: 0.5),
 ], ids=["integrality", "galois", "rationality", "float-gap"])
 def test_trace_table_fails_on_any_failed_check(tmp_path, monkeypatch, capsys,
                                                family, module, name, fake):
@@ -157,6 +159,12 @@ def test_field_cache_env_rebuilds_a_bad_cache(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert path.read_bytes() == blob  # rebuilt and rewritten
     path.write_bytes(blob[:14])  # truncated header
+    assert main(argv) == 0
+    assert path.read_bytes() == blob
+    # a well-formed cache of the earlier format, which also stored the
+    # trace table after the antilog under the magic HMFT0001
+    old_body = blob[head + 32:] + build_field(3, 2).trace_table.astype("<u4").tobytes()
+    path.write_bytes(b"HMFT0001" + blob[8:head] + hashlib.sha256(old_body).digest() + old_body)
     assert main(argv) == 0
     assert path.read_bytes() == blob
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypmono.exp_sums import (
     _power_sum_counts,
     _twisted_counts,
     export_csv,
+    float_gap,
     frobenius_invariance_check,
     galois_invariance_check,
     integrality_check,
@@ -117,16 +119,22 @@ def test_direct_equals_exact_table_at_every_point(p, k, kind, A, B):
 def test_f16_table_properties(table_f16, f16):
     assert len(table_f16) == f16.q - 1
     assert rationality_check(table_f16)
-    assert integrality_check(table_f16)  # 256 * T(s) integral
+    assert integrality_check(table_f16)  # every T(s) in Z[zeta_m]
     assert purity_check(table_f16, 24)
     assert frobenius_invariance_check(table_f16)
     assert galois_invariance_check(table_f16).passed
 
 
+def test_integrality_refuses_a_value_with_denominator_two(table_f16):
+    # zeta/2 is not an algebraic integer, though 2 divides q^nu = 256
+    values = list(table_f16.exact_values)
+    values[5] = CycNumber.root_of_unity(table_f16.value_order, 1, Fraction(1, 2))
+    assert not integrality_check(dataclasses.replace(table_f16, exact_values=values))
+
+
 def test_f16_float_agrees(f16, table_f16):
     tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
-    exact = np.array([v.to_complex() for v in table_f16.exact_values])
-    assert np.abs(exact - tf.float_values).max() <= tf.float_err < 1e-9
+    assert float_gap(table_f16, tf) <= tf.float_err < 1e-9
 
 
 @pytest.mark.parametrize("p, k, B", [
@@ -153,8 +161,7 @@ def test_float_table_within_bound_of_exact(p, k, kind, A, B):
     field = build_field(p, k)
     te = trace_table_all(field, kind, A=A, B=B, mode="exact")
     tf = trace_table_all(field, kind, A=A, B=B, mode="float")
-    exact = np.array([v.to_complex() for v in te.exact_values])
-    assert np.abs(exact - tf.float_values).max() <= tf.float_err < 1e-9
+    assert float_gap(te, tf) <= tf.float_err < 1e-9
 
 
 def test_quartic_family_f9(f9):
@@ -162,7 +169,7 @@ def test_quartic_family_f9(f9):
     for s in f9.units():
         direct = trace_quartic(f9, 7, int(s))
         assert direct == table.value(int(s))
-    # 81 * T(s) is an algebraic integer with values in the cube-root span
+    # every T(s) is an algebraic integer in the cube-root span
     assert integrality_check(table)
     assert galois_invariance_check(table).passed
     assert frobenius_invariance_check(table)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -114,6 +115,22 @@ def test_build_errors():
         build_field(2, 3).inv(0)
 
 
+def test_mul_inv_pow_zero_cases_and_return_types():
+    f = build_field(3, 4)
+    xs = f.elements()
+    # an exponent whose product with a log leaves int64 is reduced first
+    e = 2 ** 60 + 7
+    assert np.array_equal(f.pow(xs, e), f.pow(xs, e % (f.q - 1)))
+    assert f.pow(5, e) == f.pow(5, e % (f.q - 1)) and type(f.pow(5, e)) is int
+    assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0 and f.pow(xs, 0).tolist() == [1] * f.q
+    assert f.mul(0, 7) == 0 and type(f.mul(3, 7)) is int and f.mul(xs, 0).tolist() == [0] * f.q
+    assert f.mul(xs[1:], f.inv(xs[1:])).tolist() == [1] * (f.q - 1)
+    assert type(f.inv(np.int64(7))) is int and f.inv(xs[1:]).dtype == np.int64
+    for bad in (lambda: f.inv(xs), lambda: f.pow(0, -1), lambda: f.pow(xs, -2)):
+        with pytest.raises(ZeroDivisionError):
+            bad()
+
+
 def _add_reference(a, b, p: int, k: int):
     """Sum of two encodings, one base-p digit at a time (ints or arrays)."""
     return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(k))
@@ -205,17 +222,27 @@ def test_cache_roundtrip(tmp_path):
         load_cache(path)
 
 
+def _old_format_blob(field) -> bytes:
+    """A well-formed cache of the earlier format: magic HMFT0001 and the
+    trace table stored after the antilog."""
+    body = field.antilog.astype("<u4").tobytes() + field.trace_table.astype("<u4").tobytes()
+    return (b"HMFT0001" + struct.pack("<III", field.p, field.k, len(field.modulus))
+            + np.asarray(field.modulus, dtype="<u4").tobytes()
+            + hashlib.sha256(body).digest() + body)
+
+
 def test_cache_rejects_wrong_magic(tmp_path):
     path = tmp_path / "junk.tab"
-    path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
-    with pytest.raises(ValueError):
-        load_cache(path)
+    for blob in (b"NOTMAGIC" + b"\0" * 64, _old_format_blob(build_field(3, 4))):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="magic"):
+            load_cache(path)
 
 
-def _resealed(blob: bytes, field, antilog, trace) -> bytes:
-    """The cache blob with new tables under a valid checksum."""
+def _resealed(blob: bytes, field, antilog) -> bytes:
+    """The cache blob with a new antilog table under a valid checksum."""
     head = 20 + 4 * len(field.modulus)
-    body = antilog.astype("<u4").tobytes() + trace.astype("<u4").tobytes()
+    body = antilog.astype("<u4").tobytes()
     return blob[:head] + hashlib.sha256(body).digest() + body
 
 
@@ -229,20 +256,13 @@ MALFORMED = {
     "truncated-header": lambda blob, f: blob[:14],
     "huge-degree": lambda blob, f: blob[:12] + struct.pack("<I", 2 ** 32 - 1) + blob[16:],
     "swapped-antilog": lambda blob, f: _resealed(
-        blob, f, _changed(f.antilog, [3, 4], f.antilog[[4, 3]]), f.trace_table),
-    "antilog-entry-beyond-q": lambda blob, f: _resealed(
-        blob, f, _changed(f.antilog, 5, f.q), f.trace_table),
-    "trace-entry-beyond-p": lambda blob, f: _resealed(
-        blob, f, f.antilog, _changed(f.trace_table, 5, f.p)),
-    # Tr(g x) is additive and equidistributed too; only recomputation tells
-    "other-linear-form": lambda blob, f: _resealed(
-        blob, f, f.antilog, f.trace_table[f.mul(f.elements(), f.generator)]),
-    "short-body": lambda blob, f: _resealed(blob, f, f.antilog[:-1], f.trace_table),
+        blob, f, _changed(f.antilog, [3, 4], f.antilog[[4, 3]])),
+    "antilog-entry-beyond-q": lambda blob, f: _resealed(blob, f, _changed(f.antilog, 5, f.q)),
+    "short-body": lambda blob, f: _resealed(blob, f, f.antilog[:-1]),
     # one entry copied over another: every entry in range, one log slot empty
     "duplicate-antilog-entry": lambda blob, f: _resealed(
-        blob, f, _changed(f.antilog, 4, f.antilog[3]), f.trace_table),
-    "zero-antilog-entry": lambda blob, f: _resealed(
-        blob, f, _changed(f.antilog, 5, 0), f.trace_table),
+        blob, f, _changed(f.antilog, 4, f.antilog[3])),
+    "zero-antilog-entry": lambda blob, f: _resealed(blob, f, _changed(f.antilog, 5, 0)),
 }
 
 
@@ -262,7 +282,7 @@ def test_negative_antilog_entry_is_rejected():
     field = build_field(3, 4)
     antilog = _changed(field.antilog, 5, field.antilog[5] - field.q)
     with pytest.raises(AssertionError, match="1..q-1"):
-        FieldTable(3, 4, field.modulus, antilog=antilog, trace=field.trace_table)
+        FieldTable(3, 4, field.modulus, antilog=antilog)
 
 
 # irreducible but not primitive: t has order 4 in F_9 and 5 in F_16, so the
@@ -271,6 +291,40 @@ def test_negative_antilog_entry_is_rejected():
 def test_non_primitive_modulus_fails_the_bijection_check(p, modulus):
     with pytest.raises(AssertionError, match="not a bijection"):
         FieldTable(p, len(modulus) - 1, modulus)
+
+
+def _t_has_full_order(p: int, modulus) -> bool:
+    """Whether t has order p^k - 1 modulo the monic modulus: multiply 1 by
+    t, one coefficient list at a time, until it comes back."""
+    k = len(modulus) - 1
+    one = [1] + [0] * (k - 1)
+    x = one
+    for step in range(1, p ** k):
+        top, x = x[-1], [0] + x[:-1]  # t^k = -(c_0 + ... + c_(k-1) t^(k-1))
+        x = [(xi - top * c) % p for xi, c in zip(x, modulus)]
+        if x == one:
+            return step == p ** k - 1
+    return False
+
+
+def test_modulus_is_accepted_exactly_when_t_has_full_order():
+    # every monic modulus up to degree 7 over F_2 and 4 over F_3, among
+    # them reducible ones with f(0) = 0 and with a repeated factor
+    refused = set()
+    for p, k_max in ((2, 7), (3, 4)):
+        for k in range(1, k_max + 1):
+            for low in itertools.product(range(p), repeat=k):
+                modulus = (*low, 1)
+                try:
+                    FieldTable(p, k, modulus)
+                    accepted = True
+                except AssertionError:
+                    accepted = False
+                    refused.add((p, modulus))
+                assert accepted == _t_has_full_order(p, modulus), (p, modulus)
+    # t (t + 1), (t + 1)^2, t (t + 2)^2 and (t^2 + 1)^2
+    for case in ((2, (0, 1, 1)), (2, (1, 0, 1)), (3, (0, 1, 1, 1)), (3, (1, 0, 2, 0, 1))):
+        assert case in refused
 
 
 def test_moduli_table_is_primitive_everywhere():
