@@ -9,21 +9,18 @@ histograms and (expected empty) counterexample lists.
 
 One entry point, `_scan`, checks every x: it counts the slacks of all x
 in a histogram and recomputes both sides at an x only when the slack
-shows a counterexample.  The input picks the kernel:
-
-* the lemmas (offsets o >= 0, no modulus) split x = h*P + l, with P the
-  largest power of p not above `_CHUNK` = 2^16 and p^(r - lead), so every
-  leading-digit scope is whole rows h.  The low digit sums and the
-  carries of c*l + o into the high part depend on l alone and are built
-  once per scan; the l with one tuple of carries form a carry class (27
-  for 3x13, 16 for 4x5, 15 for 28), and x = h*P + l has the slack of its
-  l plus that of its row and class.  So the histograms are exact counts
-  per class and row, and no step of the scan runs per x.
-* the bracket forms and the finite-monodromy criteria reduce c*x mod
-  p^r - 1, still element by element: blocks of at most `_CHUNK` values,
-  int16 slacks from uint8 digit sums of the reduced values (population
-  count in base 2, a table of the digit sums below 3^9 in base 3) and one
-  bincount per block.
+shows a counterexample.  One class kernel, `_class_counts`, serves the
+lemmas (offsets o >= 0, no modulus) and the bracket forms and
+finite-monodromy criteria (every c*x + o reduced mod p^r - 1).  It splits
+x = h*P + l; the l with one tuple of carries into the high digits form a
+carry class (27 for 3x13, 16 for 4x5, 15 for 28), and x has the slack
+of its l plus that of its row and class, so the histograms are exact
+counts per class and row.  Mod p^r - 1 the carry out of the top
+re-enters at the bottom: that end-around carry joins the low offset of
+each row, and the few rows that could wrap, or hold x = 0 or p^r - 1,
+are scanned x by x with uint8 digit sums (population count in base 2, a
+table of the digit sums below 3^9 in base 3).  With P near p^(r/2), a
+scan mod p^r - 1 takes time about sqrt(p^r), not p^r.
 
 Both sides' digit-sum totals are bounded from the forms before a scan, and
 a form whose values could leave int64 or int16 raises CapExceededError.
@@ -42,9 +39,11 @@ import numpy as np
 from .errors import CapExceededError
 from .finite_field import _prime_factors
 
-_CHUNK = 1 << 16  # low values of a lemma scan, or x per mod-n block; int16 slacks fit in L2
+# the most low values P of a row, and the most x per block scanned x by x
+# (a block's int16 slacks fit in L2); mod p^r - 1, p^r <= _CHUNK is one row
+_CHUNK = 1 << 16
 _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped)
-_UINT8_MAX = int(np.iinfo(np.uint8).max)
+_CARRY_CAP = 255  # most |c| the carry classes take: they stay few and c*l + u fits int32
 _INT16_MAX = int(np.iinfo(np.int16).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -107,6 +106,9 @@ def bracket(x: int, p: int, r: int) -> int:
 
 
 def bracket_vec(values: np.ndarray, p: int, r: int) -> np.ndarray:
+    """int64 digit sums of the values reduced mod p^r - 1, elementwise."""
+    if r < 1:
+        raise ValueError("r must be at least 1")
     return digit_sum_vec(np.asarray(values) % (p ** r - 1), p)
 
 
@@ -390,119 +392,149 @@ def _form_sum(xs: np.ndarray, forms, p: int, n: int | None) -> np.ndarray:
     return total
 
 
-def _class_counts(p: int, r: int, lhs, rhs, variants):
-    """(lowest slack, slack counts, arrays of violating x) per variant over
-    [0, p^r).
+def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, bins: int):
+    """(pieces (lowest slack, slack counts), arrays of violating x) per
+    variant: over [0, p^r), or over [1, n) with every form reduced mod n.
 
-    With x = h*P + l, o = o_h*P + o_l and c*l + o_l = q*P + m (m < P),
-    the digit sum of c*x + o is s(m) + s(c*h + o_h + q).  So the slack
-    of x is const[l], the signed sum of the s(m), plus D[h, k], that of
-    the s(c*h + o_h + q) at the carries q of l.  Each carry is
-    non-decreasing in l, so the l with one tuple k of carries form a run,
-    a carry class.  Per class the scan keeps the histogram H[k] of const
-    and its least const; per variant C[k] counts the D[h, k] of its rows,
-    and the anti-diagonal sums of H.T @ C count its slacks.  Only the
-    cells (h, k) whose least slack breaks the allowance are expanded to
-    their x.  P divides p^(r - lead) for every variant, so each scope is
-    whole rows."""
+    Split x = h*P + l into G rows of P, P a power of p.  A form's row value
+    a = c*h*P + o, reduced mod n if given, is hi*P + u with u < P; with
+    c*l + u = q*P + m (m < P), c*x + o is (hi + q)*P + m (mod n).  Without
+    n, and mod n wherever 0 <= hi + q <= G - 2, that is the value itself,
+    whose digit sum is s(m) + s(hi + q).  So the slack of x is const[l],
+    the signed sum of the s(m), plus D[h, k], that of the s(hi + q) at the
+    carries q of l.  u is the low offset plus the end-around carry of the
+    row, so it takes few values, and consecutive rows with one tuple of u
+    form a run that shares its low tables.  Within a run each carry is
+    monotone in l, so the l with one tuple k of carries form a run too, a
+    carry class.  Per class the scan
+    keeps the histogram H[k] of const and its least const; per variant
+    C[k] counts the D[h, k] of its rows, and the anti-diagonal sums of
+    H.T @ C count its slacks.  Only the cells (h, k) whose least slack
+    breaks the allowance are expanded to their x.  P divides p^(r - lead)
+    for every variant, so each scope is whole rows.
+
+    Mod n, the rows where hi + q could leave [0, G - 2] (the wrap, and the
+    zero representative of an all-(p - 1) value), those holding x = 0 and
+    x = n, and all rows of a form with |c| > _CARRY_CAP are scanned x by x
+    through `_form_sum`, in blocks of at most _CHUNK x.  With P near
+    p^(r/2) that is about sum(|c| + 2) rows."""
     lead = max((v.lead for v in variants), default=0)
-    P = 1  # the largest power of p at most _CHUNK and p^(r - lead)
-    while P * p <= min(_CHUNK, p ** max(r - lead, 0)):
-        P *= p
-    low = np.arange(P, dtype=np.int32)  # c*l + o_l < 2^8 * P fits while _CHUNK < 2^23
-    const = np.zeros(P, dtype=np.int16)
-    new = low == 0  # the l where some carry steps up: a class starts
-    parts = []  # (sign, c, o_h, carries) per form
-    for sign, forms in ((1, rhs), (-1, lhs)):
-        for c, o in forms:
-            if c < 0 or o < 0:
-                raise ValueError(f"form {c}*x + {o}: the split kernel needs c, o >= 0")
-            if c > _UINT8_MAX:  # carries q <= c are kept in uint8
-                raise CapExceededError(f"form {c}*x + {o}: carries above 255")
-            o_h, o_l = divmod(o, P)
-            q, m = np.divmod(c * low + o_l, P)
-            const += sign * _digit_sums(m, p).astype(np.int16)
-            new[1:] |= q[1:] != q[:-1]
-            parts.append((sign, c, o_h, q.astype(np.uint8)))
-    starts = np.flatnonzero(new)
-    row = np.arange(p ** r // P)[:, None]
-    D = np.zeros((row.size, starts.size), dtype=np.int16)
-    for sign, c, o_h, q in parts:
-        D += sign * _digit_sums(c * row + o_h + q[starts], p).astype(np.int16)
-    cmin, dmin = int(const.min()), int(D.min())
-    nc, nd = int(const.max()) - cmin + 1, int(D.max()) - dmin + 1
-    classes = np.split(const, starts[1:])
-    H = np.array([np.bincount(k - cmin, minlength=nc) for k in classes])
-    kmin = np.minimum.reduceat(const, starts)
-    found = []
-    for v in variants:
-        rows = np.zeros(row.size, dtype=bool)
-        for a, b in v.ranges(p, r):
-            rows[a // P:b // P] = True
-        Dv = D[rows] - dmin + np.arange(starts.size) * nd
-        C = np.bincount(Dv.ravel(), minlength=starts.size * nd).reshape(-1, nd)
-        # anti-diagonal sums of H.T @ C: rereading padded rows one shorter shifts row i by i
-        sums = np.zeros((nc, nc + nd), dtype=np.int64)
-        sums[:, :nd] = H.T @ C
-        got = sums.ravel()[:nc * (nc + nd - 1)].reshape(nc, -1).sum(axis=0)
-        # the cells by row, then by class, so their x come out ascending
-        cells = zip(*np.nonzero((D + kmin < -v.allowance) & rows[:, None]))
-        xs = [h * P + starts[k] + np.flatnonzero(classes[k] < -v.allowance - D[h, k])
-              for h, k in cells]
-        found.append((cmin + dmin, got, xs))
-    return found
+    if n is not None and p ** r <= _CHUNK:
+        P = p ** r  # one row, scanned x by x
+    else:
+        cap = min(_CHUNK, p ** max(r - lead, 0), _CHUNK if n is None else p ** -(-r // 2))
+        P = 1
+        while P * p <= cap:
+            P *= p
+    G = p ** r // P
+    forms = np.array([*rhs, *lhs], dtype=np.int64).reshape(-1, 2)
+    sign = [1] * len(rhs) + [-1] * len(lhs)
+    c, o = forms[:, :1], forms[:, 1:]
+    top = c * P * np.arange(G) + o  # each form's value at l = 0, per row
+    if n is None:
+        if (forms < 0).any():
+            raise ValueError("the split kernel needs forms c*x + o with c, o >= 0")
+        if (c > _CARRY_CAP).any():
+            raise CapExceededError(f"a form has carries above {_CARRY_CAP}")
+        hi, u = np.divmod(top, P)
+        edge = np.zeros(G, dtype=bool)
+    else:
+        hi, u = np.divmod(top % n, P)
+        # the rows scanned x by x
+        edge = ((hi + np.minimum(c, 0) < 0) | (hi + np.maximum(c, 0) >= G - 1)
+                | (np.abs(c) > _CARRY_CAP)).any(axis=0)
+        edge[[0, -1]] = True
+    pieces = [[] for _ in variants]
+    found = [[] for _ in variants]
 
+    inner = np.flatnonzero(~edge)
+    if inner.size:
+        U = u[:, inner]
+        new_run = np.ones(inner.size, dtype=bool)
+        new_run[1:] = (U[:, 1:] != U[:, :-1]).any(axis=0)
+        run, U = np.cumsum(new_run) - 1, U[:, new_run].astype(np.int32)
+        low = np.arange(P, dtype=np.int32)  # c*l + u < 2^8 * P fits while _CHUNK < 2^23
+        const = np.zeros((U.shape[1], P), dtype=np.int16)
+        new = np.zeros(const.shape, dtype=bool)  # the l where some carry steps: a class starts
+        new[:, 0] = True
+        for sf, cf, uf in zip(sign, c[:, 0].tolist(), U):
+            q, m = np.divmod(uf[:, None] + cf * low, P)
+            const += sf * _digit_sums(m, p).astype(np.int16)
+            new[:, 1:] |= q[:, 1:] != q[:, :-1]
+        const, new = const.ravel(), new.ravel()
+        starts = np.flatnonzero(new)  # the classes, run by run
+        ends = np.append(starts[1:], const.size)
+        cls_run = starts // P
+        cmin = int(const.min())
+        nc = int(const.max()) - cmin + 1
+        H = np.bincount((np.cumsum(new) - 1) * nc + const - cmin,
+                        minlength=starts.size * nc).reshape(-1, nc)
+        kmin = np.minimum.reduceat(const, starts)
+        # the cells (row, class of its run), by row, then by class, so their x come out ascending
+        first = np.searchsorted(cls_run, np.arange(U.shape[1] + 1))
+        width = np.diff(first)[run]
+        cell_row = np.repeat(inner, width)
+        cell_cls = np.arange(cell_row.size) + np.repeat(first[run] + width - np.cumsum(width),
+                                                        width)
+        D = np.zeros(cell_row.size, dtype=np.int16)
+        for sf, cf, uf, hf in zip(sign, c[:, 0].tolist(), U, hi):
+            q = (uf[cls_run] + cf * (starts - cls_run * P)) // P
+            D += sf * _digit_sums(hf[cell_row] + q[cell_cls], p).astype(np.int16)
+        dmin = int(D.min())
+        nd = int(D.max()) - dmin + 1
+        key = cell_cls * nd + D - dmin
+        least = D + kmin[cell_cls]  # the least slack of each cell
+        for v, piece, xs in zip(variants, pieces, found):
+            rows = np.zeros(G, dtype=bool)
+            for a, b in v.ranges(p, r):
+                rows[a // P:b // P] = True
+            sel = rows[cell_row]
+            C = np.bincount(key[sel], minlength=starts.size * nd).reshape(-1, nd)
+            # anti-diagonal sums of H.T @ C: rereading padded rows one shorter shifts row i by i
+            sums = np.zeros((nc, nc + nd), dtype=np.int64)
+            sums[:, :nd] = H.T @ C
+            got = sums.ravel()[:nc * (nc + nd - 1)].reshape(nc, -1).sum(axis=0)
+            piece.append((cmin + dmin, got))
+            for cell in np.flatnonzero(sel & (least < -v.allowance)):
+                k = cell_cls[cell]
+                xs.append(cell_row[cell] * P + starts[k] % P
+                          + np.flatnonzero(const[starts[k]:ends[k]] < -v.allowance - D[cell]))
 
-def _mod_counts(p: int, r: int, lhs, rhs, variants, n: int, off: int, bins: int):
-    """(lowest slack, slack counts, arrays of violating x) per variant over
-    [1, n), every form reduced mod n, in blocks of at most _CHUNK x with one
-    bincount each."""
-    spans = [v.ranges(p, r) for v in variants]
-    counts = [np.zeros(bins, dtype=np.int64) for _ in variants]
-    bad: list[list[np.ndarray]] = [[] for _ in variants]
-    for start in range(1, n, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, n))
-        slack = _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
-        whole = None  # one bincount serves every variant covering the block
-        for i, v in enumerate(variants):
-            for a, b in spans[i]:
-                a, b = max(a, start), min(b, start + slack.size)
-                if a >= b:
-                    continue
-                part = slack[a - start:b - start]
-                if part.size < slack.size:
-                    got = np.bincount(part + off, minlength=bins)
-                else:
-                    if whole is None:
-                        whole = np.bincount(slack + off, minlength=bins)
-                    got = whole
-                counts[i] += got
-                if got[:max(off - v.allowance, 0)].any():
-                    bad[i].append(np.flatnonzero(part < -v.allowance) + a)
-    return [(-off, got, xs) for got, xs in zip(counts, bad)]
+    rows = np.flatnonzero(edge)
+    if rows.size:
+        counts = [np.zeros(bins, dtype=np.int64) for _ in variants]
+        step = max(_CHUNK // P, 1)
+        for i in range(0, rows.size, step):
+            xs = (rows[i:i + step, None] * P + np.arange(P)).ravel()
+            slack = _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
+            for v, got, bad in zip(variants, counts, found):
+                for a, b in v.ranges(p, r):
+                    part = slice(*np.searchsorted(xs, (max(a, 1), min(b, n))))  # 0 < x < n
+                    got += np.bincount(slack[part] + off, minlength=bins)
+                    bad.append(xs[part][slack[part] < -v.allowance])
+        for piece, got in zip(pieces, counts):
+            piece.append((-off, got))
+    return list(zip(pieces, found))
 
 
 def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
     """Check sum over lhs <= sum over rhs + allowance of every variant at
     each x, where a form (c, o) contributes the base-p digit sum of
-    c*x + o.  Without n, x runs over [0, p^r), counted per carry class;
-    with n = p^r - 1, over [1, n) with every c*x + o reduced mod n."""
+    c*x + o.  Without n, x runs over [0, p^r); with n = p^r - 1, over
+    [1, n) with every c*x + o reduced mod n.  Both count per carry class."""
     off, bins = _slack_range(p, r, lhs, rhs, n)
-    if n is None:
-        found = _class_counts(p, r, lhs, rhs, variants)
-    else:
-        found = _mod_counts(p, r, lhs, rhs, variants, n, off, bins)
     reports = []
-    for v, (lo, got, xs) in zip(variants, found):
+    for v, (pieces, xs) in zip(variants, _class_counts(p, r, lhs, rhs, variants, n, off, bins)):
         hist = np.zeros(_SLACK_CAP + 2, dtype=np.int64)
-        np.add.at(hist, np.clip(np.arange(got.size) + lo + v.allowance, -1, _SLACK_CAP) + 1, got)
+        for lo, got in pieces:
+            np.add.at(hist, np.clip(np.arange(got.size) + lo + v.allowance, -1, _SLACK_CAP) + 1, got)
         cx = []
-        if xs:
-            xs = np.concatenate(xs)
+        xs = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *xs]))
+        if xs.size:
             rhs_total = [t + v.allowance for t in _form_sum(xs, rhs, p, n).tolist()]
             cx = list(map(Counterexample, xs.tolist(),
                           _form_sum(xs, lhs, p, n).tolist(), rhs_total))
-        reports.append(VariantReport(v.name, int(got.sum()), cx,
+        reports.append(VariantReport(v.name, int(hist.sum()), cx,
                                      {b - 1: int(k) for b, k in enumerate(hist) if k}))
     return reports
 
@@ -558,9 +590,10 @@ def verify_brackets(family: str, r: int) -> tuple[VerificationReport, Verificati
     Both compare the same forms, reduced mod p^r - 1, and differ only in
     the allowance: `bracket_allowance` for the corollary (variant
     bracket_plus<a>), 0 for the sharp form (variant sharp).  One `_scan`
-    with both variants forms the slacks once and shares their bincount;
-    each report carries the scan's elapsed time.  The 3x13 family is
-    stated for even r only.  Returns (corollary, sharp).
+    with both variants builds the carry classes, the per-cell slacks and
+    the rows scanned x by x once; each report carries the scan's elapsed
+    time.  The 3x13 family is stated for even r only.  Returns
+    (corollary, sharp).
     """
     t0 = time.perf_counter()
     if family not in LEMMAS:

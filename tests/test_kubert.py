@@ -61,6 +61,15 @@ def test_bracket_examples():
         assert bracket(x + 3 ** 3 - 1, 3, 3) == bracket(x, 3, 3)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_brackets_refuse_r_below_one(p):
+    # mod p^0 - 1 = 0 there is no residue; the array form used to take % 0
+    with pytest.raises(ValueError):
+        bracket(5, p, 0)
+    with pytest.raises(ValueError):
+        bracket_vec(np.arange(4), p, 0)
+
+
 def test_qmodz_normalization():
     x = QmodZ(10, 15)
     assert (x.a, x.m) == (2, 3)
@@ -523,14 +532,36 @@ def test_lemmas_hold_past_the_cli_defaults_up_to_r_cap(family, r_range):
             assert sum(got.slack_histogram.values()) == got.checked
 
 
-def _reference_scan(p, r, lhs, rhs, variants):
-    """The reports of `_scan` without n, x by x through digit_sum_vec."""
+@pytest.mark.parametrize("family,r_range", [
+    ("3x13", range(22, 31, 2)), ("4x5", range(13, 19)), ("28", range(13, 19)),
+])
+def test_bracket_forms_hold_up_to_r_cap(family, r_range):
+    # every 0 < x < 2^30 - 1 or 3^18 - 1, counted per carry class apart
+    # from the rows that wrap mod p^r - 1
     import hypmono.kubert as kb
 
-    xs = np.arange(p ** r)
+    lemma = kb.LEMMAS[family]
+    assert r_range[-1] == kb.R_CAP[lemma.p]
+    for r in r_range:
+        for report, allowance in zip(verify_brackets(family, r), (lemma.bracket_allowance, 0)):
+            (got,) = report.variants
+            assert got.counterexamples == []
+            assert min(got.slack_histogram) == allowance  # the least slack is 0
+            assert got.checked == sum(got.slack_histogram.values()) == lemma.p ** r - 2
+
+
+def _reference_scan(p, r, lhs, rhs, variants, n=None):
+    """The reports of `_scan`, x by x through digit_sum_vec: over [0, p^r),
+    or over [1, n) with every c*x + o reduced mod n."""
+    import hypmono.kubert as kb
+
+    xs = np.arange(p ** r) if n is None else np.arange(1, n)
+
+    def value(c, o):
+        return c * xs + o if n is None else (c * xs + o) % n
 
     def side(forms):
-        return sum((digit_sum_vec(c * xs + o, p) for c, o in forms), np.zeros(xs.size, int))
+        return sum((digit_sum_vec(value(c, o), p) for c, o in forms), np.zeros(xs.size, int))
 
     lhs_sum, rhs_sum = side(lhs), side(rhs)
     reports = []
@@ -538,24 +569,33 @@ def _reference_scan(p, r, lhs, rhs, variants):
         inside = np.isin(xs * p ** v.lead // p ** r, sorted(v.allowed))
         slack = rhs_sum + v.allowance - lhs_sum
         keys, counts = np.unique(np.clip(slack[inside], -1, 32), return_counts=True)
-        cx = [kb.Counterexample(int(x), int(lhs_sum[x]), int(rhs_sum[x] + v.allowance))
-              for x in np.flatnonzero(inside & (slack < 0))]
+        cx = [kb.Counterexample(int(xs[i]), int(lhs_sum[i]), int(rhs_sum[i] + v.allowance))
+              for i in np.flatnonzero(inside & (slack < 0))]
         reports.append(kb.VariantReport(v.name, int(inside.sum()), cx,
                                         dict(zip(keys.tolist(), counts.tolist()))))
     return reports
 
 
-def _random_scans(seed, cases):
+def _random_scans(seed, cases, mod=False):
+    """Random (p, r, lhs, rhs, variants); mod n = p^r - 1, (..., n) with
+    negative multipliers and multipliers sharing a factor with n."""
     import hypmono.kubert as kb
 
     rng = random.Random(seed)
     for _ in range(cases):
         p = rng.choice([2, 3])
         r = rng.randint(1, 9 if p == 2 else 6)
+        n = p ** r - 1
+
+        def form():
+            if not mod:
+                return rng.choice([0, 1, rng.randint(0, 40)]), rng.randrange(p ** r)
+            shared = [d for d in range(2, n + 1) if n % d == 0] or [1]  # c*x = 0 at some x
+            c = rng.choice([0, 1, -1, rng.randint(-40, 40), rng.choice(shared)])
+            return c * rng.choice([1, 1, -1]), rng.randrange(n)
 
         def forms():
-            out = [(rng.choice([0, 1, rng.randint(0, 40)]), rng.randrange(p ** r))
-                   for _ in range(rng.randint(1, 4))]
+            out = [form() for _ in range(rng.randint(1, 4))]
             return out + out[:rng.choice([0, 0, 1])]  # sometimes a form twice
 
         variants = []
@@ -563,7 +603,7 @@ def _random_scans(seed, cases):
             lead = rng.randint(0, r + 1)
             allowed = frozenset(rng.sample(range(p ** lead), rng.randint(1, min(p ** lead, 4))))
             variants.append(kb.Variant(f"v{i}", rng.randint(-3, 3), lead=lead, allowed=allowed))
-        yield p, r, forms(), forms(), variants
+        yield (p, r, forms(), forms(), variants) + ((n,) if mod else ())
 
 
 @pytest.mark.parametrize("chunk", [None, 10, 97], ids=["default", "chunk10", "chunk97"])
@@ -582,6 +622,31 @@ def test_class_counts_match_a_per_x_reference(monkeypatch, chunk):
     assert any(rep.counterexamples for case in cases for rep in _reference_scan(*case))
     for p, r, lhs, rhs, variants in cases:
         assert kb._scan(p, r, lhs, rhs, variants) == _reference_scan(p, r, lhs, rhs, variants)
+
+
+@pytest.mark.parametrize("chunk", [None, 10, 97], ids=["default", "chunk10", "chunk97"])
+def test_mod_scans_match_a_per_x_reference(monkeypatch, chunk):
+    # random forms mod n = p^r - 1 (c = 0, c = -1 and other negative c,
+    # c sharing a factor with n so the zero representative is hit, c above
+    # 255, repeated forms, offsets below n), leading-digit scopes up to
+    # lead = r + 1 and lowered allowances, so counterexamples show; past
+    # p^r = _CHUNK the rows that wrap are scanned x by x, the rest per class
+    import hypmono.kubert as kb
+
+    if chunk:
+        monkeypatch.setattr(kb, "_CHUNK", chunk)
+    cases = list(_random_scans(1616, 80, mod=True))
+    for family, r in (("3x13", 18), ("4x5", 11)):
+        lemma = kb.LEMMAS[family]
+        lhs, rhs = lemma.forms(r)
+        variants = [kb.Variant("minus1", -1),
+                    kb.Variant("top", -2, lead=2, allowed=frozenset({1}))]
+        cases.append((lemma.p, r, lhs, rhs, variants, lemma.p ** r - 1))
+    cases.append((3, 11, [(14, 0), (4, 0)], [(28, 0), (2, 0), (-1, 0)],  # C6's Atimes 28, lowered
+                  [kb.Variant("minus1", -1)], 3 ** 11 - 1))
+    assert any(rep.counterexamples for case in cases for rep in _reference_scan(*case))
+    for p, r, lhs, rhs, variants, n in cases:
+        assert kb._scan(p, r, lhs, rhs, variants, n) == _reference_scan(p, r, lhs, rhs, variants, n)
 
 
 @pytest.mark.parametrize("lhs,n,r", [
