@@ -10,17 +10,12 @@ histograms and (expected empty) counterexample lists.
 One entry point, `_scan`, checks every x: it counts the slacks of all x
 in a histogram and recomputes both sides at an x only when the slack
 shows a counterexample.  One class kernel, `_class_counts`, serves the
-lemmas (offsets o >= 0, no modulus) and the bracket forms and
-finite-monodromy criteria (every c*x + o reduced mod p^r - 1).  It splits
-x = h*P + l; the l with one tuple of carries into the high digits form a
-carry class (27 for 3x13, 16 for 4x5, 15 for 28), and x has the slack
-of its l plus that of its row and class, so the histograms are exact
-counts per class and row.  Mod p^r - 1 the carry out of the top
-re-enters at the bottom: that end-around carry joins the low offset of
-each row, and the few rows that could wrap, or hold x = 0 or p^r - 1,
-are scanned x by x with uint8 digit sums (population count in base 2, a
-table of the digit sums below 3^9 in base 3).  With P near p^(r/2), a
-scan mod p^r - 1 takes time about sqrt(p^r), not p^r.
+lemmas and, with every c*x + o reduced mod p^r - 1, the bracket forms
+and the criteria.  x = h*P + l has the slack of its l plus that of its
+row h and carry class (27 for 3x13, 16 for 4x5, 15 for 28), so the
+histograms are exact counts per class and row.  Mod p^r - 1 the carry
+out of the top re-enters at the bottom, and only the few rows where it
+could wrap are scanned x by x, so a scan takes time about sqrt(p^r).
 
 Both sides' digit-sum totals are bounded from the forms before a scan, and
 a form whose values could leave int64 or int16 raises CapExceededError.
@@ -396,28 +391,22 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
     """(pieces (lowest slack, slack counts), arrays of violating x) per
     variant: over [0, p^r), or over [1, n) with every form reduced mod n.
 
-    Split x = h*P + l into G rows of P, P a power of p.  A form's row value
-    a = c*h*P + o, reduced mod n if given, is hi*P + u with u < P; with
-    c*l + u = q*P + m (m < P), c*x + o is (hi + q)*P + m (mod n).  Without
-    n, and mod n wherever 0 <= hi + q <= G - 2, that is the value itself,
-    whose digit sum is s(m) + s(hi + q).  So the slack of x is const[l],
-    the signed sum of the s(m), plus D[h, k], that of the s(hi + q) at the
-    carries q of l.  u is the low offset plus the end-around carry of the
-    row, so it takes few values, and consecutive rows with one tuple of u
-    form a run that shares its low tables.  Within a run each carry is
-    monotone in l, so the l with one tuple k of carries form a run too, a
-    carry class.  Per class the scan
-    keeps the histogram H[k] of const and its least const; per variant
-    C[k] counts the D[h, k] of its rows, and the anti-diagonal sums of
-    H.T @ C count its slacks.  Only the cells (h, k) whose least slack
-    breaks the allowance are expanded to their x.  P divides p^(r - lead)
-    for every variant, so each scope is whole rows.
-
-    Mod n, the rows where hi + q could leave [0, G - 2] (the wrap, and the
-    zero representative of an all-(p - 1) value), those holding x = 0 and
-    x = n, and all rows of a form with |c| > _CARRY_CAP are scanned x by x
-    through `_form_sum`, in blocks of at most _CHUNK x.  With P near
-    p^(r/2) that is about sum(|c| + 2) rows."""
+    With x = h*P + l (P a power of p dividing every p^(r - lead), so each
+    scope is whole rows), a form's row value c*h*P + o (mod n) is
+    hi*P + u, u < P, and c*l + u = q*P + m, m < P.  Wherever
+    0 <= hi + q <= G - 2, or always without n, the digit sum of c*x + o is
+    s(m) + s(hi + q), so the slack of x is const[l] plus D[h, k] at the
+    carries k of l.  u, the low offset plus the row's end-around carry,
+    takes few values: consecutive rows with one tuple of u share their
+    low tables, in which each carry is monotone in l, so the l with one
+    carry tuple form a run, a carry class.  The anti-diagonal sums of
+    H.T @ C, with H[k] the histogram of const and C[k] that of D over a
+    variant's rows, count its slacks, and only the cells (h, k) whose
+    least slack breaks the allowance are expanded to their x.  Mod n the
+    rows where hi + q could leave [0, G - 2], those of x = 0 and x = n,
+    and all rows of a form with |c| > _CARRY_CAP are scanned x by x, in
+    blocks of at most _CHUNK x: about sum(|c| + 2) rows of P near
+    p^(r/2)."""
     lead = max((v.lead for v in variants), default=0)
     if n is not None and p ** r <= _CHUNK:
         P = p ** r  # one row, scanned x by x
@@ -511,7 +500,8 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
                 for a, b in v.ranges(p, r):
                     part = slice(*np.searchsorted(xs, (max(a, 1), min(b, n))))  # 0 < x < n
                     got += np.bincount(slack[part] + off, minlength=bins)
-                    bad.append(xs[part][slack[part] < -v.allowance])
+                    if got[:max(off - v.allowance, 0)].any():
+                        bad.append(xs[part][slack[part] < -v.allowance])
         for piece, got in zip(pieces, counts):
             piece.append((-off, got))
     return list(zip(pieces, found))
@@ -529,8 +519,8 @@ def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
         for lo, got in pieces:
             np.add.at(hist, np.clip(np.arange(got.size) + lo + v.allowance, -1, _SLACK_CAP) + 1, got)
         cx = []
-        xs = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *xs]))
-        if xs.size:
+        if xs:
+            xs = np.sort(np.concatenate(xs))
             rhs_total = [t + v.allowance for t in _form_sum(xs, rhs, p, n).tolist()]
             cx = list(map(Counterexample, xs.tolist(),
                           _form_sum(xs, lhs, p, n).tolist(), rhs_total))
