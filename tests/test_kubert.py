@@ -577,8 +577,8 @@ def _reference_scan(p, r, lhs, rhs, variants, n=None):
 
 
 def _random_scans(seed, cases, mod=False):
-    """Random (p, r, lhs, rhs, variants); mod n = p^r - 1, (..., n) with
-    negative multipliers and multipliers sharing a factor with n."""
+    """Random (p, r, lhs, rhs, variants, n): n is None, or with mod
+    p^r - 1, with negative multipliers and ones sharing a factor with n."""
     import hypmono.kubert as kb
 
     rng = random.Random(seed)
@@ -603,50 +603,38 @@ def _random_scans(seed, cases, mod=False):
             lead = rng.randint(0, r + 1)
             allowed = frozenset(rng.sample(range(p ** lead), rng.randint(1, min(p ** lead, 4))))
             variants.append(kb.Variant(f"v{i}", rng.randint(-3, 3), lead=lead, allowed=allowed))
-        yield (p, r, forms(), forms(), variants) + ((n,) if mod else ())
+        yield p, r, forms(), forms(), variants, n if mod else None
 
 
 @pytest.mark.parametrize("chunk", [None, 10, 97], ids=["default", "chunk10", "chunk97"])
 def test_class_counts_match_a_per_x_reference(monkeypatch, chunk):
     # random forms (c = 0 and repeated forms included), leading-digit scopes
-    # up to lead = r + 1 and lowered allowances, so counterexamples show
+    # up to lead = r + 1 and lowered allowances, so counterexamples show;
+    # mod n = p^r - 1 also c = -1 and other negative c, c sharing a factor
+    # with n so the zero representative is hit, c above 255, offsets below n
     import hypmono.kubert as kb
 
     if chunk:
         monkeypatch.setattr(kb, "_CHUNK", chunk)
     cases = list(_random_scans(1414, 80))
     # 70 forms: the product of their carry widths, 2^70, passes int64
-    cases += [(2, 5, [(1, 0)] * 70, [(13, 7), (1, 0)], [kb.Variant("many", 60)]),
+    cases += [(2, 5, [(1, 0)] * 70, [(13, 7), (1, 0)], [kb.Variant("many", 60)], None),
               (3, 4, [(1, o) for o in range(70)], [(2, 40)] * 3,
-               [kb.Variant("many", 200), kb.Variant("top", 190, lead=1, allowed=frozenset({2}))])]
-    assert any(rep.counterexamples for case in cases for rep in _reference_scan(*case))
-    for p, r, lhs, rhs, variants in cases:
-        assert kb._scan(p, r, lhs, rhs, variants) == _reference_scan(p, r, lhs, rhs, variants)
-
-
-@pytest.mark.parametrize("chunk", [None, 10, 97], ids=["default", "chunk10", "chunk97"])
-def test_mod_scans_match_a_per_x_reference(monkeypatch, chunk):
-    # random forms mod n = p^r - 1 (c = 0, c = -1 and other negative c,
-    # c sharing a factor with n so the zero representative is hit, c above
-    # 255, repeated forms, offsets below n), leading-digit scopes up to
-    # lead = r + 1 and lowered allowances, so counterexamples show; past
-    # p^r = _CHUNK the rows that wrap are scanned x by x, the rest per class
-    import hypmono.kubert as kb
-
-    if chunk:
-        monkeypatch.setattr(kb, "_CHUNK", chunk)
-    cases = list(_random_scans(1616, 80, mod=True))
+               [kb.Variant("many", 200), kb.Variant("top", 190, lead=1, allowed=frozenset({2}))],
+               None)]
+    mod_cases = list(_random_scans(1616, 80, mod=True))
+    # past p^r = _CHUNK only the rows that could wrap are scanned x by x
     for family, r in (("3x13", 18), ("4x5", 11)):
         lemma = kb.LEMMAS[family]
-        lhs, rhs = lemma.forms(r)
         variants = [kb.Variant("minus1", -1),
                     kb.Variant("top", -2, lead=2, allowed=frozenset({1}))]
-        cases.append((lemma.p, r, lhs, rhs, variants, lemma.p ** r - 1))
-    cases.append((3, 11, [(14, 0), (4, 0)], [(28, 0), (2, 0), (-1, 0)],  # C6's Atimes 28, lowered
-                  [kb.Variant("minus1", -1)], 3 ** 11 - 1))
-    assert any(rep.counterexamples for case in cases for rep in _reference_scan(*case))
-    for p, r, lhs, rhs, variants, n in cases:
-        assert kb._scan(p, r, lhs, rhs, variants, n) == _reference_scan(p, r, lhs, rhs, variants, n)
+        mod_cases.append((lemma.p, r, *lemma.forms(r), variants, lemma.p ** r - 1))
+    mod_cases.append((3, 11, [(14, 0), (4, 0)], [(28, 0), (2, 0), (-1, 0)],  # C6's Atimes 28
+                      [kb.Variant("minus1", -1)], 3 ** 11 - 1))
+    for group in (cases, mod_cases):
+        assert any(rep.counterexamples for case in group for rep in _reference_scan(*case))
+    for case in cases + mod_cases:
+        assert kb._scan(*case) == _reference_scan(*case)
 
 
 @pytest.mark.parametrize("lhs,n,r", [
