@@ -23,11 +23,9 @@ from .kubert import (
     kubert_v,
     repunit_scaling_check,
     sequence_AB,
-    verify_bracket_corollaries,
     verify_lemma_28,
     verify_lemma_3x13,
     verify_lemma_4x5,
-    verify_sharp_inequality,
 )
 from .exp_sums import (
     FAMILIES,

@@ -219,7 +219,7 @@ def _c7_trace_tables(seed):
             "integral": exp_sums.integrality_check(te),
             "purity": exp_sums.purity_check(te, 24),
             "frobenius": exp_sums.frobenius_invariance_check(te),
-            "galois": exp_sums.galois_invariance_check(te).passed,
+            "galois": exp_sums.galois_invariance_check(te),
             "float_gap_over_tol": _float_agrees(te, tf),
         }
         details[label] = entry
@@ -231,7 +231,7 @@ def _c7_trace_tables(seed):
             te = _table_cached(3, k, kind, A, B, "exact")
             tf = _table_cached(3, k, kind, A, B, "float")
             entry = {
-                "zeta3_span": exp_sums.galois_invariance_check(te).passed,
+                "zeta3_span": exp_sums.galois_invariance_check(te),
                 "integral": exp_sums.integrality_check(te),
                 "purity": exp_sums.purity_check(te, 12),
                 "frobenius": exp_sums.frobenius_invariance_check(te),

@@ -102,8 +102,8 @@ def cmd_trace_table(args) -> int:
     primary = tables.get("exact") or tables["float"]
     stats = exp_sums.table_stats(primary)
     stats["purity_pass"] = exp_sums.purity_check(primary, fam.rank)
-    if primary.exact_values is not None:
-        stats["galois_pass"] = exp_sums.galois_invariance_check(primary).passed
+    if primary.mode == "exact":
+        stats["galois_pass"] = exp_sums.galois_invariance_check(primary)
         if fam.p == 2:
             stats["rationality_pass"] = exp_sums.rationality_check(primary)
     if "float" in tables:

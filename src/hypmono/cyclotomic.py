@@ -4,16 +4,21 @@ A CycNumber is an exact element of Q(zeta_m), stored as a rational
 coefficient vector on the power basis 1, zeta, ..., zeta^(phi(m)-1) reduced
 mod the m-th cyclotomic polynomial.  Values of different orders are aligned
 through the canonical embedding Q(zeta_m) -> Q(zeta_lcm) before combining.
-Float values live elsewhere, as numpy arrays with one certified error bound
-(`characters.gauss_sums`, the float trace tables of `exp_sums`).
+A table of values is an (n, phi(m)) int64 array of numerators on that basis
+over one denominator (`exp_sums.TraceTable`), which the array helpers reduce,
+conjugate and multiply row by row.  Float values are numpy arrays with one
+certified error bound (`characters.gauss_sums`, the float tables of `exp_sums`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import CapExceededError
 from .finite_field import _prime_factors
@@ -83,17 +88,21 @@ def _context(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 @lru_cache(maxsize=None)
-def _rows_matrix(m: int):
-    import numpy as np
-
+def _rows_matrix(m: int) -> np.ndarray:
+    """The rows of `_context` as a shared, read-only int64 array."""
     _, rows = _context(m)
-    return np.array(rows, dtype=np.int64)
+    out = np.array(rows, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
-def _abs_sum(a) -> int:
-    """sum |a| over a numpy array, in Python ints: an int64 sum could wrap
-    exactly where an overflow bound matters."""
-    return sum(abs(v) for v in a.ravel().tolist())
+def _abs_sums(a, axis=None):
+    """sum |a| over an int64 array, or along an axis (an object array), in
+    Python ints: the 32-bit halves of |a| are summed apart and cannot wrap."""
+    u = np.abs(np.asarray(a, dtype=np.int64)).view(np.uint64)
+    hi = np.asarray((u >> 32).sum(axis=axis)).astype(object)
+    lo = np.asarray((u & 0xFFFFFFFF).sum(axis=axis)).astype(object)
+    return hi * (1 << 32) + lo
 
 
 def _check_int64(bound: int, what: str) -> None:
@@ -103,6 +112,32 @@ def _check_int64(bound: int, what: str) -> None:
         raise CapExceededError(
             f"{what} could reach {bound} >= 2^63 and overflow int64"
         )
+
+
+def _matmul_checked(x: np.ndarray, mat: np.ndarray, what: str) -> np.ndarray:
+    """x @ mat in int64, refused unless every row's sum |x| * max |mat|, a
+    bound on each of its partial sums, stays below 2^63."""
+    _check_int64(_abs_sums(x, axis=-1).max(initial=0)
+                 * int(np.abs(mat).max(initial=0)), what)
+    return x @ mat
+
+
+def _galois_matrix(m: int, a: int) -> np.ndarray:
+    """x @ this matrix applies zeta_m -> zeta_m^a, gcd(a, m) = 1, to every
+    row x of power-basis numerators: its row i is zeta_m^(i a)."""
+    rows = _rows_matrix(m)
+    return rows[(np.arange(rows.shape[1]) * a) % m]
+
+
+def _mul_rows(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """x[i] * y[i] in Q(zeta_m) for every row i, refused unless each row's
+    sum |x| * sum |y| * max |rows|, a bound on its partial sums, is below 2^63."""
+    rows = _rows_matrix(m)
+    deg = rows.shape[1]
+    _check_int64((_abs_sums(x, axis=-1) * _abs_sums(y, axis=-1)).max(initial=0)
+                 * int(np.abs(rows).max(initial=0)), "power-basis product")
+    outer = (x[:, :, None] * y[:, None, :]).reshape(len(x), deg * deg)
+    return outer @ rows[np.add.outer(np.arange(deg), np.arange(deg)).ravel()]
 
 
 def phi(m: int) -> int:
@@ -156,6 +191,19 @@ def _minimal_form(order: int, num: tuple[int, ...]) -> tuple[int, tuple[int, ...
     return order, num
 
 
+def _binary(op):
+    """op with a rational or finite float operand made a CycNumber; NotImplemented
+    for any operand that is not one of these or a CycNumber."""
+    def wrapper(self, other):
+        if isinstance(other, numbers.Rational) or (
+                isinstance(other, float) and math.isfinite(other)):
+            other = CycNumber.from_rational(other)
+        elif not isinstance(other, CycNumber):
+            return NotImplemented
+        return op(self, other)
+    return wrapper
+
+
 class CycNumber:
     """Exact element of Q(zeta_m): a rational vector on the power basis.
 
@@ -170,10 +218,7 @@ class CycNumber:
         deg, _ = _context(order)
         if len(num) != deg:
             raise ValueError("coefficient vector has wrong length")
-        g = 0
-        for v in num:
-            g = math.gcd(g, v)
-        g = math.gcd(g, den)
+        g = math.gcd(*num, den)
         if g == 0:
             g, den = 1, 1
         if den < 0:
@@ -203,20 +248,12 @@ class CycNumber:
 
     @classmethod
     def from_exponent_counts(cls, order: int, counts, den: int = 1) -> "CycNumber":
-        """Exact value sum counts[e] * zeta_order**e, divided by den.
-
-        The reduction accumulates in int64; CapExceededError is raised when
-        sum |counts| * max |row entry| could reach 2**63.
-        """
-        import numpy as np
-
-        counts = np.asarray(counts)
-        rows = _rows_matrix(order)[: len(counts)]
-        # every partial sum of a coordinate is bounded by sum|counts| * max|rows|
-        _check_int64(_abs_sum(counts) * int(np.abs(rows).max(initial=0)),
-                     "exponent-count reduction")
-        num = tuple(int(v) for v in counts.astype(np.int64) @ rows)
-        return cls(order, num, den)
+        """Exact value sum counts[e] * zeta_order**e, divided by den, reduced
+        in int64 (CapExceededError where `_matmul_checked` sees overflow)."""
+        counts = np.asarray(counts, dtype=np.int64)
+        num = _matmul_checked(counts[None], _rows_matrix(order)[: len(counts)],
+                              "exponent-count reduction")
+        return cls(order, tuple(num[0].tolist()), den)
 
     # ------------------------------------------------------------------
     # predicates and conversions
@@ -252,18 +289,13 @@ class CycNumber:
     # ------------------------------------------------------------------
     # arithmetic
 
-    @staticmethod
-    def _coerce(value) -> "CycNumber":
-        if isinstance(value, CycNumber):
-            return value
-        return CycNumber.from_rational(value)
-
     def _align(self, other: "CycNumber"):
         m = self.order * other.order // math.gcd(self.order, other.order)
         return self.lift(m), other.lift(m)
 
+    @_binary
     def __add__(self, other):
-        a, b = self._align(self._coerce(other))
+        a, b = self._align(other)
         num = tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num))
         return CycNumber(a.order, num, a.den * b.den)
 
@@ -272,28 +304,25 @@ class CycNumber:
     def __neg__(self):
         return CycNumber(self.order, tuple(-v for v in self.num), self.den)
 
+    @_binary
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
+    @_binary
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return (-self) + other
 
+    @_binary
     def __mul__(self, other):
-        a, b = self._align(self._coerce(other))
-        deg, rows = _context(a.order)
-        conv = [0] * (2 * deg - 1)
+        a, b = self._align(other)
+        conv = [0] * (2 * len(a.num) - 1)
         for i, x in enumerate(a.num):
             if x:
                 for j, y in enumerate(b.num):
                     if y:
                         conv[i + j] += x * y
-        out = [0] * deg
-        for e, c in enumerate(conv):
-            if c:
-                for j, v in enumerate(rows[e]):
-                    if v:
-                        out[j] += c * v
-        return CycNumber(a.order, tuple(out), a.den * b.den)
+        num = _reduce_exponents(a.order, enumerate(conv))
+        return CycNumber(a.order, num, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -337,8 +366,9 @@ class CycNumber:
     # ------------------------------------------------------------------
     # comparison and display
 
+    @_binary
     def __eq__(self, other):
-        a, b = self._align(self._coerce(other))
+        a, b = self._align(other)
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):

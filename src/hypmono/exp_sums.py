@@ -10,42 +10,39 @@ the exponents of zeta_m.  The table builders substitute u for the
 product of the tuple and work on the multiplicative group in log
 coordinates, Z/(q-1).
 
-The direct evaluators and the exact tables give exact values in
-Q(zeta_m) (`CycNumber`).  Exact tables (integer vectors over roots of
-unity, final division by q^nu) take the twisted sums, the character stages
-and the additive transform each from one exact 2-D cyclic convolution on
-Z/(q-1) x Z/m (`_cyclic_conv2`: float FFTs on limbs, rounded under a
-certified bound), O(q log q) below their cap of 2^10.  Float tables are
-numpy arrays with one a-priori error bound.  They use that the Mellin
-transform of the trace function is a product of Gauss sums (Katz,
-Exponential Sums and Differential Equations, ch. 8): one DFT gives all
-q - 1 Gauss sums (`characters.gauss_sums`), pointwise products the Mellin
-coefficients of the table, and one more FFT the table, O(q log q).  The
-float route forms no counts, so comparing it with the exact route, like
-comparing the exact route with the direct evaluator, checks one
-computation against an independent one; no equality is assumed.
+The direct evaluators give exact values in Q(zeta_m) (`CycNumber`).  Exact
+tables take the twisted sums, the character stages and the additive transform
+each from one exact 2-D cyclic convolution on Z/(q-1) x Z/m (`_cyclic_conv2`:
+float FFTs on limbs, rounded under a certified bound), O(q log q) below their
+cap of 2^10, and reduce the exponent counts once to one (q - 1, phi(m)) int64
+array of power-basis numerators over q^nu; each exact check is an array
+expression on it.  Float tables are numpy arrays with one a-priori error
+bound.  They use that the Mellin transform of the trace function is a product
+of Gauss sums (Katz, Exponential Sums and Differential Equations, ch. 8): one
+DFT gives all q - 1 Gauss sums (`characters.gauss_sums`), pointwise products
+the Mellin coefficients of the table, and one more FFT the table, O(q log q).
+The float route forms no counts, so comparing it with the exact route, like
+comparing the exact route with the direct evaluator, checks one computation
+against an independent one; no equality is assumed.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
+import json
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .characters import _EPS, _fft_eta, _times, gauss_sums
-from .cyclotomic import CycNumber, _abs_sum, _check_int64
+from .cyclotomic import (CycNumber, _abs_sums, _check_int64, _galois_matrix,
+                         _matmul_checked, _mul_rows, _rows_matrix)
 from .errors import CapExceededError
 from .finite_field import FieldTable
-from .kubert import (
-    Counterexample,
-    VariantReport,
-    VerificationReport,
-    multiplicative_order,
-)
+from .kubert import multiplicative_order
 
 _EXACT_Q_CAP = 1 << 10
 _DIRECT_TUPLE_CAP = 1 << 20
@@ -172,9 +169,8 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumb
     (Tr(-t_1 ... t_nu / s) + v) m/p + sum of (e_i j_i mod n) m/n of
     zeta_m, t_i = g^(j_i), and the counts of all tuples are added exactly
     in int64 into m exponent counts; they total (n q)^nu, which is checked
-    against int64 first.  No twisted-count convolution, Gauss sum or
-    transform of the tables is used, so comparing this route with
-    `trace_table_all` checks one computation against an independent one.
+    against int64 first.  No twisted-count convolution, Gauss sum or table
+    transform is used: this route is independent of `trace_table_all`.
     """
     q, n, p = field.q, field.q - 1, field.p
     nu = len(exps)
@@ -229,6 +225,12 @@ def trace_quartic(field: FieldTable, B: int, s: int) -> CycNumber:
 
 @dataclass
 class TraceTable:
+    """The trace function on K^*, row i at s = g^i.  An exact table holds
+    `exact_num`, a read-only (q - 1, phi(m)) int64 array: row i is T(g^i) on
+    the power basis of Q(zeta_m), m = `value_order`, as numerators over `den`
+    = q^nu; `value`, `value_at_log` and `exact_values` build one `CycNumber`
+    per value read.  A float table holds `float_values` within `float_err`."""
+
     family: str  # 'AxB' | 'Atimes'
     p: int
     params: dict
@@ -237,7 +239,7 @@ class TraceTable:
     mode: str
     nu: int
     value_order: int
-    exact_values: list[CycNumber] | None = None
+    exact_num: np.ndarray | None = None
     float_values: np.ndarray | None = None
     float_err: float = 0.0
 
@@ -247,22 +249,44 @@ class TraceTable:
     @property
     def prefactor(self) -> Fraction:
         """The literal (-1/q)^nu normalization applied to the raw sums."""
-        return Fraction((-1) ** self.nu, self.field.q ** self.nu)
+        return Fraction((-1) ** self.nu, self.den)
+
+    @property
+    def den(self) -> int:
+        """q^nu, the common denominator of `exact_num`."""
+        return self.field.q ** self.nu
 
     def value_at_log(self, i: int) -> CycNumber:
         """The exact value at s = g^i; float tables hold `float_values`."""
-        if self.exact_values is None:
+        if self.exact_num is None:
             raise ValueError("exact values need an exact-mode table")
-        return self.exact_values[i % (self.field.q - 1)]
+        row = self.exact_num[i % len(self)].tolist()
+        return CycNumber(self.value_order, tuple(row), self.den)
 
     def value(self, s: int) -> CycNumber:
         _check_point(self.field, s)
         return self.value_at_log(int(self.field.log[s]))
 
+    @property
+    def exact_values(self) -> list[CycNumber] | None:
+        """Every exact value as a CycNumber, built on read; None if float."""
+        if self.exact_num is None:
+            return None
+        return [self.value_at_log(i) for i in range(len(self))]
+
     def complex_values(self) -> np.ndarray:
-        if self.float_values is not None:
+        """The values as complex numbers: an exact row over its gcd with den,
+        its columns added in order, bit-identical to `CycNumber.to_complex`."""
+        if self.exact_num is None:
             return self.float_values
-        return np.array([v.to_complex() for v in self.exact_values])
+        g = np.gcd(np.gcd.reduce(self.exact_num, axis=1), self.den)
+        num, den = self.exact_num // g[:, None], self.den // g
+        out = np.zeros(len(self), dtype=complex)
+        for i in range(num.shape[1]):
+            out += num[:, i] * cmath.exp(2j * math.pi * i / self.value_order)
+        out.real /= den
+        out.imag /= den
+        return out
 
 
 def _cyclic_conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -304,7 +328,7 @@ def _cyclic_conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if (a < 0).any() or (b < 0).any():
         raise ValueError("the operands must be nonnegative")
     a_max, b_max = int(a.max(initial=0)), int(b.max(initial=0))
-    a_sum, b_sum = _abs_sum(a), _abs_sum(b)
+    a_sum, b_sum = _abs_sums(a), _abs_sums(b)
     _check_int64(min(a_sum * b_max, b_sum * a_max), "exact convolution")
     out = np.zeros(a.shape, dtype=np.int64)
     if a_max == 0 or b_max == 0:
@@ -414,19 +438,12 @@ def trace_table_all(
     mode: str = "float",
 ) -> TraceTable:
     """Full trace table over K^* via the u-substitution, in log coordinates
-    on Z/(q-1).
-
-    The tuple sum is an iterated multiplicative convolution of the
-    character-twisted one-variable sums followed by one additive-character
-    transform.  The exact path takes the twisted sums from one exact
-    convolution and convolves integer vectors over Z[zeta_m] as exact 2-D
-    cyclic convolutions on Z/(q-1) x Z/m, O(q log q) by float FFTs with a
-    certified rounding (`_cyclic_conv2`), capped at q = 2^10.  The float
-    path builds the table's Mellin coefficients from Gauss sums alone and
-    ends in one FFT, O(q log q), with the a-priori bound of _gauss_table as
-    `float_err`; only the field degree caps bound it.  The test suite
-    compares the exact path with the direct evaluator and the float path
-    with the exact one.
+    on Z/(q-1): an iterated multiplicative convolution of the
+    character-twisted one-variable sums, then one additive-character
+    transform, on the exact or the float route of the module docstring.
+    The exact route is capped at q = 2^10; the float route has the a-priori
+    bound of `_gauss_table` as `float_err`, and only the field degree caps
+    bound it.
     """
     q, n, p = field.q, field.q - 1, field.p
     if mode not in ("exact", "float"):
@@ -454,16 +471,13 @@ def trace_table_all(
     if mode == "exact":
         counts = _twisted_counts(field, B)
         logs = np.arange(n, dtype=np.int64)
-        stages = []
+        g = None
         for e in exps:
             fe = np.zeros((n, m), dtype=np.int64)
             ce = ((e * logs) % n) * m // n
             for v in range(p):
                 fe[logs, (v * (m // p) + ce) % m] += counts[:, v]
-            stages.append(fe)
-        g = stages[0]
-        for fe in stages[1:]:
-            g = _cyclic_conv2(fe, g)
+            g = fe if g is None else _cyclic_conv2(fe, g)
         # raw[i] = sum over l of g[l] zeta_p^w(h + l - i), w = Tr o antilog,
         # h = log(-1): the convolution of g with the indicator kernel
         # K[d, w(h - d) m / p] = 1
@@ -472,126 +486,107 @@ def trace_table_all(
         kernel = np.zeros((n, m), dtype=np.int64)
         kernel[logs, w[(h - logs) % n] * (m // p)] = 1
         raw = _cyclic_conv2(kernel, g)
-        den = q ** nu
-        values = [CycNumber.from_exponent_counts(m, sign * row, den) for row in raw]
-        return TraceTable(
-            kind, p, params, field, base_size, "exact", nu, m,
-            exact_values=values,
-        )
+        num = _matmul_checked(sign * raw, _rows_matrix(m)[:m], "power-basis reduction")
+        num.flags.writeable = False
+        return TraceTable(kind, p, params, field, base_size, "exact", nu, m,
+                          exact_num=num)
 
     values, err = _gauss_table(field, exps, B)
     values *= sign / q ** nu
     total_err = err / q ** nu + float(np.abs(values).max()) * _EPS
-    return TraceTable(
-        kind, p, params, field, base_size, "float", nu, m,
-        float_values=values, float_err=total_err,
-    )
+    return TraceTable(kind, p, params, field, base_size, "float", nu, m,
+                      float_values=values, float_err=total_err)
 
 
 # ----------------------------------------------------------------------
 # derived operations on tables
+
+def _exact_abs2(table: TraceTable) -> tuple[np.ndarray, int]:
+    """|T(s)|^2 on an exact table, as power-basis numerators over one
+    denominator: the numerators, over their gcd with q^nu, times their conjugates."""
+    m = table.value_order
+    g = math.gcd(int(np.gcd.reduce(table.exact_num, axis=None)), table.den)
+    x = table.exact_num // g
+    conj = _matmul_checked(x, _galois_matrix(m, m - 1), "complex conjugation")
+    return _mul_rows(x, conj, m), (table.den // g) ** 2
+
 
 def moments(table: TraceTable, k: int = 1, exact: bool = False):
     """M_k: the mean of |T(s)|^(2k) over the table."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if exact:
-        if table.exact_values is None:
+        if table.mode != "exact":
             raise ValueError("exact moments need an exact-mode table")
-        total = Fraction(0)
-        for v in table.exact_values:
-            a2 = v.abs2()
-            if k > 1:
-                a2 = a2 ** k
-            total += a2.as_fraction()
-        return total / len(table)
+        a2, den2 = _exact_abs2(table)
+        if a2[:, 1:].any():
+            raise ValueError("|T|^2 is not rational")
+        total = int((a2[:, 0].astype(object) ** k).sum())
+        return Fraction(total, den2 ** k * len(table))
     vals = table.complex_values()
     return float((np.abs(vals) ** (2 * k)).mean())
 
 
 def frobenius_invariance_check(table: TraceTable) -> bool:
-    """T(s^(q0)) = T(s) for the base-field size q0; float values may differ
-    by twice the certified bound."""
+    """T(s^(q0)) = T(s) for the base-field size q0: equal numerators (exact;
+    an int64 difference could wrap), or within twice the bound (float)."""
     n = len(table)
-    q0 = table.base_size
-    if table.exact_values is not None:
-        return all(
-            table.exact_values[(q0 * i) % n] == table.exact_values[i]
-            for i in range(n)
-        )
+    moved = (table.base_size * np.arange(n)) % n
+    if table.mode == "exact":
+        return bool(np.array_equal(table.exact_num[moved], table.exact_num))
     vals = table.float_values
-    gap = np.abs(vals[(q0 * np.arange(n)) % n] - vals)
-    return bool((gap <= 2 * table.float_err).all())
+    return bool((np.abs(vals[moved] - vals) <= 2 * table.float_err).all())
 
 
-def galois_invariance_check(table: TraceTable) -> VerificationReport:
+def galois_invariance_check(table: TraceTable) -> bool:
     """Invariance of every value under Gal fixing Q(zeta_p): the maps
     zeta_m -> zeta_m^a for a coprime to m, a = 1 mod p; exact mode only."""
-    if table.exact_values is None:
+    if table.mode != "exact":
         raise ValueError("galois invariance requires an exact-mode table")
-    t0 = time.perf_counter()
-    m = table.value_order
-    p = table.p
-    admissible = [
-        a for a in range(2, m)
-        if math.gcd(a, m) == 1 and a % p == 1 % p
-    ]
-    variants = []
-    for a in admissible:
-        cx = []
-        for i, v in enumerate(table.exact_values):
-            if v.galois(a) != v:
-                cx.append(Counterexample(i, str(v.galois(a)), str(v)))
-        variants.append(
-            VariantReport(f"a={a}", len(table.exact_values), cx, {})
-        )
-    if not admissible:
-        variants.append(VariantReport("identity-only", len(table.exact_values), [], {}))
-    return VerificationReport(
-        "galois-invariance", p, table.field.k, variants,
-        (time.perf_counter() - t0) * 1000.0,
+    m, num = table.value_order, table.exact_num
+    return all(
+        np.array_equal(_matmul_checked(num, _galois_matrix(m, a), "Galois action"), num)
+        for a in range(2, m) if math.gcd(a, m) == 1 and a % table.p == 1
     )
 
 
 def purity_check(table: TraceTable, rank: int) -> bool:
-    """Weight-zero bound |T(s)| <= rank for every s (float values up to the
-    certified bound)."""
-    if table.exact_values is not None:
-        bound = Fraction(rank) ** 2
-        for v in table.exact_values:
-            a2 = v.abs2()
-            if not a2.is_rational or a2.as_fraction() > bound:
-                return False
-        return True
+    """Weight-zero bound |T(s)| <= rank for every s: |T|^2 rational and at
+    most rank^2 (exact), or |T| within the certified bound (float)."""
+    if table.mode == "exact":
+        a2, den2 = _exact_abs2(table)
+        # a2 is int64, so a bound past int64 is as good as 2^63 - 1
+        bound = min(rank * rank * den2, (1 << 63) - 1)
+        return not a2[:, 1:].any() and bool((a2[:, 0] <= bound).all())
     return bool((np.abs(table.float_values) <= rank + table.float_err).all())
 
 
 def rationality_check(table: TraceTable) -> bool:
-    """All values rational (exact), or with an imaginary part within the
-    certified bound (float)."""
-    if table.exact_values is not None:
-        return all(v.is_rational for v in table.exact_values)
+    """All values rational: power-basis columns 1.. zero (exact), or an
+    imaginary part within the certified bound (float)."""
+    if table.mode == "exact":
+        return not table.exact_num[:, 1:].any()
     return bool((np.abs(table.float_values.imag) <= table.float_err).all())
 
 
 def integrality_check(table: TraceTable) -> bool:
-    """Every T(s) is an algebraic integer: it has integer coordinates
-    (den 1) on the power basis, an integral basis of Z[zeta_m]."""
-    if table.exact_values is None:
+    """Every T(s) is an algebraic integer: q^nu divides its numerators, its
+    coordinates on the power basis, an integral basis of Z[zeta_m]."""
+    if table.mode != "exact":
         raise ValueError("integrality requires an exact-mode table")
-    return all(v.den == 1 for v in table.exact_values)
+    return not (table.exact_num % table.den).any()
 
 
 def float_gap(table_exact: TraceTable, table_float: TraceTable) -> float:
     """The observed error of a float table: max |exact - float| against the
     exact table of the same family and field."""
-    exact = np.array([v.to_complex() for v in table_exact.exact_values])
-    return float(np.abs(exact - table_float.float_values).max())
+    gap = table_exact.complex_values() - table_float.float_values
+    return float(np.abs(gap).max())
 
 
 def table_stats(table: TraceTable) -> dict:
     vals = table.complex_values()
-    stats = {
+    return {
         "family": table.family,
         "p": table.p,
         "A": table.params.get("A"),
@@ -600,26 +595,21 @@ def table_stats(table: TraceTable) -> dict:
         "M1": moments(table, 1),
         "M2": moments(table, 2),
         "max_abs": float(np.abs(vals).max()),
-        "integrality_pass": (
-            integrality_check(table) if table.exact_values is not None else None
-        ),
+        "integrality_pass": integrality_check(table) if table.mode == "exact" else None,
         "frobenius_pass": frobenius_invariance_check(table),
     }
-    return stats
 
 
 def export_csv(table: TraceTable, path) -> None:
     """(s_log_index, re, im) for float tables, (s_log_index, exact JSON)
     for exact ones."""
-    import json
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if table.exact_values is not None:
+        if table.mode == "exact":
             writer.writerow(["s_log_index", "exact"])
-            for i, v in enumerate(table.exact_values):
-                writer.writerow([i, json.dumps(v.to_json())])
+            writer.writerows([i, json.dumps(v.to_json())]
+                             for i, v in enumerate(table.exact_values))
         else:
             writer.writerow(["s_log_index", "re", "im"])
-            for i, z in enumerate(table.float_values):
-                writer.writerow([i, repr(float(z.real)), repr(float(z.imag))])
+            writer.writerows([i, repr(float(z.real)), repr(float(z.imag))]
+                             for i, z in enumerate(table.float_values))

@@ -603,24 +603,6 @@ def verify_brackets(family: str, r: int) -> tuple[VerificationReport, Verificati
             VerificationReport(f"sharp-{family}", p, r, [sharp], elapsed_ms))
 
 
-def verify_bracket_corollaries(family: str, r: int) -> VerificationReport:
-    """Bracket-level corollaries over 0 < x < p^r - 1.
-
-    Slack allowances: 5 for the 3x13 family (even r only), 6 for 4x5,
-    3 for the 28 family.
-    """
-    return verify_brackets(family, r)[0]
-
-
-def verify_sharp_inequality(family: str, r: int) -> VerificationReport:
-    """The zero-slack bracket inequality over 0 < x < p^r - 1.
-
-    This is the finite-level form of the finite-monodromy criterion;
-    the 3x13 family is stated for even r only.
-    """
-    return verify_brackets(family, r)[1]
-
-
 # ----------------------------------------------------------------------
 # finite-monodromy criteria
 

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -75,8 +74,7 @@ def test_trace_table_outputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("family, module, name, fake", [
     ("4x5", "exp_sums", "integrality_check", lambda table: False),
-    ("4x5", "exp_sums", "galois_invariance_check",
-     lambda table: SimpleNamespace(passed=False)),
+    ("4x5", "exp_sums", "galois_invariance_check", lambda table: False),
     ("3x13", "exp_sums", "rationality_check", lambda table: False),
     ("4x5", "exp_sums", "float_gap", lambda exact, flt: 0.5),
 ], ids=["integrality", "galois", "rationality", "float-gap"])

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hypmono.cyclotomic import CycNumber, cyclotomic_polynomial, phi
+from hypmono.cyclotomic import (
+    CycNumber,
+    _galois_matrix,
+    _matmul_checked,
+    _mul_rows,
+    cyclotomic_polynomial,
+    phi,
+)
 from hypmono.errors import CapExceededError
 
 
@@ -173,3 +180,55 @@ def test_from_exponent_counts_refuses_int64_overflow():
         CycNumber.from_exponent_counts(3, [1 << 62, 0, -(1 << 62)])
     half = CycNumber.from_exponent_counts(3, [1 << 61, 0, -(1 << 61)])
     assert half == CycNumber.from_exponent_counts(3, [1 << 62, 1 << 61])
+
+
+def test_eq_and_arithmetic_refuse_what_is_not_a_number():
+    z = CycNumber.root_of_unity(6, 1)
+    half = CycNumber.from_rational(Fraction(1, 2))
+    assert z != None and z != "a" and z in [None, z] and None not in [z]  # noqa: E711
+    # equal values have equal hashes: "1/2" is not the rational 1/2
+    assert half != "1/2" and hash(half) != hash("1/2")
+    assert half == 0.5 == Fraction(1, 2) and hash(half) == hash(0.5)
+    assert half != float("nan")
+    for bad in (None, "a", "1/2", [1]):
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+            with pytest.raises(TypeError):
+                op(z, bad)
+            with pytest.raises(TypeError):
+                op(bad, z)
+
+
+_ARRAY_ORDERS = (1, 2, 3, 4, 6, 12, 15, 28, 30)
+
+
+@given(m=st.sampled_from(_ARRAY_ORDERS), n=st.integers(1, 4), data=st.data())
+def test_power_basis_helpers_match_cycnumber(m, n, data):
+    # the array helpers against CycNumber.galois and CycNumber.__mul__,
+    # row by row; with den 1 a CycNumber keeps its numerators as given
+    deg = phi(m)
+    coords = st.lists(st.integers(-(1 << 20), 1 << 20), min_size=deg, max_size=deg)
+    x, y = (np.array(data.draw(st.lists(coords, min_size=n, max_size=n)),
+                     dtype=np.int64).reshape(n, deg) for _ in range(2))
+    product = _mul_rows(x, y, m)
+    units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
+    moved = {a: x @ _galois_matrix(m, a) for a in units}
+    for i in range(n):
+        a_i, b_i = CycNumber(m, tuple(x[i].tolist())), CycNumber(m, tuple(y[i].tolist()))
+        assert tuple(product[i].tolist()) == (a_i * b_i).num
+        for a in units:
+            assert tuple(moved[a][i].tolist()) == a_i.galois(a).num
+
+
+def test_power_basis_helpers_guard_int64_per_row():
+    # on Q(zeta_3) every reduced power has entries of size at most 1
+    x = np.array([[1 << 31, 0]])
+    assert _mul_rows(x, x, 3).tolist() == [[1 << 62, 0]]
+    with pytest.raises(CapExceededError):
+        _mul_rows(2 * x, x, 3)  # 2^63 would wrap
+    conj = _galois_matrix(3, 2)
+    # each row's sum |x| stays below 2^63 though the whole array's does not
+    rows = np.array([[1 << 61, 1 << 61], [-(1 << 61), (1 << 61) + 5]])
+    assert _matmul_checked(rows, conj, "test").tolist() == [
+        [0, -(1 << 61)], [-(1 << 62) - 5, -(1 << 61) - 5]]
+    with pytest.raises(CapExceededError):
+        _matmul_checked(np.array([[1 << 62, -(1 << 62)]]), conj, "test")

@@ -122,14 +122,73 @@ def test_f16_table_properties(table_f16, f16):
     assert integrality_check(table_f16)  # every T(s) in Z[zeta_m]
     assert purity_check(table_f16, 24)
     assert frobenius_invariance_check(table_f16)
-    assert galois_invariance_check(table_f16).passed
+    assert galois_invariance_check(table_f16)
+
+
+def _planted(table, i, row):
+    """table with the numerators of row i (over q^nu) replaced by row."""
+    num = table.exact_num.copy()
+    num[i] = row
+    return dataclasses.replace(table, exact_num=num)
+
+
+@pytest.fixture(scope="module")
+def table_f9(f9):
+    return trace_table_all(f9, "AxB", A=4, B=5, mode="exact")
 
 
 def test_integrality_refuses_a_value_with_denominator_two(table_f16):
     # zeta/2 is not an algebraic integer, though 2 divides q^nu = 256
-    values = list(table_f16.exact_values)
-    values[5] = CycNumber.root_of_unity(table_f16.value_order, 1, Fraction(1, 2))
-    assert not integrality_check(dataclasses.replace(table_f16, exact_values=values))
+    planted = _planted(table_f16, 5, [0, table_f16.den // 2])
+    assert planted.value_at_log(5) == CycNumber.root_of_unity(6, 1, Fraction(1, 2))
+    assert not integrality_check(planted)
+
+
+def test_purity_refuses_a_large_or_irrational_modulus(table_f16, table_f9):
+    den = table_f16.den
+    assert purity_check(_planted(table_f16, 5, [24 * den, 0]), 24)
+    assert not purity_check(_planted(table_f16, 5, [25 * den, 0]), 24)
+    # on the basis 1, zeta, zeta^2, zeta^3 of Q(zeta_12): |1 + i|^2 = 2,
+    # while |1 + zeta_12|^2 = 2 + sqrt(3) is irrational
+    den = table_f9.den
+    assert purity_check(_planted(table_f9, 3, [den, 0, 0, den]), 12)
+    assert not purity_check(_planted(table_f9, 3, [den, den, 0, 0]), 12)
+
+
+def test_rationality_refuses_a_zeta_column(table_f16):
+    den = table_f16.den
+    assert rationality_check(_planted(table_f16, 5, [3 * den, 0]))
+    assert not rationality_check(_planted(table_f16, 5, [0, den]))
+
+
+def test_frobenius_refuses_values_swapped_across_orbits(table_f16):
+    # s -> s^4 on F16^*: the orbits of the logs 1 and 3 are {1, 4} and
+    # {3, 12}, where T is 1 and -1
+    num = table_f16.exact_num
+    assert num[1, 0] == num[4, 0] == -num[3, 0] == -num[12, 0]
+    swapped = _planted(_planted(table_f16, 1, num[3]), 3, num[1])
+    assert not frobenius_invariance_check(swapped)
+
+
+def test_galois_refuses_a_value_an_admissible_map_moves(table_f9):
+    # zeta_12 -> zeta_12^7 = -zeta_12 fixes zeta_3 (7 = 1 mod 3)
+    den = table_f9.den
+    assert galois_invariance_check(_planted(table_f9, 3, [2 * den, 0, den, 0]))
+    assert not galois_invariance_check(_planted(table_f9, 3, [0, den, 0, 0]))
+
+
+@pytest.mark.parametrize("p, k, family", [(2, 4, "3x13"), (3, 4, "4x5"), (3, 4, "28x")])
+def test_exact_table_api_read_by_the_benchmark(p, k, family):
+    # perfbench reads these fields and exact_values[i].to_complex()
+    fam = FAMILIES[family]
+    A = fam.A if fam.kind == "AxB" else None
+    t = trace_table_all(build_field(p, k), fam.kind, A=A, B=fam.B, mode="exact")
+    params = {"A": fam.A, "B": fam.B} if fam.kind == "AxB" else {"A": 4 * fam.B, "B": fam.B}
+    assert (t.family, t.params, t.mode, t.float_err) == (fam.kind, params, "exact", 0.0)
+    values = t.complex_values()
+    assert len(t.exact_values) == len(values) == p ** k - 1
+    assert all(v.to_complex() == values[i] for i, v in enumerate(t.exact_values))
+    assert not t.exact_num.flags.writeable
 
 
 def test_f16_float_agrees(f16, table_f16):
@@ -171,7 +230,7 @@ def test_quartic_family_f9(f9):
         assert direct == table.value(int(s))
     # every T(s) is an algebraic integer in the cube-root span
     assert integrality_check(table)
-    assert galois_invariance_check(table).passed
+    assert galois_invariance_check(table)
     assert frobenius_invariance_check(table)
 
 
@@ -204,7 +263,7 @@ def test_axb_family_f9(f9):
     for s in f9.units():
         assert trace_axb(f9, 4, 5, int(s)) == table.value(int(s))
     assert purity_check(table, 12)
-    assert galois_invariance_check(table).passed
+    assert galois_invariance_check(table)
 
 
 def test_f81_frobenius_and_span():
@@ -212,7 +271,7 @@ def test_f81_frobenius_and_span():
     for kind, A, B in (("AxB", 4, 5), ("Atimes", None, 7)):
         table = trace_table_all(f81, kind, A=A, B=B, mode="exact")
         assert frobenius_invariance_check(table)  # T(s^9) = T(s)
-        assert galois_invariance_check(table).passed
+        assert galois_invariance_check(table)
         assert purity_check(table, 12)
 
 

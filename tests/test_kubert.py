@@ -17,12 +17,10 @@ from hypmono.kubert import (
     multiplicative_order,
     repunit_scaling_check,
     sequence_AB,
-    verify_bracket_corollaries,
     verify_brackets,
     verify_lemma_28,
     verify_lemma_3x13,
     verify_lemma_4x5,
-    verify_sharp_inequality,
 )
 
 
@@ -197,24 +195,22 @@ def test_lemma_28_small():
 
 
 def test_bracket_corollaries():
-    assert verify_bracket_corollaries("3x13", 6).passed
-    assert verify_bracket_corollaries("4x5", 4).passed
-    assert verify_bracket_corollaries("28", 4).passed
+    assert verify_brackets("3x13", 6)[0].passed
+    assert verify_brackets("4x5", 4)[0].passed
+    assert verify_brackets("28", 4)[0].passed
     with pytest.raises(ValueError):
-        verify_bracket_corollaries("3x13", 5)  # parity violation
-    with pytest.raises(ValueError):
-        verify_brackets("3x13", 5)
+        verify_brackets("3x13", 5)  # parity violation
     # the offset points x = A_r, B_r are inside the checked range
-    rep = verify_bracket_corollaries("3x13", 6)
+    rep = verify_brackets("3x13", 6)[0]
     assert rep.variants[0].checked == 2 ** 6 - 2
 
 
 def test_sharp_inequalities():
-    assert verify_sharp_inequality("3x13", 8).passed
-    assert verify_sharp_inequality("4x5", 5).passed
-    assert verify_sharp_inequality("28", 5).passed
+    assert verify_brackets("3x13", 8)[1].passed
+    assert verify_brackets("4x5", 5)[1].passed
+    assert verify_brackets("28", 5)[1].passed
     with pytest.raises(ValueError):
-        verify_sharp_inequality("3x13", 7)
+        verify_brackets("3x13", 7)
 
 
 def test_r_caps():
@@ -336,8 +332,8 @@ def _records(report):
     "scan",
     [
         lambda: verify_lemma_4x5(7),
-        lambda: verify_bracket_corollaries("3x13", 8),
-        lambda: verify_sharp_inequality("28", 6),
+        lambda: verify_brackets("3x13", 8)[0],
+        lambda: verify_brackets("28", 6)[1],
         lambda: check_criterion_AxB(2, 3, 7, 8),  # has counterexamples
     ],
     ids=["lemma-4x5", "corollary-3x13", "sharp-28", "criterion-AxB"],
@@ -422,9 +418,10 @@ def _check_scalar_route(family, p, r_max):
             continue
         sides = [_scalar_sides(family, x, r, lambda v: bracket(v, p, r))
                  for x in range(1, p ** r - 1)]
+        corollary, sharp = verify_brackets(family, r)
         for name, c, report in (
-            (f"bracket_plus{allowance}", allowance, verify_bracket_corollaries(family, r)),
-            ("sharp", 0, verify_sharp_inequality(family, r)),
+            (f"bracket_plus{allowance}", allowance, corollary),
+            ("sharp", 0, sharp),
         ):
             points = [(name, x, lhs, rhs + c)
                       for x, (lhs, rhs) in enumerate(sides, start=1)]
