@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exp_sums, hyp_params, kubert
-from .finite_field import build_field
+from .finite_field import _prime_factors, build_field
 
 
 @dataclass
@@ -30,79 +30,44 @@ class CriterionResult:
     elapsed_s: float
 
 
-@lru_cache(maxsize=None)
-def _table_cached(p, k, kind, A, B, mode):
-    field = build_field(p, k)
-    return exp_sums.trace_table_all(field, kind, A=A, B=B, mode=mode)
+def _table(family, k, mode):
+    fam = exp_sums.FAMILIES[family]
+    return exp_sums.trace_table_all(build_field(fam.p, k), fam.kind, A=fam.A, B=fam.B,
+                                    mode=mode)
 
 
-def _float_agrees(table_exact, table_float) -> float:
-    """The largest gap between the two tables if it exceeds the float
-    table's certified bound, else 0.0."""
-    gap = exp_sums.float_gap(table_exact, table_float)
-    return gap if gap > table_float.float_err else 0.0
+_table_cached = lru_cache(maxsize=None)(_table)
 
 
 # ----------------------------------------------------------------------
 
-def _c1_digit_lemma_base2(seed):
+def _digit_lemma(verify, r_base, r_ext, gated):
+    """Violations of a digit lemma over 1 <= r <= r_base and over
+    r_base < r <= r_ext; gated, the two ranges must also take under 1 s
+    and under 60 s."""
     t0 = time.perf_counter()
-    base_bad = sum(
-        not kubert.verify_lemma_3x13(r).passed for r in range(1, 15)
-    )
-    base_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ext_bad = sum(not kubert.verify_lemma_3x13(r).passed for r in range(15, 25))
-    ext_seconds = time.perf_counter() - t0
+    base_bad = sum(not verify(r).passed for r in range(1, r_base + 1))
+    t1 = time.perf_counter()
+    ext_bad = sum(not verify(r).passed for r in range(r_base + 1, r_ext + 1))
+    t2 = time.perf_counter()
     details = {
-        "r_base": 14,
+        "r_base": r_base,
         "violations_base": base_bad,
-        "r_ext": 24,
+        "r_ext": r_ext,
         "violations_ext": ext_bad,
     }
-    ok = base_bad == 0 and ext_bad == 0 and base_seconds < 1.0 and ext_seconds < 60.0
+    ok = base_bad == 0 and ext_bad == 0
+    if gated:
+        ok = ok and t1 - t0 < 1.0 and t2 - t1 < 60.0
     return ok, details
-
-
-def _c2_digit_lemma_base3(seed):
-    t0 = time.perf_counter()
-    base_bad = sum(not kubert.verify_lemma_4x5(r).passed for r in range(1, 8))
-    base_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ext_bad = sum(not kubert.verify_lemma_4x5(r).passed for r in range(8, 15))
-    ext_seconds = time.perf_counter() - t0
-    details = {
-        "r_base": 7,
-        "violations_base": base_bad,
-        "r_ext": 14,
-        "violations_ext": ext_bad,
-    }
-    ok = base_bad == 0 and ext_bad == 0 and base_seconds < 1.0 and ext_seconds < 60.0
-    return ok, details
-
-
-def _c3_digit_lemma_28(seed):
-    base_bad = sum(not kubert.verify_lemma_28(r).passed for r in range(1, 4))
-    ext_bad = sum(not kubert.verify_lemma_28(r).passed for r in range(4, 13))
-    return base_bad == 0 and ext_bad == 0, {
-        "r_base": 3,
-        "violations_base": base_bad,
-        "r_ext": 12,
-        "violations_ext": ext_bad,
-    }
 
 
 def _c4_bracket_forms(seed):
-    sharp, corollary = {}, {}
-    for family, rs in (("3x13", range(2, 21, 2)), ("4x5", range(1, 13)),
-                       ("28", range(1, 13))):
-        sharp[f"sharp-{family}"] = corollary[f"corollary-{family}"] = 0
-        for r in rs:
-            cor, sh = kubert.verify_brackets(family, r)
-            corollary[f"corollary-{family}"] += not cor.passed
-            if r >= 2:
-                sharp[f"sharp-{family}"] += not sh.passed
-    bad = {**sharp, **corollary}
+    bad = {}
+    for family, r_max in (("3x13", 20), ("4x5", 12), ("28", 12)):
+        bad[f"corollary-{family}"] = bad[f"sharp-{family}"] = 0
+        for rep in kubert.bracket_reports(family, r_max):
+            bad[rep.lemma] += not rep.passed
     return all(v == 0 for v in bad.values()), bad
 
 
@@ -182,83 +147,70 @@ def _c5_v_identities(seed):
 
 
 def _c6_criteria(seed):
-    r1 = kubert.check_criterion_AxB(2, 3, 13, 16)
-    r2 = kubert.check_criterion_AxB(3, 4, 5, 10)
-    r3 = kubert.check_criterion_Atimes(3, 2, 7, 28, 10)
-    details = {
-        "AxB_2_3_13": {"checked": r1.checked, "counterexamples": len(r1.counterexamples)},
-        "AxB_3_4_5": {"checked": r2.checked, "counterexamples": len(r2.counterexamples)},
-        "Atimes_3_28": {"checked": r3.checked, "counterexamples": len(r3.counterexamples)},
-    }
-    return r1.passed and r2.passed and r3.passed, details
+    details, ok = {}, True
+    for name, r_max in (("3x13", 16), ("4x5", 10), ("28x", 10)):
+        fam = exp_sums.FAMILIES[name]
+        if fam.kind == "AxB":
+            key = f"AxB_{fam.p}_{fam.A}_{fam.B}"
+            rep = kubert.check_criterion_AxB(fam.p, fam.A, fam.B, r_max)
+        else:
+            key = f"Atimes_{fam.p}_{fam.A}"
+            rep = kubert.check_criterion_Atimes(fam.p, *_prime_factors(fam.A), fam.A, r_max)
+        details[key] = {"checked": rep.checked, "counterexamples": len(rep.counterexamples)}
+        ok &= rep.passed
+    return ok, details
 
 
 def _c7_trace_tables(seed):
     details = {}
-    ok = True
 
-    # (a) closed form on the degree-2 base field in characteristic 2
-    f4 = build_field(2, 2)
-    t4 = _table_cached(2, 2, "AxB", 3, 13, "exact")
-    closed = all(
+    # (a) closed form on the base field of the characteristic-2 family
+    t4 = _table_cached("3x13", 2, "exact")
+    f4 = t4.field
+    ok = details["F4_closed_form"] = all(
         t4.value(s) == exp_sums.CycNumber.root_of_unity(
-            2, f4.trace_to_prime(f4.inv(s))
+            f4.p, f4.trace_to_prime(f4.inv(s))
         )
         for s in f4.units()
     )
-    details["F4_closed_form"] = closed
-    ok &= closed
 
-    # (b) exact tables in characteristic 2: rational, integral, bounded,
-    # Frobenius- and Galois-invariant; float path within 1e-9
-    for k, label in ((4, "F16"), (6, "F64")):
-        te = _table_cached(2, k, "AxB", 3, 13, "exact")
-        tf = _table_cached(2, k, "AxB", 3, 13, "float")
-        entry = {
-            "rational": exp_sums.rationality_check(te),
-            "integral": exp_sums.integrality_check(te),
-            "purity": exp_sums.purity_check(te, 24),
-            "frobenius": exp_sums.frobenius_invariance_check(te),
-            "galois": exp_sums.galois_invariance_check(te),
-            "float_gap_over_tol": _float_agrees(te, tf),
-        }
-        details[label] = entry
-        ok &= all(v is True or v == 0.0 for v in entry.values())
-
-    # (c) exact tables in characteristic 3 for both families
-    for k, label in ((2, "F9"), (4, "F81")):
-        for kind, A, B, fam in (("AxB", 4, 5, "4x5"), ("Atimes", None, 7, "28x")):
-            te = _table_cached(3, k, kind, A, B, "exact")
-            tf = _table_cached(3, k, kind, A, B, "float")
-            entry = {
-                "zeta3_span": exp_sums.galois_invariance_check(te),
+    # (b) exact tables: integral, bounded, Frobenius-invariant, float path
+    # within its certified bound; in characteristic 2 rational and Galois
+    # invariant, in characteristic 3 in the span of zeta_3
+    for name, ks in (("3x13", (4, 6)), ("4x5", (2, 4)), ("28x", (2, 4))):
+        fam = exp_sums.FAMILIES[name]
+        for k in ks:
+            te, tf = _table_cached(name, k, "exact"), _table_cached(name, k, "float")
+            checks = {
                 "integral": exp_sums.integrality_check(te),
-                "purity": exp_sums.purity_check(te, 12),
+                "purity": exp_sums.purity_check(te, fam.rank),
                 "frobenius": exp_sums.frobenius_invariance_check(te),
-                "float_gap_over_tol": _float_agrees(te, tf),
             }
-            details[f"{label}_{fam}"] = entry
-            ok &= all(v is True or v == 0.0 for v in entry.values())
+            galois = exp_sums.galois_invariance_check(te)
+            if fam.p == 2:
+                checks.update(rational=exp_sums.rationality_check(te), galois=galois)
+                label = f"F{te.field.q}"
+            else:
+                checks["zeta3_span"] = galois
+                label = f"F{te.field.q}_{name}"
+            gap = exp_sums.gap_over_tol(exp_sums.float_gap(te, tf), tf.float_err)
+            # a check passes only as True: False == 0.0 would pass as a gap
+            ok &= all(checks.values()) and gap == 0.0
+            details[label] = {**checks, "float_gap_over_tol": gap}
     return ok, details
 
 
 def _c8_moments(seed):
     details = {}
     ok = True
-    t0 = time.perf_counter()
-    tab = exp_sums.trace_table_all(build_field(2, 10), "AxB", A=3, B=13, mode="float")
-    m1 = exp_sums.moments(tab, 1)
-    seconds = time.perf_counter() - t0
-    bound = 10 / math.sqrt(1024)
-    details["3x13_q1024"] = {"M1_gap": round(abs(m1 - 1.0), 12), "bound": bound}
-    ok &= abs(m1 - 1.0) <= bound and seconds < 600
-    for kind, A, B, fam in (("AxB", 4, 5, "4x5"), ("Atimes", None, 7, "28x")):
+    for name, k in (("3x13", 10), ("4x5", 6), ("28x", 6)):
         t0 = time.perf_counter()
-        tab = exp_sums.trace_table_all(build_field(3, 6), kind, A=A, B=B, mode="float")
+        tab = _table(name, k, "float")
         m1 = exp_sums.moments(tab, 1)
         seconds = time.perf_counter() - t0
-        bound = 10 / math.sqrt(729)
-        details[f"{fam}_q729"] = {"M1_gap": round(abs(m1 - 1.0), 12), "bound": bound}
+        bound = 10 / math.sqrt(tab.field.q)
+        details[f"{name}_q{tab.field.q}"] = {"M1_gap": round(abs(m1 - 1.0), 12),
+                                              "bound": bound}
         ok &= abs(m1 - 1.0) <= bound and seconds < 600
     return ok, details
 
@@ -269,18 +221,14 @@ def _c9_classification(seed):
         "4x5": ("none", 11, 5, "C3^5 : C11"),
         "28x": ("none", 11, 5, "C3^5 : C11"),
     }
-    specs = {
-        "3x13": hyp_params.build_AxB(2, 3, 13),
-        "4x5": hyp_params.build_AxB(3, 4, 5),
-        "28x": hyp_params.build_Atimes(3, 28),
-    }
     details = {}
     ok = True
-    for name, spec in specs.items():
+    for name, (want_kind, want_n, want_f, want_group) in expected.items():
+        fam = exp_sums.FAMILIES[name]
+        spec = hyp_params.build_spec(fam.kind, fam.p, fam.A, fam.B)
         verdict = hyp_params.primitivity_verdict(spec)
-        sd, kind = hyp_params.selfdual_test(spec)
+        _, kind = hyp_params.selfdual_test(spec)
         inertia = hyp_params.inertia_model(spec)
-        want_kind, want_n, want_f, want_group = expected[name]
         f_minimal = all(
             pow(spec.p, d, inertia.N) != 1 for d in range(1, inertia.f)
         ) and pow(spec.p, inertia.f, inertia.N) == 1
@@ -309,35 +257,29 @@ def _c9_classification(seed):
 
 def _c10_cross_evaluator(seed):
     details = {}
-    ok = True
-    jobs = (
-        (2, 4, "AxB", 3, 13, "F16_3x13"),
-        (3, 2, "AxB", 4, 5, "F9_4x5"),
-        (3, 2, "Atimes", None, 7, "F9_28x"),
-    )
-    for p, k, kind, A, B, label in jobs:
-        field = build_field(p, k)
-        table = _table_cached(p, k, kind, A, B, "exact")
+    for name, k in (("3x13", 4), ("4x5", 2), ("28x", 2)):
+        fam = exp_sums.FAMILIES[name]
+        table = _table_cached(name, k, "exact")
+        field = table.field
         mismatches = 0
-        for s in field.units():
-            if kind == "AxB":
-                direct = exp_sums.trace_axb(field, A, B, int(s))
+        for s in map(int, field.units()):
+            if fam.kind == "AxB":
+                direct = exp_sums.trace_axb(field, fam.A, fam.B, s)
             else:
-                direct = exp_sums.trace_quartic(field, B, int(s))
-            if direct != table.value(int(s)):
-                mismatches += 1
-        details[label] = {"points": field.q - 1, "mismatches": mismatches}
-        ok &= mismatches == 0
-    return ok, details
+                direct = exp_sums.trace_quartic(field, fam.B, s)
+            mismatches += direct != table.value(s)
+        details[f"F{field.q}_{name}"] = {"points": field.q - 1, "mismatches": mismatches}
+    return all(d["mismatches"] == 0 for d in details.values()), details
 
 
 CRITERIA = [
+    # each lemma is looked up at call time, so a wrapper put on kubert sees it
     ("C1", "base-2 digit lemma, exhaustive r <= 14 (< 1 s) and r <= 24 (< 60 s)",
-     _c1_digit_lemma_base2),
+     lambda seed: _digit_lemma(kubert.verify_lemma_3x13, 14, 24, gated=True)),
     ("C2", "base-3 digit lemma, exhaustive r <= 7 (< 1 s) and r <= 14 (< 60 s)",
-     _c2_digit_lemma_base3),
+     lambda seed: _digit_lemma(kubert.verify_lemma_4x5, 7, 14, gated=True)),
     ("C3", "28-family digit lemma, exhaustive r <= 3 and extension r <= 12",
-     _c3_digit_lemma_28),
+     lambda seed: _digit_lemma(kubert.verify_lemma_28, 3, 12, gated=False)),
     ("C4", "bracket corollaries and sharp inequalities (even r <= 20 / r <= 12)",
      _c4_bracket_forms),
     ("C5", "V-function identity suite with exhaustive ranges and 1e5 fuzz cases",

@@ -61,28 +61,14 @@ _DEFAULT_R_MAX = {"3x13": 24, "4x5": 14, "28": 12}
 
 def cmd_verify_digit_lemma(args) -> int:
     family = args.family
-    lemma = {
-        "3x13": kubert.verify_lemma_3x13,
-        "4x5": kubert.verify_lemma_4x5,
-        "28": kubert.verify_lemma_28,
-    }[family]
+    lemma = getattr(kubert, f"verify_lemma_{family}")
     r_max = args.r_max if args.r_max is not None else _DEFAULT_R_MAX[family]
-    records = []
-    all_pass = True
-    for r in range(1, r_max + 1):
-        rep = lemma(r)
-        all_pass &= rep.passed
-        records.extend(rep.to_json_records())
-    for r in range(1, r_max + 1):
-        if kubert.LEMMAS[family].even_r_brackets and r % 2:
-            continue
-        corollary, sharp = kubert.verify_brackets(family, r)
-        for rep in (corollary, sharp) if r >= 2 else (corollary,):
-            all_pass &= rep.passed
-            records.extend(rep.to_json_records())
+    reports = [lemma(r) for r in range(1, r_max + 1)]
+    reports += kubert.bracket_reports(family, r_max)
     out = Path(args.out) / f"digit_lemma_{family}.ndjson" if args.out else None
-    _emit_records(records, out, f"digit-lemma {family}")
-    return 0 if all_pass else 1
+    _emit_records([rec for rep in reports for rec in rep.to_json_records()],
+                  out, f"digit-lemma {family}")
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def cmd_trace_table(args) -> int:
@@ -94,9 +80,8 @@ def cmd_trace_table(args) -> int:
         )
     field = _field(fam.p, k)
     modes = ["exact", "float"] if args.mode == "both" else [args.mode]
-    a_param = fam.A if fam.kind == "AxB" else None
     tables = {
-        mode: exp_sums.trace_table_all(field, fam.kind, A=a_param, B=fam.B, mode=mode)
+        mode: exp_sums.trace_table_all(field, fam.kind, A=fam.A, B=fam.B, mode=mode)
         for mode in modes
     }
     primary = tables.get("exact") or tables["float"]
@@ -111,7 +96,7 @@ def cmd_trace_table(args) -> int:
     if len(tables) == 2:
         gap = exp_sums.float_gap(tables["exact"], tables["float"])
         stats["float_gap"] = gap
-        stats["float_gap_over_tol"] = gap if gap > stats["float_err"] else 0.0
+        stats["float_gap_over_tol"] = exp_sums.gap_over_tol(gap, stats["float_err"])
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     base = f"trace_{args.family}_q{field.q}"
@@ -128,25 +113,16 @@ def cmd_trace_table(args) -> int:
 def cmd_classify(args) -> int:
     if args.family:
         fam = exp_sums.FAMILIES[args.family]
-        if fam.kind == "AxB":
-            spec = hyp_params.build_AxB(fam.p, fam.A, fam.B)
-            params = {"A": fam.A, "B": fam.B}
-        else:
-            spec = hyp_params.build_Atimes(fam.p, fam.A)
-            params = {"A": fam.A}
-        label = args.family
+        label, kind, p, A, B = args.family, fam.kind, fam.p, fam.A, fam.B
+    elif args.A is None or args.p is None:
+        print("classify: need --family or both --p and --A", file=sys.stderr)
+        return 2
     else:
-        if args.A is None or args.p is None:
-            print("classify: need --family or both --p and --A", file=sys.stderr)
-            return 2
-        if args.B is not None:
-            spec = hyp_params.build_AxB(args.p, args.A, args.B)
-            params = {"A": args.A, "B": args.B}
-            label = f"{args.A}x{args.B}"
-        else:
-            spec = hyp_params.build_Atimes(args.p, args.A)
-            params = {"A": args.A}
-            label = f"{args.A}x"
+        p, A, B = args.p, args.A, args.B
+        label, kind = (f"{A}x", "Atimes") if B is None else (f"{A}x{B}", "AxB")
+    spec = hyp_params.build_spec(kind, p, A, B)
+    # the A-times spec does not read B, so its report leaves B out
+    params = {"A": A, "B": B} if kind == "AxB" else {"A": A}
     report = hyp_params.classification_report(spec, label, params)
     if args.out:
         path = Path(args.out)
@@ -184,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("verify-digit-lemma",
                         help="exhaustive digit-sum lemma verification")
-    p1.add_argument("--family", required=True, choices=["3x13", "4x5", "28"])
+    p1.add_argument("--family", required=True, choices=list(kubert.LEMMAS))
     p1.add_argument("--r-max", type=int, default=None,
                     help="defaults per family: 3x13 -> 24, 4x5 -> 14, 28 -> 12")
     p1.add_argument("--out", default=None)
@@ -192,14 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p2 = sub.add_parser("trace-table",
                         help="build a trace table with statistics and checks")
-    p2.add_argument("--family", required=True, choices=["3x13", "4x5", "28x"])
+    p2.add_argument("--family", required=True, choices=list(exp_sums.FAMILIES))
     p2.add_argument("--field-degree", type=int, required=True)
     p2.add_argument("--mode", choices=["exact", "float", "both"], default="float")
     p2.add_argument("--out", default=None)
     p2.set_defaults(func=cmd_trace_table)
 
     p3 = sub.add_parser("classify", help="classify a parameter set")
-    p3.add_argument("--family", choices=["3x13", "4x5", "28x"], default=None)
+    p3.add_argument("--family", choices=list(exp_sums.FAMILIES), default=None)
     p3.add_argument("--p", type=int, default=None)
     p3.add_argument("--A", type=int, default=None)
     p3.add_argument("--B", type=int, default=None)

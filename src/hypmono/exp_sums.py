@@ -50,18 +50,14 @@ _DIRECT_TUPLE_CAP = 1 << 20
 
 @dataclass(frozen=True)
 class FamilyParams:
+    """The one record of a family's facts; every consumer reads them here."""
+
     name: str
     kind: str  # 'AxB' | 'Atimes'
     p: int
     A: int
     B: int
     rank: int
-
-    @property
-    def tame_order(self) -> int:
-        # order of the local monodromy at 0: lcm of the upstairs character
-        # orders (A*B for the product family, A itself for the A-times one)
-        return self.A * self.B if self.kind == "AxB" else self.A
 
     @property
     def char_order(self) -> int:
@@ -443,7 +439,7 @@ def trace_table_all(
     transform, on the exact or the float route of the module docstring.
     The exact route is capped at q = 2^10; the float route has the a-priori
     bound of `_gauss_table` as `float_err`, and only the field degree caps
-    bound it.
+    bound it.  The A-times family has A = 4B, so its A may be left out.
     """
     q, n, p = field.q, field.q - 1, field.p
     if mode not in ("exact", "float"):
@@ -456,12 +452,13 @@ def trace_table_all(
         raise ValueError("B must be given and prime to p")
     if kind == "AxB":
         exps = _char_exponents(field, "AxB", A)
-        params = {"A": A, "B": B}
     elif kind == "Atimes":
-        exps = _char_exponents(field, "Atimes", 0)
-        params = {"A": 4 * B, "B": B}
+        if A not in (None, 4 * B):  # the quartic pair times characters of order B
+            raise ValueError(f"the A-times family has A = 4B = {4 * B}, not {A}")
+        A, exps = 4 * B, _char_exponents(field, "Atimes", 0)
     else:
         raise ValueError(f"unknown family kind {kind!r}")
+    params = {"A": A, "B": B}
     nu = len(exps)
     char_order = _char_order_of(field, exps)
     m = math.lcm(p, char_order)
@@ -582,6 +579,12 @@ def float_gap(table_exact: TraceTable, table_float: TraceTable) -> float:
     exact table of the same family and field."""
     gap = table_exact.complex_values() - table_float.float_values
     return float(np.abs(gap).max())
+
+
+def gap_over_tol(gap: float, tol: float) -> float:
+    """The float gap if it exceeds the certified bound tol, else 0.0: the
+    `float_gap_over_tol` of C7 and of the `trace-table` stats."""
+    return gap if gap > tol else 0.0
 
 
 def table_stats(table: TraceTable) -> dict:

@@ -23,6 +23,7 @@ __all__ = [
     "ClassificationVerdict",
     "build_AxB",
     "build_Atimes",
+    "build_spec",
     "kummer_induction_candidates",
     "belyi_induction_match",
     "primitivity_verdict",
@@ -89,6 +90,16 @@ def build_Atimes(p: int, A: int) -> HypSpec:
         raise ValueError("need A >= 7 prime to p")
     upstairs = [u for u in range(1, A) if math.gcd(u, A) == 1]
     return HypSpec(p, A, tuple(upstairs), (0,))
+
+
+def build_spec(kind: str, p: int, A: int, B: int | None = None) -> HypSpec:
+    """The spec of a family kind: `build_AxB(p, A, B)` for 'AxB',
+    `build_Atimes(p, A)` for 'Atimes' (which does not read B)."""
+    if kind == "AxB":
+        return build_AxB(p, A, B)
+    if kind == "Atimes":
+        return build_Atimes(p, A)
+    raise ValueError(f"unknown family kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -202,47 +213,24 @@ def belyi_induction_match(spec: HypSpec) -> list[BelyiMatch]:
             r += 1
 
     # cases (b) and (c): the wild part of the covering exponent sits in
-    # one variable; d0 * (p^r - 1) = n - m fixes d0
+    # one variable; d0 * (p^r - 1) = n - m fixes d0.  Case (b) has
+    # B = d0 p^r and A = m - d0 prime to p, case (c) A and B swapped, and
+    # with them lambda and sigma, so one search serves both
     pr, r = p, 1
     while pr <= n:
-        num = n - m
-        if num % (pr - 1) == 0:
-            d0 = num // (pr - 1)
-            if d0 >= 1 and d0 % p:
-                # case (b): B = d0 p^r, A = m - d0 prime to p
-                A = m - d0
-                if A >= 1 and A % p:
-                    B = d0 * pr
-                    prods = {_mod1(n * u) for u in up}
-                    for prod in sorted(prods):
-                        if _multiset(_roots(prod, n)) != up_set:
-                            continue
-                        for lam in sorted({_mod1(A * d) for d in down}):
-                            sigma = _mod1(prod - lam)
-                            expected = _roots(lam, A) + _roots(
-                                _p_division(sigma, p, r), d0
-                            )
-                            if _multiset(expected) == down_set:
-                                matches.append(
-                                    BelyiMatch("b", A, B, r, d0, lam, sigma)
-                                )
-                # case (c): A = d0 p^r, B = m - d0 prime to p
-                B = m - d0
-                if B >= 1 and B % p:
-                    A = d0 * pr
-                    prods = {_mod1(n * u) for u in up}
-                    for prod in sorted(prods):
-                        if _multiset(_roots(prod, n)) != up_set:
-                            continue
-                        for sigma in sorted({_mod1(B * d) for d in down}):
-                            lam = _mod1(prod - sigma)
-                            expected = _roots(sigma, B) + _roots(
-                                _p_division(lam, p, r), d0
-                            )
-                            if _multiset(expected) == down_set:
-                                matches.append(
-                                    BelyiMatch("c", A, B, r, d0, lam, sigma)
-                                )
+        d0, rem = divmod(n - m, pr - 1)
+        tame = m - d0
+        if rem == 0 and d0 >= 1 and d0 % p and tame >= 1 and tame % p:
+            found = []
+            for prod in sorted({_mod1(n * u) for u in up}):
+                if _multiset(_roots(prod, n)) != up_set:
+                    continue
+                for x in sorted({_mod1(tame * d) for d in down}):
+                    y = _mod1(prod - x)
+                    if _multiset(_roots(x, tame) + _roots(_p_division(y, p, r), d0)) == down_set:
+                        found.append((x, y))
+            matches += [BelyiMatch("b", tame, d0 * pr, r, d0, x, y) for x, y in found]
+            matches += [BelyiMatch("c", d0 * pr, tame, r, d0, y, x) for x, y in found]
         pr *= p
         r += 1
     return matches
@@ -366,7 +354,7 @@ def inertia_model(spec: HypSpec) -> InertiaModel:
 
 def classification_report(spec: HypSpec, label: str, params: dict) -> dict:
     verdict = primitivity_verdict(spec)
-    sd, kind = selfdual_test(spec)
+    _, kind = selfdual_test(spec)
     inertia = inertia_model(spec)
     return {
         "family": label,
@@ -379,7 +367,7 @@ def classification_report(spec: HypSpec, label: str, params: dict) -> dict:
         "belyi": [b.to_json() for b in verdict.belyi],
         "primitivity": verdict.status,
         "tensor_indecomposable_hypotheses": verdict.tensor_indecomposable_hypotheses,
-        "selfdual": kind if sd else "none",
+        "selfdual": kind,
         "det_trivial": det_product_check(spec),
         "inertia": {
             "N": inertia.N,

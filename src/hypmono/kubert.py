@@ -603,6 +603,19 @@ def verify_brackets(family: str, r: int) -> tuple[VerificationReport, Verificati
             VerificationReport(f"sharp-{family}", p, r, [sharp], elapsed_ms))
 
 
+def bracket_reports(family: str, r_max: int) -> list[VerificationReport]:
+    """The bracket forms of a family for r <= r_max, in order of r: the
+    corollary at every r they are stated for (even r only where
+    `even_r_brackets`), and after it the sharp form from r = 2 on."""
+    reports = []
+    for r in range(1, r_max + 1):
+        if LEMMAS[family].even_r_brackets and r % 2:
+            continue
+        corollary, sharp = verify_brackets(family, r)
+        reports += [corollary, sharp] if r >= 2 else [corollary]
+    return reports
+
+
 # ----------------------------------------------------------------------
 # finite-monodromy criteria
 

@@ -40,16 +40,18 @@ def test_manifest_lists_every_criterion():
     assert man["all_passed"] is True
 
 
-def test_c8_gaps_are_rounded_exact_moments():
+def test_c7_fails_on_a_failed_check(monkeypatch):
+    # False == 0.0, so a failed check must not pass as a zero float gap
+    monkeypatch.setattr(exp_sums, "purity_check", lambda table, rank: False)
+    passed, details = acceptance._c7_trace_tables(0)
+    assert details["F16"]["purity"] is False and not passed
+
+
+@pytest.mark.parametrize("family, k", [("3x13", 10), ("4x5", 6), ("28x", 6)])
+def test_c8_gaps_are_rounded_exact_moments(family, k):
     # the float M1 must round like the exact one at the 12 decimals the
     # manifest keeps
     _, details = acceptance._c8_moments(0)
-    jobs = {
-        "3x13_q1024": (2, 10, "AxB", 3, 13),
-        "4x5_q729": (3, 6, "AxB", 4, 5),
-        "28x_q729": (3, 6, "Atimes", None, 7),
-    }
-    for label, args in jobs.items():
-        m1 = exp_sums.moments(acceptance._table_cached(*args, "exact"), 1, exact=True)
-        want = float(round(abs(m1 - 1), 12))
-        assert details[label]["M1_gap"] == want, label
+    table = acceptance._table_cached(family, k, "exact")
+    m1 = exp_sums.moments(table, 1, exact=True)
+    assert details[f"{family}_q{table.field.q}"]["M1_gap"] == float(round(abs(m1 - 1), 12))

@@ -44,6 +44,25 @@ def test_classify_family(capsys):
     assert rc == 0 and report["n"] == 12
 
 
+_D3X13 = "140511ac1394560591189b4386d52646237da990f7c9adb56636de8970674e9e"
+_D4X5 = "60dadd9f0679b36498da87aad7e3f862db0531efe39b27224e90a19db872c077"
+_D28X = "5d6f47d8ae40c77d36166449f18cf040689abf85f709f4591829b9099564226c"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--family", "3x13"], _D3X13),
+    (["--family", "4x5"], _D4X5),
+    (["--family", "28x"], _D28X),
+    (["--p", "3", "--A", "4", "--B", "5"], _D4X5),
+    (["--p", "3", "--A", "28"], _D28X),
+], ids=["3x13", "4x5", "28x", "p3-A4-B5", "p3-A28"])
+def test_classify_report_bytes(argv, digest, capsys):
+    # each report is byte-identical to the one of every earlier version, and
+    # a family's explicit parameters give the report of --family
+    assert main(["classify", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_classify_explicit_params(capsys):
     rc = main(["classify", "--p", "3", "--A", "4", "--B", "5"])
     assert rc == 0

@@ -28,6 +28,7 @@ from hypmono.exp_sums import (
     trace_table_all,
 )
 from hypmono.finite_field import build_field
+from hypmono.hyp_params import build_spec
 
 
 @pytest.fixture(scope="module")
@@ -102,17 +103,16 @@ def test_direct_equals_restructured_f16(f16, table_f16):
         assert trace_axb(f16, 3, 13, int(s)) == table_f16.value(int(s))
 
 
-@pytest.mark.parametrize("p, k, kind, A, B", [
-    (2, 6, "AxB", 3, 13), (3, 4, "Atimes", None, 7),
-])
-def test_direct_equals_exact_table_at_every_point(p, k, kind, A, B):
-    field = build_field(p, k)
-    table = trace_table_all(field, kind, A=A, B=B, mode="exact")
+@pytest.mark.parametrize("family, k", [("3x13", 6), ("28x", 4)])
+def test_direct_equals_exact_table_at_every_point(family, k):
+    fam = FAMILIES[family]
+    field = build_field(fam.p, k)
+    table = trace_table_all(field, fam.kind, A=fam.A, B=fam.B, mode="exact")
     for s in field.units():
-        if kind == "AxB":
-            direct = trace_axb(field, A, B, int(s))
+        if fam.kind == "AxB":
+            direct = trace_axb(field, fam.A, fam.B, int(s))
         else:
-            direct = trace_quartic(field, B, int(s))
+            direct = trace_quartic(field, fam.B, int(s))
         assert direct == table.value(int(s))
 
 
@@ -179,11 +179,12 @@ def test_galois_refuses_a_value_an_admissible_map_moves(table_f9):
 
 @pytest.mark.parametrize("p, k, family", [(2, 4, "3x13"), (3, 4, "4x5"), (3, 4, "28x")])
 def test_exact_table_api_read_by_the_benchmark(p, k, family):
-    # perfbench reads these fields and exact_values[i].to_complex()
+    # perfbench reads these fields and exact_values[i].to_complex(), and
+    # leaves A out for the A-times family
     fam = FAMILIES[family]
     A = fam.A if fam.kind == "AxB" else None
     t = trace_table_all(build_field(p, k), fam.kind, A=A, B=fam.B, mode="exact")
-    params = {"A": fam.A, "B": fam.B} if fam.kind == "AxB" else {"A": 4 * fam.B, "B": fam.B}
+    params = {"A": fam.A, "B": fam.B}
     assert (t.family, t.params, t.mode, t.float_err) == (fam.kind, params, "exact", 0.0)
     values = t.complex_values()
     assert len(t.exact_values) == len(values) == p ** k - 1
@@ -288,6 +289,8 @@ def test_trace_preconditions(f4, f9, f16):
         trace_quartic(f9, 3, 1)  # B divisible by p
     with pytest.raises(ValueError):
         trace_table_all(f16, "AxB", A=None, B=13)
+    with pytest.raises(ValueError):
+        trace_table_all(f9, "Atimes", A=20, B=7)  # the A-times family has A = 4B
 
 
 def test_points_out_of_range_are_refused(f9):
@@ -369,10 +372,12 @@ def test_float_csv_reads_back_with_float(tmp_path, f16):
 def test_family_registry():
     fam = FAMILIES["3x13"]
     assert (fam.p, fam.A, fam.B, fam.rank) == (2, 3, 13, 24)
-    assert fam.base_degree == 2 and fam.tame_order == 39
-    fam28 = FAMILIES["28x"]
-    assert fam28.tame_order == 28 and fam28.base_degree == 2
+    assert fam.base_degree == 2 and FAMILIES["28x"].base_degree == 2
     assert FAMILIES["4x5"].rank == 12
+    # the spec's M is the order of the local monodromy at 0, its n the rank
+    specs = {name: build_spec(f.kind, f.p, f.A, f.B) for name, f in FAMILIES.items()}
+    assert {name: spec.M for name, spec in specs.items()} == {"3x13": 39, "4x5": 20, "28x": 28}
+    assert all(spec.n == FAMILIES[name].rank for name, spec in specs.items())
 
 
 def test_f256_float_table_bounded_and_real():

@@ -8,6 +8,7 @@ from hypmono.errors import CapExceededError
 from hypmono.kubert import (
     QmodZ,
     bracket,
+    bracket_reports,
     bracket_vec,
     check_criterion_Atimes,
     check_criterion_AxB,
@@ -211,6 +212,15 @@ def test_sharp_inequalities():
     assert verify_brackets("28", 5)[1].passed
     with pytest.raises(ValueError):
         verify_brackets("3x13", 7)
+
+
+def test_bracket_reports_keep_the_stated_r():
+    # the 3x13 forms at even r only, the sharp form from r = 2 on
+    got = {f: [(rep.lemma.split("-")[0], rep.r) for rep in bracket_reports(f, 4)]
+           for f in ("3x13", "28")}
+    assert got["3x13"] == [("corollary", 2), ("sharp", 2), ("corollary", 4), ("sharp", 4)]
+    assert got["28"] == [("corollary", 1)] + [(form, r) for r in (2, 3, 4)
+                                              for form in ("corollary", "sharp")]
 
 
 def test_r_caps():
