@@ -41,10 +41,13 @@ _table_cached = lru_cache(maxsize=None)(_table)
 
 # ----------------------------------------------------------------------
 
-def _digit_lemma(verify, r_base, r_ext, gated):
-    """Violations of a digit lemma over 1 <= r <= r_base and over
-    r_base < r <= r_ext; gated, the two ranges must also take under 1 s
-    and under 60 s."""
+def _digit_lemma(family, r_base, gated):
+    """Violations of a family's digit lemma over 1 <= r <= r_base and over
+    r_base < r <= its r_ext; gated, the two ranges must also take under
+    1 s and under 60 s."""
+    # looked up at call time, so a wrapper put on kubert sees it
+    verify = getattr(kubert, f"verify_lemma_{family}")
+    r_ext = kubert.LEMMAS[family].r_ext
     t0 = time.perf_counter()
     base_bad = sum(not verify(r).passed for r in range(1, r_base + 1))
     t1 = time.perf_counter()
@@ -216,42 +219,28 @@ def _c8_moments(seed):
 
 
 def _c9_classification(seed):
+    # the facts are read from the report `hypmono classify` prints
     expected = {
         "3x13": ("orthogonal", 23, 11, "C2^11 : C23"),
         "4x5": ("none", 11, 5, "C3^5 : C11"),
         "28x": ("none", 11, 5, "C3^5 : C11"),
     }
-    details = {}
-    ok = True
-    for name, (want_kind, want_n, want_f, want_group) in expected.items():
+    details, ok = {}, True
+    for name, want in expected.items():
         fam = exp_sums.FAMILIES[name]
         spec = hyp_params.build_spec(fam.kind, fam.p, fam.A, fam.B)
-        verdict = hyp_params.primitivity_verdict(spec)
-        _, kind = hyp_params.selfdual_test(spec)
-        inertia = hyp_params.inertia_model(spec)
-        f_minimal = all(
-            pow(spec.p, d, inertia.N) != 1 for d in range(1, inertia.f)
-        ) and pow(spec.p, inertia.f, inertia.N) == 1
-        entry = {
-            "primitivity": verdict.status,
-            "selfdual": kind,
-            "det_trivial": hyp_params.det_product_check(spec),
-            "inertia_N": inertia.N,
-            "inertia_f": inertia.f,
-            "group": inertia.group,
-            "f_minimal": f_minimal,
-            "product_hypothesis": inertia.hypothesis_met,
+        report = hyp_params.classification_report(spec, name, {})
+        inertia = report["inertia"]
+        N, f = inertia["N"], inertia["f"]
+        f_minimal = all(pow(spec.p, d, N) != 1 for d in range(1, f)) and pow(spec.p, f, N) == 1
+        details[name] = {
+            "primitivity": report["primitivity"], "selfdual": report["selfdual"],
+            "det_trivial": report["det_trivial"], "inertia_N": N, "inertia_f": f,
+            "group": inertia["group"], "f_minimal": f_minimal,
+            "product_hypothesis": inertia["hypothesis_met"],
         }
-        details[name] = entry
-        ok &= (
-            verdict.status == "NOT_INDUCED"
-            and entry["selfdual"] == want_kind
-            and entry["det_trivial"]
-            and inertia.N == want_n
-            and inertia.f == want_f
-            and inertia.group == want_group
-            and f_minimal
-        )
+        ok &= (report["primitivity"] == "NOT_INDUCED" and report["det_trivial"] and f_minimal
+               and (report["selfdual"], N, f, inertia["group"]) == want)
     return ok, details
 
 
@@ -273,13 +262,12 @@ def _c10_cross_evaluator(seed):
 
 
 CRITERIA = [
-    # each lemma is looked up at call time, so a wrapper put on kubert sees it
     ("C1", "base-2 digit lemma, exhaustive r <= 14 (< 1 s) and r <= 24 (< 60 s)",
-     lambda seed: _digit_lemma(kubert.verify_lemma_3x13, 14, 24, gated=True)),
+     lambda seed: _digit_lemma("3x13", 14, gated=True)),
     ("C2", "base-3 digit lemma, exhaustive r <= 7 (< 1 s) and r <= 14 (< 60 s)",
-     lambda seed: _digit_lemma(kubert.verify_lemma_4x5, 7, 14, gated=True)),
+     lambda seed: _digit_lemma("4x5", 7, gated=True)),
     ("C3", "28-family digit lemma, exhaustive r <= 3 and extension r <= 12",
-     lambda seed: _digit_lemma(kubert.verify_lemma_28, 3, 12, gated=False)),
+     lambda seed: _digit_lemma("28", 3, gated=False)),
     ("C4", "bracket corollaries and sharp inequalities (even r <= 20 / r <= 12)",
      _c4_bracket_forms),
     ("C5", "V-function identity suite with exhaustive ranges and 1e5 fuzz cases",

@@ -54,15 +54,10 @@ def _emit_records(records, out_path, label):
         print(f"{label}: wrote {out_path}")
 
 
-# defaults deliberately exceed the smallest exhaustive ranges the proofs
-# need, to strengthen the numerical evidence
-_DEFAULT_R_MAX = {"3x13": 24, "4x5": 14, "28": 12}
-
-
 def cmd_verify_digit_lemma(args) -> int:
     family = args.family
     lemma = getattr(kubert, f"verify_lemma_{family}")
-    r_max = args.r_max if args.r_max is not None else _DEFAULT_R_MAX[family]
+    r_max = args.r_max if args.r_max is not None else kubert.LEMMAS[family].r_ext
     reports = [lemma(r) for r in range(1, r_max + 1)]
     reports += kubert.bracket_reports(family, r_max)
     out = Path(args.out) / f"digit_lemma_{family}.ndjson" if args.out else None
@@ -162,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exhaustive digit-sum lemma verification")
     p1.add_argument("--family", required=True, choices=list(kubert.LEMMAS))
     p1.add_argument("--r-max", type=int, default=None,
-                    help="defaults per family: 3x13 -> 24, 4x5 -> 14, 28 -> 12")
+                    help="defaults per family: " + ", ".join(
+                        f"{name} -> {lemma.r_ext}" for name, lemma in kubert.LEMMAS.items()))
     p1.add_argument("--out", default=None)
     p1.set_defaults(func=cmd_verify_digit_lemma)
 

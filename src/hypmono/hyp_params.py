@@ -107,30 +107,14 @@ def build_spec(kind: str, p: int, A: int, B: int | None = None) -> HypSpec:
 
 def kummer_induction_candidates(spec: HypSpec) -> list[int]:
     """Degrees N >= 2 prime to p with N | n, N | m and both residue
-    multisets stable under every character of order dividing N."""
-    out = []
+    multisets stable under the shift by 1/N, which generates the shifts
+    by every character of order dividing N."""
     n, m = spec.n, spec.m
     limit = n if m == 0 else math.gcd(n, m)
-    for N in range(2, limit + 1):
-        if limit % N or N % spec.p == 0:
-            continue
-        M2 = spec.M * N // math.gcd(spec.M, N)
-        scale = M2 // spec.M
-        up = sorted(r * scale % M2 for r in spec.upstairs)
-        down = sorted(r * scale % M2 for r in spec.downstairs)
-        step = M2 // N
-        stable = True
-        for j in range(1, N):
-            shift = j * step
-            if sorted((r + shift) % M2 for r in up) != up:
-                stable = False
-                break
-            if sorted((r + shift) % M2 for r in down) != down:
-                stable = False
-                break
-        if stable:
-            out.append(N)
-    return out
+    degrees = [N for N in range(2, limit + 1) if limit % N == 0 and N % spec.p]
+    sides = [sorted(side) for side in spec.as_fractions()] if degrees else []
+    return [N for N in degrees
+            if all(sorted(_mod1(x + Fraction(1, N)) for x in side) == side for side in sides)]
 
 
 # ----------------------------------------------------------------------
@@ -239,18 +223,13 @@ def belyi_induction_match(spec: HypSpec) -> list[BelyiMatch]:
 # ----------------------------------------------------------------------
 # verdicts
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n > 1 and n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _is_even_p_power(n: int, p: int) -> bool:
+def _p_exponent(n: int, p: int) -> int | None:
+    """e with n = p^e, or None when n is not a power of p."""
     e = 0
     while n > 1 and n % p == 0:
         n //= p
         e += 1
-    return n == 1 and e >= 2 and e % 2 == 0
+    return e if n == 1 else None
 
 
 @dataclass
@@ -258,60 +237,35 @@ class ClassificationVerdict:
     status: str  # 'NOT_INDUCED' | 'INCONCLUSIVE'
     kummer: list[int] = field(default_factory=list)
     belyi: list[BelyiMatch] = field(default_factory=list)
-    reasons: list[str] = field(default_factory=list)
     tensor_indecomposable_hypotheses: bool = False
 
 
 def primitivity_verdict(spec: HypSpec) -> ClassificationVerdict:
-    """NOT_INDUCED when the rank corollaries apply and both pushforward
-    searches come back empty; INCONCLUSIVE (with candidates) otherwise."""
+    """NOT_INDUCED when a rank corollary applies and both pushforward
+    searches come back empty; INCONCLUSIVE (with candidates) otherwise.
+    A pushforward of type (n, 1) forces n to be a power of p, and with
+    m > 1 tame characters no pushforward shape has a p-power rank."""
     kummer = kummer_induction_candidates(spec)
     belyi = belyi_induction_match(spec)
-    n, m, p = spec.n, spec.m, spec.p
-    reasons = []
-    tensor_hyp = (n != 4 and not _is_even_p_power(n, p)) or (
-        _is_even_p_power(n, p) and m > 1
-    )
-    corollary = False
-    if m == 1 and n >= 2 and not _is_p_power(n, p):
-        corollary = True
-        reasons.append(
-            f"type ({n},1) with rank not a power of {p}: any pushforward "
-            f"structure would force a {p}-power rank"
-        )
-    elif m > 1 and _is_p_power(n, p):
-        corollary = True
-        reasons.append(
-            f"rank {n} is a power of {p} with {m} > 1 tame characters, "
-            "which no pushforward shape allows"
-        )
-    if corollary and not kummer and not belyi:
-        status = "NOT_INDUCED"
-    else:
-        status = "INCONCLUSIVE"
-        if kummer or belyi:
-            reasons.append("structural pushforward candidates found")
-        else:
-            reasons.append("no candidates found, but no rank corollary applies")
-    return ClassificationVerdict(status, kummer, belyi, reasons, tensor_hyp)
+    n, m = spec.n, spec.m
+    e = _p_exponent(n, spec.p)
+    even_power = e is not None and e >= 2 and e % 2 == 0
+    tensor_hyp = (n != 4 and not even_power) or (even_power and m > 1)
+    corollary = (m == 1 and n >= 2 and e is None) or (m > 1 and e is not None)
+    status = "NOT_INDUCED" if corollary and not kummer and not belyi else "INCONCLUSIVE"
+    return ClassificationVerdict(status, kummer, belyi, tensor_hyp)
 
 
-def selfdual_test(spec: HypSpec) -> tuple[bool, str]:
-    """(is_selfdual, kind) for the families covered here: requires both
-    multisets stable under inversion; with a single trivial downstairs
-    character and even rank the duality exists precisely in
-    characteristic 2, where it is orthogonal."""
-    up = sorted(spec.upstairs)
-    down = sorted(spec.downstairs)
-    neg_stable = (
-        sorted((-r) % spec.M for r in up) == up
-        and sorted((-r) % spec.M for r in down) == down
+def selfdual_test(spec: HypSpec) -> str:
+    """The self-duality kind, 'orthogonal' or 'none', for the families
+    covered here: both multisets must be stable under inversion; with a
+    single trivial downstairs character and even rank the duality exists
+    precisely in characteristic 2, where it is orthogonal."""
+    neg_stable = all(
+        sorted((-r) % spec.M for r in side) == list(side)
+        for side in (spec.upstairs, spec.downstairs)
     )
-    if not neg_stable:
-        return False, "none"
-    if spec.p == 2:
-        return True, "orthogonal"
-    return False, "none"
+    return "orthogonal" if neg_stable and spec.p == 2 else "none"
 
 
 def det_product_check(spec: HypSpec) -> bool:
@@ -321,10 +275,8 @@ def det_product_check(spec: HypSpec) -> bool:
 
 @dataclass(frozen=True)
 class InertiaModel:
-    p: int
     N: int
     f: int
-    tame: tuple[int, ...]
     group: str
     product_case: str  # 'trivial' | 'quadratic' | 'other'
     hypothesis_met: bool
@@ -347,14 +299,12 @@ def inertia_model(spec: HypSpec) -> InertiaModel:
     else:
         case = "other"
     hypothesis = case == ("trivial" if N % 2 else "quadratic")
-    return InertiaModel(
-        p, N, f, spec.downstairs, f"C{p}^{f} : C{N}", case, hypothesis
-    )
+    return InertiaModel(N, f, f"C{p}^{f} : C{N}", case, hypothesis)
 
 
 def classification_report(spec: HypSpec, label: str, params: dict) -> dict:
+    """The report `hypmono classify` prints; C9 checks its facts."""
     verdict = primitivity_verdict(spec)
-    _, kind = selfdual_test(spec)
     inertia = inertia_model(spec)
     return {
         "family": label,
@@ -367,7 +317,7 @@ def classification_report(spec: HypSpec, label: str, params: dict) -> dict:
         "belyi": [b.to_json() for b in verdict.belyi],
         "primitivity": verdict.status,
         "tensor_indecomposable_hypotheses": verdict.tensor_indecomposable_hypotheses,
-        "selfdual": kind,
+        "selfdual": selfdual_test(spec),
         "det_trivial": det_product_check(spec),
         "inertia": {
             "N": inertia.N,

@@ -15,7 +15,8 @@ and the criteria.  x = h*P + l has the slack of its l plus that of its
 row h and carry class (27 for 3x13, 16 for 4x5, 15 for 28), so the
 histograms are exact counts per class and row.  Mod p^r - 1 the carry
 out of the top re-enters at the bottom, and only the few rows where it
-could wrap are scanned x by x, so a scan takes time about sqrt(p^r).
+could wrap are scanned x by x, so a scan takes time about sqrt(p^r).  In
+both modes the rows of a form with |c| > 255 are scanned x by x too.
 
 Both sides' digit-sum totals are bounded from the forms before a scan, and
 a form whose values could leave int64 or int16 raises CapExceededError.
@@ -35,7 +36,7 @@ from .errors import CapExceededError
 from .finite_field import _prime_factors
 
 # the most low values P of a row, and the most x per block scanned x by x
-# (a block's int16 slacks fit in L2); mod p^r - 1, p^r <= _CHUNK is one row
+# (a block's int16 slacks fit in L2)
 _CHUNK = 1 << 16
 _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped)
 _CARRY_CAP = 255  # most |c| the carry classes take: they stay few and c*l + u fits int32
@@ -291,7 +292,9 @@ class Lemma:
     Forms are (c, o) with o an offset name: "" is 0, "A" and "B" are A_r
     and B_r (see `offsets`).  The lemma reads [.] as the digit sum of x in
     [0, p^r); the bracket corollary and the sharp form read it mod p^r - 1
-    over 0 < x < p^r - 1, with `bracket_allowance` and 0.
+    over 0 < x < p^r - 1, with `bracket_allowance` and 0.  `r_ext` is the
+    exhaustive range r <= r_ext of C1-C3 and of `verify-digit-lemma` by
+    default, beyond the smallest range the proofs need.
     """
 
     p: int
@@ -299,6 +302,7 @@ class Lemma:
     rhs: tuple
     variants: tuple
     bracket_allowance: int
+    r_ext: int
     even_r_brackets: bool = False  # A_r, B_r are thirds of 2^r - 1 only for even r
 
     def offsets(self, r: int) -> dict[str, int]:
@@ -324,7 +328,7 @@ LEMMAS = {
             Variant("plus0", 0, lead=4, min_r=4, allowed=frozenset({0b1010})),
             Variant("plus1", 1, lead=2, allowed=frozenset({0})),
         ),
-        bracket_allowance=5, even_r_brackets=True,
+        bracket_allowance=5, r_ext=24, even_r_brackets=True,
     ),
     "4x5": Lemma(
         3, ((5, "A"), (10, "A")), ((1, ""), (1, "A"), (2, "A")),
@@ -333,11 +337,11 @@ LEMMAS = {
             Variant("plus0", 0, lead=2, min_r=2,  # away from 10, 11, 21
                     allowed=frozenset(range(9)) - {3, 4, 7}),
         ),
-        bracket_allowance=6,
+        bracket_allowance=6, r_ext=14,
     ),
     "28": Lemma(
         3, ((14, "A"),), ((1, ""), (2, "A")), (Variant("plus1", 1),),
-        bracket_allowance=3,
+        bracket_allowance=3, r_ext=12,
     ),
 }
 
@@ -388,8 +392,9 @@ def _form_sum(xs: np.ndarray, forms, p: int, n: int | None) -> np.ndarray:
 
 
 def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, bins: int):
-    """(pieces (lowest slack, slack counts), arrays of violating x) per
-    variant: over [0, p^r), or over [1, n) with every form reduced mod n.
+    """(slack counts, arrays of violating x) per variant, with bin i
+    counting slack i - off: over [0, p^r), or over [1, n) with every
+    form reduced mod n.
 
     With x = h*P + l (P a power of p dividing every p^(r - lead), so each
     scope is whole rows), a form's row value c*h*P + o (mod n) is
@@ -403,18 +408,16 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
     H.T @ C, with H[k] the histogram of const and C[k] that of D over a
     variant's rows, count its slacks, and only the cells (h, k) whose
     least slack breaks the allowance are expanded to their x.  Mod n the
-    rows where hi + q could leave [0, G - 2], those of x = 0 and x = n,
-    and all rows of a form with |c| > _CARRY_CAP are scanned x by x, in
-    blocks of at most _CHUNK x: about sum(|c| + 2) rows of P near
-    p^(r/2)."""
+    rows where hi + q could leave [0, G - 2] and those of x = 0 and x = n
+    are scanned x by x, in blocks of at most _CHUNK x: about
+    sum(|c| + 2) rows of P near p^(r/2).  With or without n, so are all
+    rows of a form with |c| > _CARRY_CAP.  Both paths add into one
+    histogram per variant."""
     lead = max((v.lead for v in variants), default=0)
-    if n is not None and p ** r <= _CHUNK:
-        P = p ** r  # one row, scanned x by x
-    else:
-        cap = min(_CHUNK, p ** max(r - lead, 0), _CHUNK if n is None else p ** -(-r // 2))
-        P = 1
-        while P * p <= cap:
-            P *= p
+    cap = min(_CHUNK, p ** max(r - lead, 0), _CHUNK if n is None else p ** -(-r // 2))
+    P = 1
+    while P * p <= cap:
+        P *= p
     G = p ** r // P
     forms = np.array([*rhs, *lhs], dtype=np.int64).reshape(-1, 2)
     sign = [1] * len(rhs) + [-1] * len(lhs)
@@ -423,17 +426,15 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
     if n is None:
         if (forms < 0).any():
             raise ValueError("the split kernel needs forms c*x + o with c, o >= 0")
-        if (c > _CARRY_CAP).any():
-            raise CapExceededError(f"a form has carries above {_CARRY_CAP}")
         hi, u = np.divmod(top, P)
         edge = np.zeros(G, dtype=bool)
     else:
         hi, u = np.divmod(top % n, P)
-        # the rows scanned x by x
-        edge = ((hi + np.minimum(c, 0) < 0) | (hi + np.maximum(c, 0) >= G - 1)
-                | (np.abs(c) > _CARRY_CAP)).any(axis=0)
+        # the rows where the carry could wrap
+        edge = ((hi + np.minimum(c, 0) < 0) | (hi + np.maximum(c, 0) >= G - 1)).any(axis=0)
         edge[[0, -1]] = True
-    pieces = [[] for _ in variants]
+    edge |= bool((np.abs(c) > _CARRY_CAP).any())  # the rows scanned x by x
+    hists = [np.zeros(bins, dtype=np.int64) for _ in variants]
     found = [[] for _ in variants]
 
     inner = np.flatnonzero(~edge)
@@ -473,7 +474,7 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
         nd = int(D.max()) - dmin + 1
         key = cell_cls * nd + D - dmin
         least = D + kmin[cell_cls]  # the least slack of each cell
-        for v, piece, xs in zip(variants, pieces, found):
+        for v, hist, xs in zip(variants, hists, found):
             rows = np.zeros(G, dtype=bool)
             for a, b in v.ranges(p, r):
                 rows[a // P:b // P] = True
@@ -483,28 +484,30 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
             sums = np.zeros((nc, nc + nd), dtype=np.int64)
             sums[:, :nd] = H.T @ C
             got = sums.ravel()[:nc * (nc + nd - 1)].reshape(nc, -1).sum(axis=0)
-            piece.append((cmin + dmin, got))
+            lo = cmin + dmin + off  # the bin of got[0]
+            keep = got[max(-lo, 0):max(bins - lo, 0)]
+            if keep.sum() != got.sum():
+                raise AssertionError("a class count falls outside the slack bounds")
+            hist[max(lo, 0):max(lo, 0) + keep.size] += keep
             for cell in np.flatnonzero(sel & (least < -v.allowance)):
                 k = cell_cls[cell]
                 xs.append(cell_row[cell] * P + starts[k] % P
                           + np.flatnonzero(const[starts[k]:ends[k]] < -v.allowance - D[cell]))
 
     rows = np.flatnonzero(edge)
-    if rows.size:
-        counts = [np.zeros(bins, dtype=np.int64) for _ in variants]
-        step = max(_CHUNK // P, 1)
-        for i in range(0, rows.size, step):
-            xs = (rows[i:i + step, None] * P + np.arange(P)).ravel()
-            slack = _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
-            for v, got, bad in zip(variants, counts, found):
-                for a, b in v.ranges(p, r):
-                    part = slice(*np.searchsorted(xs, (max(a, 1), min(b, n))))  # 0 < x < n
-                    got += np.bincount(slack[part] + off, minlength=bins)
-                    if got[:max(off - v.allowance, 0)].any():
-                        bad.append(xs[part][slack[part] < -v.allowance])
-        for piece, got in zip(pieces, counts):
-            piece.append((-off, got))
-    return list(zip(pieces, found))
+    first, last = (0, p ** r) if n is None else (1, n)  # mod n, 0 < x < n
+    step = max(_CHUNK // P, 1)
+    for i in range(0, rows.size, step):
+        xs = (rows[i:i + step, None] * P + np.arange(P)).ravel()
+        slack = _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
+        for v, hist, bad in zip(variants, hists, found):
+            for a, b in v.ranges(p, r):
+                part = slice(*np.searchsorted(xs, (max(a, first), min(b, last))))
+                got = np.bincount(slack[part] + off, minlength=bins)
+                hist += got
+                if got[:max(off - v.allowance, 0)].any():
+                    bad.append(xs[part][slack[part] < -v.allowance])
+    return list(zip(hists, found))
 
 
 def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
@@ -514,10 +517,9 @@ def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
     [1, n) with every c*x + o reduced mod n.  Both count per carry class."""
     off, bins = _slack_range(p, r, lhs, rhs, n)
     reports = []
-    for v, (pieces, xs) in zip(variants, _class_counts(p, r, lhs, rhs, variants, n, off, bins)):
+    for v, (counts, xs) in zip(variants, _class_counts(p, r, lhs, rhs, variants, n, off, bins)):
         hist = np.zeros(_SLACK_CAP + 2, dtype=np.int64)
-        for lo, got in pieces:
-            np.add.at(hist, np.clip(np.arange(got.size) + lo + v.allowance, -1, _SLACK_CAP) + 1, got)
+        np.add.at(hist, np.clip(np.arange(bins) - off + v.allowance, -1, _SLACK_CAP) + 1, counts)
         cx = []
         if xs:
             xs = np.sort(np.concatenate(xs))

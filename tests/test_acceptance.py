@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hypmono import acceptance, exp_sums
+from hypmono import acceptance, exp_sums, kubert
 
 
 @pytest.mark.parametrize(
@@ -38,6 +38,13 @@ def test_manifest_lists_every_criterion():
     man = acceptance.manifest(results)
     assert [c["id"] for c in man["criteria"]] == [c[0] for c in acceptance.CRITERIA]
     assert man["all_passed"] is True
+
+
+@pytest.mark.parametrize("cid,family", [("C1", "3x13"), ("C2", "4x5"), ("C3", "28")])
+def test_digit_lemma_descriptions_state_r_ext(cid, family):
+    # the descriptions are manifest bytes, so they spell the range out
+    desc = next(d for c, d, _ in acceptance.CRITERIA if c == cid)
+    assert f"r <= {kubert.LEMMAS[family].r_ext}" in desc
 
 
 def test_c7_fails_on_a_failed_check(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,58 @@ def test_kummer_detects_synthetic_stability():
     assert kummer_induction_candidates(spec4) == [2, 4]
 
 
+def _kummer_by_lifting(spec):
+    """The candidates by definition: lift both multisets to the lcm(M, N)
+    lattice and test the shift by every j/N, 0 < j < N."""
+    limit = spec.n if spec.m == 0 else math.gcd(spec.n, spec.m)
+    out = []
+    for N in range(2, limit + 1):
+        if limit % N or N % spec.p == 0:
+            continue
+        L = math.lcm(spec.M, N)
+        sides = [sorted(r * (L // spec.M) for r in side)
+                 for side in (spec.upstairs, spec.downstairs)]
+        if all(sorted((r + j * (L // N)) % L for r in side) == side
+               for side in sides for j in range(1, N)):
+            out.append(N)
+    return out
+
+
+def _random_specs(seed, count):
+    """Random specs, half of them unions of cosets of the shifts by 1/d
+    for a random d | M, upstairs cosets sometimes repeated."""
+    rng = random.Random(seed)
+    while count:
+        p = rng.choice([2, 3, 5, 7])
+        M = rng.choice([m for m in range(2, 41) if m % p])
+        if rng.random() < 0.5:
+            d = rng.choice([d for d in range(1, M + 1) if M % d == 0])
+            step = M // d
+            cosets = [[(s + j * step) % M for j in range(d)]
+                      for s in rng.sample(range(step), min(step, rng.randint(1, 4)))]
+            k = rng.randint(1, len(cosets))
+            up, down = sum(cosets[:k], []) * rng.choice([1, 1, 2]), sum(cosets[k:], [])
+        else:
+            up = rng.sample(range(M), rng.randint(1, M))
+            down = rng.sample(sorted(set(range(M)) - set(up)), rng.randint(0, M - len(up)))
+        try:
+            spec = HypSpec(p, M, tuple(up), tuple(down))
+        except ValueError:
+            continue
+        count -= 1
+        yield spec
+
+
+def test_kummer_matches_the_lifted_definition():
+    # one shift by 1/N generates the shifts by every j/N; a spec stable
+    # under 2/N alone (N even) is no candidate
+    specs = list(_random_specs(1919, 1500))
+    want = [_kummer_by_lifting(spec) for spec in specs]
+    assert [kummer_induction_candidates(spec) for spec in specs] == want
+    assert sum(map(bool, want)) * 3 >= len(specs)
+    assert any(N % 2 == 0 for got in want for N in got)
+
+
 def test_belyi_empty_for_main_families():
     assert belyi_induction_match(build_AxB(2, 3, 13)) == []
     assert belyi_induction_match(build_AxB(3, 4, 5)) == []
@@ -104,16 +158,16 @@ def test_primitivity_not_induced():
 
 
 def test_selfdual():
-    assert selfdual_test(build_AxB(2, 3, 13)) == (True, "orthogonal")
-    assert selfdual_test(build_AxB(3, 4, 5)) == (False, "none")
-    assert selfdual_test(build_Atimes(3, 28)) == (False, "none")
+    assert selfdual_test(build_AxB(2, 3, 13)) == "orthogonal"
+    assert selfdual_test(build_AxB(3, 4, 5)) == "none"
+    assert selfdual_test(build_Atimes(3, 28)) == "none"
     # negation stability holds for both families
     for spec in (build_AxB(2, 3, 13), build_AxB(3, 4, 5)):
         up = list(spec.upstairs)
         assert sorted((-r) % spec.M for r in up) == up
     # a non-symmetric multiset is never self-dual
     lopsided = HypSpec(2, 7, (1, 2, 4), ())
-    assert selfdual_test(lopsided) == (False, "none")
+    assert selfdual_test(lopsided) == "none"
 
 
 def test_det_product():

@@ -618,7 +618,8 @@ def test_class_counts_match_a_per_x_reference(monkeypatch, chunk):
     # random forms (c = 0 and repeated forms included), leading-digit scopes
     # up to lead = r + 1 and lowered allowances, so counterexamples show;
     # mod n = p^r - 1 also c = -1 and other negative c, c sharing a factor
-    # with n so the zero representative is hit, c above 255, offsets below n
+    # with n so the zero representative is hit, c above 255, offsets below n;
+    # without n also c above 255, whose rows are scanned x by x
     import hypmono.kubert as kb
 
     if chunk:
@@ -629,8 +630,13 @@ def test_class_counts_match_a_per_x_reference(monkeypatch, chunk):
               (3, 4, [(1, o) for o in range(70)], [(2, 40)] * 3,
                [kb.Variant("many", 200), kb.Variant("top", 190, lead=1, allowed=frozenset({2}))],
                None)]
+    for i, (p, r, lhs, rhs, variants, _) in enumerate(_random_scans(1515, 24)):
+        c = (13, 256, 300, 1000)[i % 4]
+        cases.append((p, r, [*lhs, (c, i)], [(c, 2 * i), *rhs], variants, None))
+    # c*l passes int32 at P = 3^10 unless the rows are scanned x by x
+    cases.append((3, 11, [(40000, 5)], [(1, 0), (2, 1)], [kb.Variant("wide", 8)], None))
     mod_cases = list(_random_scans(1616, 80, mod=True))
-    # past p^r = _CHUNK only the rows that could wrap are scanned x by x
+    # with rows of P near p^(r/2), only the rows that could wrap are scanned x by x
     for family, r in (("3x13", 18), ("4x5", 11)):
         lemma = kb.LEMMAS[family]
         variants = [kb.Variant("minus1", -1),
@@ -649,8 +655,7 @@ def test_class_counts_match_a_per_x_reference(monkeypatch, chunk):
     ([(2 ** 60, 0)], 2 ** 8 - 1, 8),
     ([(2 ** 40000, 0)], None, 8),
     ([(1, 0)] * 1200, None, 30),        # 1200 * 30 digits leave int16
-    ([(300, 0)], None, 8),              # carries above 255
-], ids=["int64", "int64-mod", "huge", "int16", "carry"])
+], ids=["int64", "int64-mod", "huge", "int16"])
 def test_scan_refuses_forms_that_leave_its_dtypes(lhs, n, r):
     import hypmono.kubert as kb
 
