@@ -130,14 +130,17 @@ def _twisted_counts(field: FieldTable, B: int) -> np.ndarray:
     return counts
 
 
-def _power_sum_counts(field: FieldTable, B: int, t: int) -> np.ndarray:
-    """counts[v] = #{x in K : Tr(Bx - x^B / t) = v}, element by element."""
+def _power_sum_counts(field: FieldTable, B: int, ts) -> np.ndarray:
+    """counts[j, v] = #{x in K : Tr(Bx - x^B / t_j) = v} for the nonzero
+    t_j in ts, element by element: one (len(ts), q) broadcast."""
     xs = field.elements()
     arg = field.add(
-        field.neg(field.mul(field.pow(xs, B), field.inv(t))),
+        field.neg(field.mul(field.pow(xs, B), field.inv(np.asarray(ts))[:, None])),
         field.scalar_mul(B, xs),
     )
-    return np.bincount(field.trace_table[arg], minlength=field.p)
+    rows = np.arange(len(ts))[:, None] * field.p
+    return np.bincount((field.trace_table[arg] + rows).ravel(),
+                       minlength=len(ts) * field.p).reshape(-1, field.p)
 
 
 def kloosterman_power_sum(field: FieldTable, B: int, t: int) -> CycNumber:
@@ -145,7 +148,7 @@ def kloosterman_power_sum(field: FieldTable, B: int, t: int) -> CycNumber:
     _check_point(field, t)
     if math.gcd(B, field.p) != 1:
         raise ValueError("B must be prime to p")
-    return -CycNumber.from_exponent_counts(field.p, _power_sum_counts(field, B, t))
+    return -CycNumber.from_exponent_counts(field.p, _power_sum_counts(field, B, [t])[0])
 
 
 # ----------------------------------------------------------------------
@@ -157,15 +160,14 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumb
     psi(-t_1 ... t_nu / s) * prod chi_i(t_i) * prod S(t_i), with
     S(t) = sum over x in K of psi(Bx - x^B / t) and chi_i(g^j) = zeta_n^(e_i j).
 
-    S(t) lies in the group ring Z[Z/p]: its count vector, from
-    `_power_sum_counts` (element by element), is formed once per call for
-    every t.  A tuple's product of the S(t_i) is a cyclic product of
-    length p, built for all n^nu tuples at once with one broadcast per
-    factor.  Its count at v lands on the exponent
-    (Tr(-t_1 ... t_nu / s) + v) m/p + sum of (e_i j_i mod n) m/n of
-    zeta_m, t_i = g^(j_i), and the counts of all tuples are added exactly
-    in int64 into m exponent counts; they total (n q)^nu, which is checked
-    against int64 first.  No twisted-count convolution, Gauss sum or table
+    S(t) lies in the group ring Z[Z/p]: the count vectors of all t, from
+    `_power_sum_counts` (element by element), are formed once per call.  A
+    tuple's product of the S(t_i) is a cyclic product of length p, built
+    for all n^nu tuples at once with one broadcast per factor.  Its count
+    at v lands on the exponent (Tr(-t_1 ... t_nu / s) + v) m/p + sum of
+    (e_i j_i mod n) m/n of zeta_m, t_i = g^(j_i), and the counts of all
+    tuples are added exactly in int64 into m exponent counts; they total
+    (n q)^nu, which is checked against int64 first.  No twisted-count convolution, Gauss sum or table
     transform is used: this route is independent of `trace_table_all`.
     """
     q, n, p = field.q, field.q - 1, field.p
@@ -178,7 +180,7 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumb
     _check_int64((n * q) ** nu, "direct tuple sum")
     m = math.lcm(p, _char_order_of(field, exps))
     logs, digits = np.arange(n, dtype=np.int64), np.arange(p)
-    counts = np.array([_power_sum_counts(field, B, int(t)) for t in field.antilog])
+    counts = _power_sum_counts(field, B, field.antilog)
     # shifted[j, u, v] = counts[j, v - u]: multiplication by S(g^j) in Z[Z/p]
     shifted = counts[:, (digits - digits[:, None]) % p]
     prod, log_sum, char_exp = counts, logs, ((exps[0] * logs) % n) * m // n
@@ -270,13 +272,18 @@ class TraceTable:
             return None
         return [self.value_at_log(i) for i in range(len(self))]
 
+    def _lowest_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each exact row and den over their gcd, as `CycNumber` stores a
+        value: (numerator rows, denominator per row)."""
+        g = np.gcd(np.gcd.reduce(self.exact_num, axis=1), self.den)
+        return self.exact_num // g[:, None], self.den // g
+
     def complex_values(self) -> np.ndarray:
-        """The values as complex numbers: an exact row over its gcd with den,
-        its columns added in order, bit-identical to `CycNumber.to_complex`."""
+        """The values as complex numbers: an exact row in lowest terms, its
+        columns added in order, bit-identical to `CycNumber.to_complex`."""
         if self.exact_num is None:
             return self.float_values
-        g = np.gcd(np.gcd.reduce(self.exact_num, axis=1), self.den)
-        num, den = self.exact_num // g[:, None], self.den // g
+        num, den = self._lowest_terms()
         out = np.zeros(len(self), dtype=complex)
         for i in range(num.shape[1]):
             out += num[:, i] * cmath.exp(2j * math.pi * i / self.value_order)
@@ -609,10 +616,14 @@ def export_csv(table: TraceTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if table.mode == "exact":
+            # the JSON of `CycNumber.to_json`, without a CycNumber per row
+            num, den = table._lowest_terms()
+            order = table.value_order
             writer.writerow(["s_log_index", "exact"])
-            writer.writerows([i, json.dumps(v.to_json())]
-                             for i, v in enumerate(table.exact_values))
+            writer.writerows([i, json.dumps({"order": order, "num": row, "den": d})]
+                             for i, (row, d) in enumerate(zip(num.tolist(), den.tolist())))
         else:
+            # csv writes a float as its repr
+            z = table.float_values
             writer.writerow(["s_log_index", "re", "im"])
-            writer.writerows([i, repr(float(z.real)), repr(float(z.imag))]
-                             for i, z in enumerate(table.float_values))
+            writer.writerows(zip(range(len(z)), z.real.tolist(), z.imag.tolist()))

@@ -67,10 +67,14 @@ PRIMITIVE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 _CACHE_MAGIC = b"HMFT0002"  # body: the antilog table alone
-# antilog rows per companion-matrix product: the fastest of 256..8192 at
-# 2^22 and 3^13 on a 2-core VM, also with another process holding a core,
-# when 8192 rows took 2.7x as long (BLAS threads contend)
+# antilog rows per companion-matrix product in the base-3 fill: the fastest
+# of 256..8192 at 3^13 on a 2-core VM, also with another process holding a
+# core, when 8192 rows took 2.7x as long (BLAS threads contend)
 _BLOCK = 1 << 11
+# bits of a word per lookup table in the characteristic-2 fill (2^11 int64
+# entries, 16 KB a table): F_{2^20} and F_{2^24} take two and three gathers
+# an element
+_XOR_CHUNK = 11
 # base-3 digits added per lookup in the digit-wise addition table (uint16,
 # 3^(2C) entries): one add of 531k random pairs at 3^12 took a median 20 ms
 # with 6 (two blocks, 1.06 MB), 35 ms with 5 (three blocks, 0.12 MB), 32 ms
@@ -155,6 +159,53 @@ class FieldTable:
         return m
 
     def _fill_antilog(self) -> np.ndarray:
+        """antilog[i] = t^i for 0 <= i < q - 1.
+
+        Characteristic 2 doubles by XOR lookups; characteristic 3 keeps the
+        digit-matrix product, which measured twice as fast there as doubling
+        through the base-3 `add`.
+        """
+        if self.p == 2:
+            return self._fill_antilog_xor()
+        return self._fill_antilog_matmul()
+
+    def _fill_antilog_xor(self) -> np.ndarray:
+        """antilog[L:2L] = t^L * antilog[:L] for L = 1, 2, 4, ..., p = 2.
+
+        Multiplication by a fixed c is GF(2)-linear on bit words: c x is
+        the XOR over the _XOR_CHUNK-bit chunks of x of one lookup each, in
+        a table spanned by the images c t^i of that chunk's basis bits.
+        Applying the same tables to the images of c gives those of c^2.
+        """
+        k, n = self.k, self.q - 1
+        red = sum(c << i for i, c in enumerate(self.modulus[:-1]))  # t^k
+        images = np.array([1 << i for i in range(1, k)] + [red], dtype=np.int64)  # t t^i
+        mask = (1 << _XOR_CHUNK) - 1
+
+        def times(tables, x, out):
+            np.take(tables[0], x & mask, out=out)
+            for j, table in enumerate(tables[1:], 1):
+                out ^= table[(x >> (j * _XOR_CHUNK)) & mask]
+            return out
+
+        antilog = np.empty(n, dtype=np.int64)
+        antilog[0] = 1
+        length = 1
+        while length < n:
+            tables = []
+            for start in range(0, k, _XOR_CHUNK):
+                chunk = images[start:start + _XOR_CHUNK].tolist()
+                table = np.zeros(1 << len(chunk), dtype=np.int64)
+                for i, image in enumerate(chunk):  # entry v: XOR of the images at v's bits
+                    np.bitwise_xor(table[:1 << i], image, out=table[1 << i:2 << i])
+                tables.append(table)
+            end = min(2 * length, n)
+            times(tables, antilog[:end - length], antilog[length:end])
+            images = times(tables, images, np.empty_like(images))
+            length = end
+        return antilog
+
+    def _fill_antilog_matmul(self) -> np.ndarray:
         """antilog[s*L + i] = t^(s*L + i): block s is digits(t^i) @ M^(s*L).
 
         Products of digit rows and reduced powers of M are at most

@@ -11,6 +11,7 @@ shape of wild inertia at infinity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -169,6 +170,7 @@ def belyi_induction_match(spec: HypSpec) -> list[BelyiMatch]:
     p, n, m = spec.p, spec.n, spec.m
     up, down = spec.as_fractions()
     up_set, down_set = _multiset(up), _multiset(down)
+    up_count = Counter(up)
     matches = []
 
     # case (a): A, B prime to p, A + B = d0 * p^r, d0 = #downstairs
@@ -182,10 +184,13 @@ def belyi_induction_match(spec: HypSpec) -> list[BelyiMatch]:
                     B = n - A
                     if A % p == 0 or B % p == 0:
                         continue
-                    lams = {_mod1(A * u) for u in up}
-                    sigmas = {_mod1(B * u) for u in up}
-                    for lam in sorted(lams):
-                        for sigma in sorted(sigmas):
+                    # each fibre is a sub-multiset of the upstairs one
+                    lams = [lam for lam in sorted({_mod1(A * u) for u in up})
+                            if Counter(_roots(lam, A)) <= up_count]
+                    sigmas = [sigma for sigma in sorted({_mod1(B * u) for u in up})
+                              if Counter(_roots(sigma, B)) <= up_count]
+                    for lam in lams:
+                        for sigma in sigmas:
                             if _multiset(_roots(lam, A) + _roots(sigma, B)) != up_set:
                                 continue
                             tau = _p_division(_mod1(lam + sigma), p, r)

@@ -203,9 +203,7 @@ def test_f16_float_agrees(f16, table_f16):
 def test_twisted_counts_match_per_t_route(p, k, B):
     # gcd(7, 3^6 - 1) = 7: x -> x^B is not a bijection there
     field = build_field(p, k)
-    counts = _twisted_counts(field, B)
-    for j, t in enumerate(field.antilog):
-        assert np.array_equal(counts[j], _power_sum_counts(field, B, int(t)))
+    assert np.array_equal(_twisted_counts(field, B), _power_sum_counts(field, B, field.antilog))
 
 
 # the other fields the suite and the acceptance criteria build exact tables
@@ -348,10 +346,14 @@ def test_export_and_stats(tmp_path, f4, f16):
     assert len(rows) == 1 + 3
     payload = json.loads(rows[1][1])
     assert CycNumber.from_json(payload) == te.value_at_log(0)
+    # every row is the JSON of its CycNumber, in lowest terms
+    assert rows[1:] == [[str(i), json.dumps(v.to_json())] for i, v in enumerate(te.exact_values)]
     tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
     p2 = tmp_path / "float.csv"
     export_csv(tf, p2)
-    assert p2.read_text().splitlines()[0] == "s_log_index,re,im"
+    lines = p2.read_text().splitlines()
+    assert lines[0] == "s_log_index,re,im"
+    assert lines[1:] == [f"{i},{z.real!r},{z.imag!r}" for i, z in enumerate(tf.float_values.tolist())]
     stats = table_stats(te)
     assert stats["q"] == 4 and stats["M1"] == pytest.approx(1.0)
     assert stats["frobenius_pass"] is True

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import struct
@@ -180,6 +181,30 @@ def test_antilog_matches_scalar_recurrence(p, k):
         for _ in range(lead):
             x = _add_reference(x, red, p, k)
     assert build_field(p, k).antilog.tolist() == ref
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_xor_fill_matches_matmul_fill(k):
+    # the digit-matrix fill, kept for p = 3, works for p = 2 as well
+    field = build_field(2, k)
+    assert np.array_equal(field._fill_antilog_xor(), field._fill_antilog_matmul())
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_xor_fill_with_a_wrong_reduction_word_fails_validation(monkeypatch, k):
+    # the fill reads t^k off the modulus: with c_1 flipped there it fills
+    # the powers of t modulo another polynomial, which the recurrence
+    # check of _validate, reading the true modulus, refuses
+    fill = FieldTable._fill_antilog_xor
+
+    def wrong_fill(self):
+        twin = copy.copy(self)
+        twin.modulus = (self.modulus[0], 1 - self.modulus[1], *self.modulus[2:])
+        return fill(twin)
+
+    monkeypatch.setattr(FieldTable, "_fill_antilog_xor", wrong_fill)
+    with pytest.raises(AssertionError, match="recurrence"):
+        FieldTable(2, k, PRIMITIVE_POLYS[(2, k)])
 
 
 @pytest.mark.parametrize("p,k", REFERENCE_FIELDS)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hypmono.hyp_params import (
+    BelyiMatch,
     HypSpec,
     belyi_induction_match,
     build_Atimes,
@@ -124,21 +125,20 @@ def test_belyi_empty_for_main_families():
     assert belyi_induction_match(build_Atimes(3, 28)) == []
 
 
-def test_belyi_roundtrip_synthetic():
-    # built from the split-covering shape with exponents (3, 5) in char 2:
-    # upstairs the cube roots of 1/3 and fifth roots of 1/5, downstairs
-    # the unique eighth division of their product
-    lam, sigma = Fraction(1, 3), Fraction(1, 5)
+def _split_covering_spec() -> HypSpec:
+    """The split-covering shape with exponents (3, 5) in char 2: upstairs
+    the cube roots of 1/3 and fifth roots of 1/5, downstairs the unique
+    eighth division of their product 8/15."""
     up = [Fraction(1 + 3 * j, 9) for j in range(3)]
     up += [Fraction(1 + 5 * j, 25) for j in range(5)]
-    prod = lam + sigma  # 8/15
     tau = Fraction((8 * pow(8, -1, 15)) % 15, 15)
     M = 225
-    spec = HypSpec(
-        2, M,
-        tuple(int(f * M) % M for f in up),
-        (int(tau * M) % M,),
-    )
+    return HypSpec(2, M, tuple(int(f * M) % M for f in up), (int(tau * M) % M,))
+
+
+def test_belyi_roundtrip_synthetic():
+    lam, sigma = Fraction(1, 3), Fraction(1, 5)
+    spec = _split_covering_spec()
     matches = belyi_induction_match(spec)
     assert any(
         m.case == "a" and {m.A, m.B} == {3, 5} and {m.lam, m.sigma} == {lam, sigma}
@@ -241,3 +241,41 @@ def test_belyi_roundtrip_wild_cases():
     assert (mc.A, mc.B, mc.d0, mc.r) == (4, 3, 1, 2)
     assert (mc.lam, mc.sigma) == (sigma, lam)
     assert primitivity_verdict(spec).status == "INCONCLUSIVE"
+
+
+def _case_a_reference(spec: HypSpec) -> list[BelyiMatch]:
+    """Case (a) of the Belyi search with every (lambda, sigma) pair tested
+    in full: A + B = d0 p^r = n, the A-th roots of lambda and B-th roots of
+    sigma are the upstairs multiset, the d0-th roots of the p^r-division
+    of lambda + sigma the downstairs one."""
+    p, n, d0 = spec.p, spec.n, spec.m
+    up, down = spec.as_fractions()
+    up_sorted, down_sorted = sorted(up), sorted(down)
+    out = []
+    pr, r = p, 1
+    while d0 % p and d0 * pr <= n:
+        if d0 * pr == n:
+            for A in range(1, n):
+                B = n - A
+                if A % p == 0 or B % p == 0:
+                    continue
+                for lam in sorted({A * u % 1 for u in up}):
+                    lam_fiber = _fiber(lam, A)
+                    for sigma in sorted({B * u % 1 for u in up}):
+                        if sorted(lam_fiber + _fiber(sigma, B)) != up_sorted:
+                            continue
+                        prod = (lam + sigma) % 1
+                        d = prod.denominator
+                        tau = Fraction(prod.numerator * pow(p, -r, d) % d, d)
+                        if sorted(_fiber(tau, d0)) == down_sorted:
+                            out.append(BelyiMatch("a", A, B, r, d0, lam, sigma))
+        pr *= p
+        r += 1
+    return out
+
+
+@pytest.mark.parametrize("spec", [build_AxB(2, 5, 9), build_AxB(2, 3, 17), _split_covering_spec()])
+def test_belyi_case_a_matches_unfiltered_search(spec):
+    # the search keeps only the lambda and sigma whose fibres fit upstairs
+    expected = _case_a_reference(spec)
+    assert [m for m in belyi_induction_match(spec) if m.case == "a"] == expected
