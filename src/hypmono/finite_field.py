@@ -162,8 +162,8 @@ class FieldTable:
         """antilog[i] = t^i for 0 <= i < q - 1.
 
         Characteristic 2 doubles by XOR lookups; characteristic 3 keeps the
-        digit-matrix product, which measured twice as fast there as doubling
-        through the base-3 `add`.
+        digit-matrix product, which measured 1.8 times as fast there as
+        doubling through the base-3 `add` (30 ms against 54 ms at 3^12).
         """
         if self.p == 2:
             return self._fill_antilog_xor()
