@@ -89,7 +89,7 @@ def gauss_sums(field: FieldTable) -> tuple[np.ndarray, float]:
     """
     n, p = field.q - 1, field.p
     zp = np.exp(2j * np.pi * np.arange(p) / p)
-    values = np.fft.ifft(zp[field.trace_table[field.antilog]])
+    values = np.fft.ifft(zp[field.trace_powers()])
     values *= n
     eta = _fft_eta(n)
     return values, n * (eta / (1 - eta) + 2 * _EPS)
@@ -110,7 +110,7 @@ def gauss_sum(field: FieldTable, e: int) -> CycNumber:
             f"an exact Gauss sum in degree phi = {deg} exceeds the cap {EXACT_PHI_CAP}"
         )
     logs = np.arange(n, dtype=np.int64)
-    tr = field.trace_table[field.antilog]
+    tr = field.trace_powers()
     chi_exp = ((e * logs) % n) * d // n
     counts = np.bincount((tr * (m // p) + chi_exp * (m // d)) % m, minlength=m)
     return CycNumber.from_exponent_counts(m, counts)

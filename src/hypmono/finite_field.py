@@ -71,8 +71,8 @@ _CACHE_MAGIC = b"HMFT0002"  # body: the antilog table alone
 # of 256..8192 at 3^13 on a 2-core VM, also with another process holding a
 # core, when 8192 rows took 2.7x as long (BLAS threads contend)
 _BLOCK = 1 << 11
-# bits of a word per lookup table in the characteristic-2 fill (2^11 int64
-# entries, 16 KB a table): F_{2^20} and F_{2^24} take two and three gathers
+# bits of a word per lookup table in the characteristic-2 fill (2^11 int32
+# entries, 8 KB a table): F_{2^20} and F_{2^24} take two and three gathers
 # an element
 _XOR_CHUNK = 11
 # base-3 digits added per lookup in the digit-wise addition table (uint16,
@@ -124,6 +124,11 @@ class FieldTable:
     All tables are read-only after construction and every operation is a
     pure read.  Operations accept plain ints or numpy arrays and return the
     matching kind: an int for scalar input, an int64 array otherwise.
+
+    The tables are stored narrow: `antilog` and `log` as int32 (entries
+    below q <= 2^24; `log[0]` is -1) and `trace_table` as uint8 (entries
+    below p).  Arithmetic on their raw values can wrap, so the operations
+    widen what they return, and `trace_powers` gives Tr(g^i) in int64.
     """
 
     def __init__(self, p: int, k: int, modulus, antilog=None):
@@ -141,8 +146,8 @@ class FieldTable:
 
         if antilog is None:
             antilog = self._fill_antilog()
-        self.antilog = np.ascontiguousarray(antilog, dtype=np.int64)
-        self.trace_table = self._fill_trace().astype(np.int64)
+        self.antilog = np.ascontiguousarray(antilog, dtype=np.int32)
+        self.trace_table = self._fill_trace()
         self.log = self._validate()
         # build_field hands this one object to every caller
         for table in (self.antilog, self.trace_table, self.log):
@@ -179,7 +184,7 @@ class FieldTable:
         """
         k, n = self.k, self.q - 1
         red = sum(c << i for i, c in enumerate(self.modulus[:-1]))  # t^k
-        images = np.array([1 << i for i in range(1, k)] + [red], dtype=np.int64)  # t t^i
+        images = np.array([1 << i for i in range(1, k)] + [red], dtype=np.int32)  # t t^i
         mask = (1 << _XOR_CHUNK) - 1
 
         def times(tables, x, out):
@@ -188,14 +193,14 @@ class FieldTable:
                 out ^= table[(x >> (j * _XOR_CHUNK)) & mask]
             return out
 
-        antilog = np.empty(n, dtype=np.int64)
+        antilog = np.empty(n, dtype=np.int32)
         antilog[0] = 1
         length = 1
         while length < n:
             tables = []
             for start in range(0, k, _XOR_CHUNK):
                 chunk = images[start:start + _XOR_CHUNK].tolist()
-                table = np.zeros(1 << len(chunk), dtype=np.int64)
+                table = np.zeros(1 << len(chunk), dtype=np.int32)
                 for i, image in enumerate(chunk):  # entry v: XOR of the images at v's bits
                     np.bitwise_xor(table[:1 << i], image, out=table[1 << i:2 << i])
                 tables.append(table)
@@ -221,11 +226,11 @@ class FieldTable:
             step = step @ step % p
         rows, step = rows.astype(np.float64), step.astype(np.float64)
         weights = (p ** np.arange(k)).astype(np.float64)
-        antilog = np.empty(n, dtype=np.int64)
+        antilog = np.empty(n, dtype=np.int32)
         power = np.eye(k)
         for start in range(0, n, len(rows)):
             block = ((rows @ power).astype(np.uint8) % p) @ weights
-            antilog[start:start + len(rows)] = block[: n - start].astype(np.int64)
+            antilog[start:start + len(rows)] = block[: n - start]
             power = power @ step % p
         return antilog
 
@@ -233,12 +238,12 @@ class FieldTable:
         """Tr(x) = sum_j d_j Tr(t^j) mod p, with Tr(t^j) = trace(M^j) mod p.
 
         One base-p digit at a time: the elements with top digit d_j = d
-        are the table so far shifted by d Tr(t^j).
+        are the table so far shifted by d Tr(t^j); uint8 throughout.
         """
         p = self.p
         m = self._companion()
         power = np.eye(self.k, dtype=np.int64)
-        trace = np.zeros(1, dtype=np.int8)
+        trace = np.zeros(1, dtype=np.uint8)
         for _ in range(self.k):
             tr_t = int(np.trace(power)) % p
             trace = np.concatenate([(trace + d * tr_t) % p for d in range(p)])
@@ -261,6 +266,13 @@ class FieldTable:
         range and bijection checks these q - 1 powers are the nonzero
         residues, each once.  So t has order q - 1, every nonzero residue
         is a unit, F_p[t]/(f) is a field and f is irreducible.
+
+        The recurrence adds only the p words c t^k, so `add` is also tried
+        on fixed operands: every pair of all-d words (d = 0..p-1, each of
+        which sets one digit value in every digit-block lookup) and 32
+        hashed pairs, under the trace's additivity and x + ... + x = 0 (p
+        terms).  The tables are int32 and uint8: after the range check,
+        antilog * p < 2^31 at both degree caps.
         """
         q, p = self.q, self.p
         antilog = self.antilog
@@ -271,25 +283,31 @@ class FieldTable:
         # multiply-by-t recurrence in digit arithmetic, independent of the
         # fill: shift every digit up, and a carried-out top digit c adds c t^k
         red = sum(-c % p * p ** i for i, c in enumerate(self.modulus[:-1]))
-        corr = np.array([self.scalar_mul(c, red) for c in range(p)])
+        corr = np.array([self.scalar_mul(c, red) for c in range(p)], dtype=np.int32)
         lead, rem = np.divmod(antilog * p, q)
-        lead = corr[lead]  # c -> c t^k, rebound so that c is freed before the add
+        lead = np.take(corr, lead)  # c -> c t^k, rebound so that c is freed before the add
         if not np.array_equal(self.add(rem, lead), np.roll(antilog, -1)):
             raise AssertionError("antilog recurrence broken")
         # equidistribution of the trace, equivalent to exact cancellation of
-        # every nontrivial additive character sum
-        counts = np.bincount(self.trace_table, minlength=p)
-        if any(int(c) != q // p for c in counts):
+        # every nontrivial additive character sum; counted value by value, as
+        # a bincount would first widen the uint8 table to int64
+        if any(np.count_nonzero(self.trace_table == v) != q // p for v in range(p)):
             raise AssertionError("trace values are not equidistributed")
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, q, size=32)
-        b = rng.integers(0, q, size=32)
+        words = np.arange(p, dtype=np.int64) * ((q - 1) // (p - 1))  # all-d words
+        hashed = np.arange(1, 65, dtype=np.int64) * 2654435761 % q
+        a = np.concatenate([np.repeat(words, p), hashed[:32]])
+        b = np.concatenate([np.tile(words, p), hashed[32:]])
         lhs = self.trace_table[self.add(a, b)]
-        rhs = (self.trace_table[a] + self.trace_table[b]) % p
+        rhs = (self.trace_table[a] + self.trace_table[b]) % p  # at most 2p - 2
         if not np.array_equal(lhs, rhs):
             raise AssertionError("trace is not additive")
-        log = np.full(q, -1, dtype=np.int64)
-        log[antilog] = np.arange(q - 1)
+        total = a
+        for _ in range(p - 1):
+            total = self.add(total, a)
+        if np.any(total != 0):
+            raise AssertionError("a word added to itself p times is not 0")
+        log = np.full(q, -1, dtype=np.int32)
+        log[antilog] = np.arange(q - 1, dtype=np.int32)
         if np.any(log[1:] < 0):
             raise AssertionError(
                 "antilog table is not a bijection onto the nonzero elements; "
@@ -343,35 +361,37 @@ class FieldTable:
     def mul(self, a, b):
         a, b = np.asarray(a), np.asarray(b)
         prod = self.antilog[(self.log[a] + self.log[b]) % (self.q - 1)]
-        out = np.where((a != 0) & (b != 0), prod, 0)
-        return int(out) if out.ndim == 0 else out
+        return _widened(np.where((a != 0) & (b != 0), prod, 0))
 
     def inv(self, a):
         a = np.asarray(a)
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of zero")
-        out = self.antilog[-self.log[a] % (self.q - 1)]
-        return int(out) if out.ndim == 0 else out
+        return _widened(self.antilog[-self.log[a] % (self.q - 1)])
 
     def pow(self, a, e: int):
-        """a^e, with 0^0 = 1; e is reduced mod q - 1 first, so no product
-        of a log and e leaves int64."""
+        """a^e, with 0^0 = 1; e is reduced mod q - 1 first and the log
+        widened to int64 before the product, which reaches 2^48."""
         n = self.q - 1
         a = np.asarray(a)
         if e < 0 and np.any(a == 0):
             raise ZeroDivisionError("inversion of zero")
-        out = np.where(a != 0, self.antilog[self.log[a] * (e % n) % n], int(e == 0))
-        return int(out) if out.ndim == 0 else out
+        logs = self.log[a].astype(np.int64)
+        return _widened(np.where(a != 0, self.antilog[logs * (e % n) % n], int(e == 0)))
 
     def trace_to_prime(self, x):
-        out = self.trace_table[x]
-        return int(out) if np.ndim(out) == 0 else out
+        return _widened(self.trace_table[x])
+
+    def trace_powers(self) -> np.ndarray:
+        """Tr(g^i) for i = 0 .. q-2, in int64: the one source of Tr o antilog
+        for callers that negate or scale it, which would wrap in uint8."""
+        return self.trace_table[self.antilog].astype(np.int64)
 
     def elements(self) -> np.ndarray:
         return np.arange(self.q, dtype=np.int64)
 
     def units(self) -> np.ndarray:
-        return self.antilog.copy()
+        return self.antilog.astype(np.int64)
 
     @property
     def generator(self) -> int:
@@ -379,6 +399,12 @@ class FieldTable:
 
     def __repr__(self):
         return f"FieldTable(p={self.p}, k={self.k}, q={self.q})"
+
+
+def _widened(out):
+    """An operation's result from narrow table values: an int for a scalar,
+    else an int64 array."""
+    return int(out) if np.ndim(out) == 0 else out.astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +454,9 @@ def load_cache(path) -> FieldTable:
         raise ValueError("cache checksum mismatch")
     if len(body) != 4 * (p ** k - 1):
         raise ValueError("cache body has the wrong length")
+    # read as int32 without a copy: a <u4 entry of 2^31 or more reads
+    # negative, and the range check refuses it like any entry >= q
     try:
-        return FieldTable(p, k, modulus, antilog=np.frombuffer(body, dtype="<u4"))
+        return FieldTable(p, k, modulus, antilog=np.frombuffer(body, dtype="<i4"))
     except AssertionError as exc:
         raise ValueError(f"cached tables fail validation: {exc}") from exc

@@ -371,6 +371,24 @@ def test_float_csv_reads_back_with_float(tmp_path, f16):
     assert np.array_equal(read_back, tf.float_values)
 
 
+def test_float_csv_bytes_match_csv_writer(tmp_path, f16):
+    import csv
+    import io
+
+    tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
+    odd = [-0.0, float("nan"), float("inf"), 5e-324, 1e16, -1 / 3, 0.1 + 0.2]
+    values = tf.float_values.copy()
+    values[:len(odd)] = [complex(x, -x) for x in odd]
+    tf = dataclasses.replace(tf, float_values=values)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["s_log_index", "re", "im"])
+    writer.writerows(zip(range(len(values)), values.real.tolist(), values.imag.tolist()))
+    path = tmp_path / "float.csv"
+    export_csv(tf, path)
+    assert path.read_bytes() == ref.getvalue().encode()
+
+
 def test_family_registry():
     fam = FAMILIES["3x13"]
     assert (fam.p, fam.A, fam.B, fam.rank) == (2, 3, 13, 24)

@@ -132,6 +132,46 @@ def test_mul_inv_pow_zero_cases_and_return_types():
             bad()
 
 
+@pytest.mark.parametrize("p,k", [(2, 8), (2, 16), (3, 6), (3, 11)])
+def test_narrow_tables_and_widened_results(p, k):
+    f = build_field(p, k)
+    assert (f.antilog.dtype, f.log.dtype, f.trace_table.dtype) == (np.int32, np.int32, np.uint8)
+    powers = f.trace_powers()
+    assert powers.dtype == np.int64 and np.array_equal(powers, f.trace_table[f.antilog])
+    xs = f.elements()
+    for out in (f.mul(xs, xs[::-1]), f.inv(xs[1:]), f.pow(xs, 5), f.units(), f.trace_to_prime(xs)):
+        assert out.dtype == np.int64
+    assert type(f.trace_to_prime(1)) is int
+
+
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 11)])
+def test_pow_where_log_times_exponent_leaves_int32(p, k):
+    f = build_field(p, k)
+    n = f.q - 1
+    e = n - 2  # already reduced
+    logs = f.log[1:].tolist()
+    assert max(logs) * e >= 2 ** 31
+    ref = [int(f.antilog[log * e % n]) for log in logs]  # Python-int products
+    assert f.pow(np.arange(1, f.q), e).tolist() == ref
+    x = int(f.antilog[n - 1])
+    assert f.pow(x, e) == int(f.antilog[(n - 1) * e % n])
+
+
+@pytest.mark.parametrize("k", [6, 7, 12])
+@pytest.mark.parametrize("wrong", [0, 1])
+def test_validate_refuses_a_wrong_digit_add_entry(monkeypatch, k, wrong):
+    # two all-2 six-digit words must add to the all-1 word 364; the
+    # recurrence check never adds them, the fixed operands of _validate do
+    from hypmono import finite_field
+
+    table = finite_field._digit_add_table().copy()
+    assert table[728 * 729 + 728] == 364
+    table[728 * 729 + 728] = wrong
+    monkeypatch.setattr(finite_field, "_digit_add_table", lambda: table)
+    with pytest.raises(AssertionError):
+        FieldTable(3, k, PRIMITIVE_POLYS[(3, k)])
+
+
 def _add_reference(a, b, p: int, k: int):
     """Sum of two encodings, one base-p digit at a time (ints or arrays)."""
     return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(k))
