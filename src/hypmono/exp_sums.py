@@ -46,6 +46,9 @@ from .kubert import multiplicative_order
 
 _EXACT_Q_CAP = 1 << 10
 _DIRECT_TUPLE_CAP = 1 << 20
+# float CSV rows joined per write (about 50 KB of text): joining the whole
+# 2^14 table at once held 2 MB more at the peak of its process
+_CSV_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -624,9 +627,11 @@ def export_csv(table: TraceTable, path) -> None:
                              for i, (row, d) in enumerate(zip(num.tolist(), den.tolist())))
         else:
             # the bytes of csv.writer, which writes a float as its repr and
-            # ends rows with \r\n, joined into one string: 30 ms against
-            # 50 ms at 2^14
-            z = table.float_values
-            rows = zip(range(len(z)), z.real.tolist(), z.imag.tolist())
+            # ends rows with \r\n, one string per _CSV_ROWS rows: 30 ms
+            # against 50 ms at 2^14
+            re, im = table.float_values.real.tolist(), table.float_values.imag.tolist()
             fh.write("s_log_index,re,im\r\n")
-            fh.write("".join(["%d,%r,%r\r\n" % row for row in rows]))
+            for start in range(0, len(re), _CSV_ROWS):
+                stop = start + _CSV_ROWS
+                rows = zip(range(start, stop), re[start:stop], im[start:stop])
+                fh.write("".join(["%d,%r,%r\r\n" % row for row in rows]))

@@ -371,10 +371,13 @@ def test_float_csv_reads_back_with_float(tmp_path, f16):
     assert np.array_equal(read_back, tf.float_values)
 
 
-def test_float_csv_bytes_match_csv_writer(tmp_path, f16):
+def test_float_csv_bytes_match_csv_writer(tmp_path, f16, monkeypatch):
     import csv
     import io
 
+    from hypmono import exp_sums
+
+    monkeypatch.setattr(exp_sums, "_CSV_ROWS", 4)  # 15 rows: three full blocks and a short one
     tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
     odd = [-0.0, float("nan"), float("inf"), 5e-324, 1e16, -1 / 3, 0.1 + 0.2]
     values = tf.float_values.copy()

@@ -2,11 +2,11 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/q_sweep.py --label L [--repeat 3] [--p2 10 24] [--p3 6 15]
+    python3 tools/q_sweep.py --label L
 
-At q = 2^10, 2^12, ..., 2^24 and 3^6, 3^7, ..., 3^15 (the degree ranges
-are inclusive and adjustable) it times two calls, each in a new
-interpreter that imports hypmono from the checkout's src/:
+At q = 2^10, 2^12, ..., 2^24 and 3^6, 3^7, ..., 3^15, up to the degree
+caps, it times two calls, each in a new interpreter that imports hypmono
+from the checkout's src/, three runs a point:
 
 - `build_field(p, k)`;
 - the float `trace_table_all` of the family over that characteristic,
@@ -41,6 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILY = {2: "3x13", 3: "4x5"}
+DEGREES = {2: range(10, 25, 2), 3: range(6, 16)}
+REPEAT = 3
 
 
 def child(job: str, p: int, k: int) -> None:
@@ -69,10 +71,10 @@ def child(job: str, p: int, k: int) -> None:
     print(json.dumps(out))
 
 
-def run_point(job: str, p: int, k: int, repeat: int) -> dict:
+def run_point(job: str, p: int, k: int) -> dict:
     runs = []
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         proc = subprocess.run(
             [sys.executable, __file__, "--child", job, str(p), str(k)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -102,11 +104,6 @@ def slopes(points: list[dict]) -> list[dict]:
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="writes BENCH_<label>-sweep.json")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per point")
-    parser.add_argument("--p2", type=int, nargs=2, default=[10, 24], metavar=("K1", "K2"),
-                        help="degrees of 2, every second one from K1")
-    parser.add_argument("--p3", type=int, nargs=2, default=[6, 15], metavar=("K1", "K2"),
-                        help="degrees of 3, every one from K1")
     parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is None and args.label is None:
@@ -120,19 +117,18 @@ def main(argv=None) -> int:
         job, p, k = args.child
         child(job, int(p), int(k))
         return 0
-    degrees = {2: range(args.p2[0], args.p2[1] + 1, 2), 3: range(args.p3[0], args.p3[1] + 1)}
-    out = {"repeat": args.repeat,
+    out = {"repeat": REPEAT,
            "machine": {"python": platform.python_version(), "platform": platform.platform(),
                        "processor": platform.processor(), "cpus": os.cpu_count()},
            "series": {}}
-    for p, ks in degrees.items():
+    for p, ks in DEGREES.items():
         for job in ("build", "table"):
             name = f"{job}.p{p}" + (f".{FAMILY[p]}" if job == "table" else "")
             points = []
             for k in ks:
                 if job == "table" and p == 3 and k % 2:
                     continue  # 4 does not divide 3^k - 1
-                point = run_point(job, p, k, args.repeat)
+                point = run_point(job, p, k)
                 points.append(point)
                 print(f"{name} q={p}^{k}: {point['s']:.4f} s, "
                       f"{point['max_rss_mb']:.0f} MB", flush=True)
