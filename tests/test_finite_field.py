@@ -328,6 +328,9 @@ MALFORMED = {
     "duplicate-antilog-entry": lambda blob, f: _resealed(
         blob, f, _changed(f.antilog, 4, f.antilog[3])),
     "zero-antilog-entry": lambda blob, f: _resealed(blob, f, _changed(f.antilog, 5, 0)),
+    # the body is read as int32: this <u4 entry reads as a negative one
+    "antilog-entry-past-int32": lambda blob, f: _resealed(
+        blob, f, _changed(f.antilog.astype(np.uint32), 5, 2 ** 31 + int(f.antilog[5]))),
 }
 
 
