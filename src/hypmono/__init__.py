@@ -30,7 +30,6 @@ from .kubert import (
 from .exp_sums import (
     FAMILIES,
     TraceTable,
-    kloosterman_power_sum,
     moments,
     trace_axb,
     trace_quartic,

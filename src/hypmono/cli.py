@@ -3,7 +3,8 @@
 One subcommand per reproducible artifact: digit-lemma verification runs,
 trace tables with their statistics, parameter-set classification, and the
 full reproduction suite.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 resource cap exceeded.
+2 usage error (parameters the model refuses included), 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def cmd_verify_digit_lemma(args) -> int:
     family = args.family
     lemma = getattr(kubert, f"verify_lemma_{family}")
     r_max = args.r_max if args.r_max is not None else kubert.LEMMAS[family].r_ext
+    if r_max < 1:
+        print(f"verify-digit-lemma: --r-max must be at least 1, not {r_max}",
+              file=sys.stderr)
+        return 2
     reports = [lemma(r) for r in range(1, r_max + 1)]
     reports += kubert.bracket_reports(family, r_max)
     out = Path(args.out) / f"digit_lemma_{family}.ndjson" if args.out else None
@@ -107,6 +112,9 @@ def cmd_trace_table(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.family:
+        if (args.p, args.A, args.B) != (None, None, None):
+            print("classify: --family takes no --p, --A or --B", file=sys.stderr)
+            return 2
         fam = exp_sums.FAMILIES[args.family]
         label, kind, p, A, B = args.family, fam.kind, fam.p, fam.A, fam.B
     elif args.A is None or args.p is None:
@@ -115,10 +123,14 @@ def cmd_classify(args) -> int:
     else:
         p, A, B = args.p, args.A, args.B
         label, kind = (f"{A}x", "Atimes") if B is None else (f"{A}x{B}", "AxB")
-    spec = hyp_params.build_spec(kind, p, A, B)
     # the A-times spec does not read B, so its report leaves B out
     params = {"A": A, "B": B} if kind == "AxB" else {"A": A}
-    report = hyp_params.classification_report(spec, label, params)
+    try:
+        spec = hyp_params.build_spec(kind, p, A, B)
+        report = hyp_params.classification_report(spec, label, params)
+    except ValueError as exc:  # parameters the model refuses
+        print(f"classify: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)

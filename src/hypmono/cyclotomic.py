@@ -2,7 +2,10 @@
 
 A CycNumber is an exact element of Q(zeta_m), stored as a rational
 coefficient vector on the power basis 1, zeta, ..., zeta^(phi(m)-1) reduced
-mod the m-th cyclotomic polynomial.  Values of different orders are aligned
+mod the m-th cyclotomic polynomial.  Its operations are +, -, * and
+negation, the Galois action zeta_m -> zeta_m^a (`galois`), the embedding
+into a larger order (`lift`), `to_complex`, and == with a hash that equal
+values share, rationals included.  Values of different orders are aligned
 through the canonical embedding Q(zeta_m) -> Q(zeta_lcm) before combining.
 A table of values is an (n, phi(m)) int64 array of numerators on that basis
 over one denominator (`exp_sums.TraceTable`), which the array helpers reduce,
@@ -230,11 +233,6 @@ class CycNumber:
     # constructors
 
     @classmethod
-    def zero(cls, order: int = 1) -> "CycNumber":
-        deg, _ = _context(order)
-        return cls(order, (0,) * deg)
-
-    @classmethod
     def from_rational(cls, value) -> "CycNumber":
         fr = Fraction(value)
         return cls(1, (fr.numerator,), fr.denominator)
@@ -256,16 +254,7 @@ class CycNumber:
         return cls(order, tuple(num[0].tolist()), den)
 
     # ------------------------------------------------------------------
-    # predicates and conversions
-
-    @property
-    def is_rational(self) -> bool:
-        return all(v == 0 for v in self.num[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("value is not rational")
-        return Fraction(self.num[0], self.den)
+    # conversions
 
     def to_complex(self) -> complex:
         total = 0j
@@ -326,42 +315,14 @@ class CycNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        out = CycNumber.from_rational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def galois(self, a: int, p: int | None = None) -> "CycNumber":
-        """Apply zeta_m -> zeta_m**a; requires gcd(a, m) = 1.
-
-        When the residue characteristic p is given, a must fix zeta_p, i.e.
-        a = 1 mod p whenever p divides m; rational values are unchanged.
-        """
+    def galois(self, a: int) -> "CycNumber":
+        """Apply zeta_m -> zeta_m**a; requires gcd(a, m) = 1."""
         if math.gcd(a, self.order) != 1:
             raise ValueError("exponent not coprime to the order")
-        if p is not None and self.order % p == 0 and a % p != 1 % p:
-            raise ValueError("action does not fix the p-th roots of unity")
         num = _reduce_exponents(
             self.order, [((i * a) % self.order, c) for i, c in enumerate(self.num)]
         )
         return CycNumber(self.order, num, self.den)
-
-    def conjugate(self) -> "CycNumber":
-        if self.order <= 2:
-            return self
-        return self.galois(self.order - 1)
-
-    def abs2(self) -> "CycNumber":
-        """|z|^2 as a CycNumber (self times its complex conjugate)."""
-        return self * self.conjugate()
 
     # ------------------------------------------------------------------
     # comparison and display
@@ -380,14 +341,3 @@ class CycNumber:
 
     def __repr__(self):
         return f"CycNumber(order={self.order}, num={self.num}, den={self.den})"
-
-    # ------------------------------------------------------------------
-    # serialization
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "num": list(self.num), "den": self.den}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CycNumber":
-        return cls(obj["order"], tuple(obj["num"]), obj["den"])
-

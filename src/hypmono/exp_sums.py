@@ -146,14 +146,6 @@ def _power_sum_counts(field: FieldTable, B: int, ts) -> np.ndarray:
                        minlength=len(ts) * field.p).reshape(-1, field.p)
 
 
-def kloosterman_power_sum(field: FieldTable, B: int, t: int) -> CycNumber:
-    """-sum over x in K of psi_K(-x^B/t + Bx); t nonzero, gcd(B, p) = 1."""
-    _check_point(field, t)
-    if math.gcd(B, field.p) != 1:
-        raise ValueError("B must be prime to p")
-    return -CycNumber.from_exponent_counts(field.p, _power_sum_counts(field, B, [t])[0])
-
-
 # ----------------------------------------------------------------------
 # single-point (direct) evaluators
 
@@ -246,11 +238,6 @@ class TraceTable:
 
     def __len__(self) -> int:
         return self.field.q - 1
-
-    @property
-    def prefactor(self) -> Fraction:
-        """The literal (-1/q)^nu normalization applied to the raw sums."""
-        return Fraction((-1) ** self.nu, self.den)
 
     @property
     def den(self) -> int:
@@ -618,7 +605,8 @@ def export_csv(table: TraceTable, path) -> None:
     for exact ones."""
     with open(path, "w", newline="") as fh:
         if table.mode == "exact":
-            # the JSON of `CycNumber.to_json`, without a CycNumber per row
+            # each value's order, numerators and den in lowest terms, as a
+            # CycNumber stores them, without a CycNumber per row
             num, den = table._lowest_terms()
             order = table.value_order
             writer = csv.writer(fh)

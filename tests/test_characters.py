@@ -20,7 +20,8 @@ def test_gauss_sum_norm_small_fields_exhaustive():
         for k in range(1, kmax + 1):
             field = build_field(p, k)
             for e in range(1, field.q - 1):
-                assert gauss_sum(field, e).abs2() == field.q
+                g = gauss_sum(field, e)
+                assert g * g.galois(g.order - 1) == field.q
 
 
 @pytest.mark.parametrize("p,k,exps", [(2, 7, (1, 5, 127 // 7)), (2, 8, (1, 3, 5, 17, 85))])
@@ -28,7 +29,8 @@ def test_gauss_sum_norm_boundary_sampled(p, k, exps):
     # the exact cap boundary (q = 128, 256), sampled for runtime
     field = build_field(p, k)
     for e in exps:
-        assert gauss_sum(field, e).abs2() == field.q
+        g = gauss_sum(field, e)
+        assert g * g.galois(g.order - 1) == field.q
 
 
 def test_gauss_sum_float_beyond_cap():
@@ -47,7 +49,8 @@ def test_gauss_sum_conjugation_identity():
         h = int(field.log[field.neg(1)])
         for e in range(1, n):
             sign = CycNumber.root_of_unity(n, e * h % n)
-            assert gauss_sum(field, -e) == sign * gauss_sum(field, e).conjugate()
+            g = gauss_sum(field, e)
+            assert gauss_sum(field, -e) == sign * g.galois(g.order - 1)
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +79,7 @@ def _lifted_exponents(sub, field, e0):
 
 def _hd_exact(sub, field, e0, e):
     d = field.k // sub.k
-    return -gauss_sum(field, e) == (-gauss_sum(sub, e0)) ** d
+    return -gauss_sum(field, e) == math.prod([-gauss_sum(sub, e0)] * d)
 
 
 @cache

@@ -74,6 +74,26 @@ def test_classify_missing_args():
     assert main(["classify"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "2", "--A", "3"],  # build_Atimes needs A >= 7
+    ["--p", "5", "--A", "4", "--B", "3"],  # wild rank 15, divisible by p = 5
+    ["--family", "3x13", "--p", "3"],  # a family fixes its own p
+], ids=["p2-A3", "p5-A4-B3", "family-and-p"])
+def test_classify_refusals_are_usage_errors(argv, capsys):
+    # parameters the model refuses exit 2 with a message, not a traceback
+    assert main(["classify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("classify: ")
+
+
+@pytest.mark.parametrize("r_max", ["0", "-1"])
+def test_verify_digit_lemma_refuses_r_max_below_1(r_max, capsys):
+    # r_max < 1 would verify nothing and pass
+    assert main(["verify-digit-lemma", "--family", "28", "--r-max", r_max]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--r-max" in err
+
+
 def test_trace_table_outputs(tmp_path, capsys):
     rc = main([
         "trace-table", "--family", "3x13", "--field-degree", "4",
