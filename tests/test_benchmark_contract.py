@@ -9,6 +9,7 @@ is read here from the perfbench sources, which this test does not change.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import sys
@@ -106,12 +107,6 @@ def _attribute_chains(tree, root):
     return chains - inner
 
 
-def _resolve(obj, chain):
-    for attr in chain:
-        obj = getattr(obj, attr)
-    return obj
-
-
 @pytest.fixture(scope="module")
 def tables():
     out = {}
@@ -139,13 +134,13 @@ def test_make_reference_reads_trace_tables(tables):
     assert ("float_values",) in chains and ("field", "q") in chains
     for (family, mode), t in tables.items():
         for chain in chains:
-            _resolve(t, chain)
+            functools.reduce(getattr, chain, t)
         if mode == "exact":
             values = t.exact_values
             assert len(values) == len(t) and isinstance(values[0], CycNumber)
             assert isinstance(values[0].to_complex(), complex)
     for chain in _attribute_chains(tree, "fam"):
-        _resolve(exp_sums.FAMILIES["3x13"], chain)
+        functools.reduce(getattr, chain, exp_sums.FAMILIES["3x13"])
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
