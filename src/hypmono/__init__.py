@@ -6,6 +6,13 @@ checks, and combinatorial classification of the parameter sets, with a
 batch CLI for the full reproduction suite.
 """
 
+import os
+
+# One OpenBLAS thread unless the user set another count: read once, when
+# numpy loads OpenBLAS, so this comes before the first numpy import.  No
+# call here gains from a second BLAS thread, and an idle worker spins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cyclotomic import CycNumber, cyclotomic_polynomial
 from .errors import (
     CapExceededError,

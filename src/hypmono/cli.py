@@ -74,6 +74,10 @@ def cmd_verify_digit_lemma(args) -> int:
 def cmd_trace_table(args) -> int:
     fam = exp_sums.FAMILIES[args.family]
     k = args.field_degree
+    if k < 1:
+        print(f"trace-table: --field-degree must be at least 1, not {k}",
+              file=sys.stderr)
+        return 2
     if k % fam.base_degree:
         raise CapExceededError(
             f"field degree {k} does not contain the degree-{fam.base_degree} base field"

@@ -68,9 +68,10 @@ PRIMITIVE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 
 _CACHE_MAGIC = b"HMFT0002"  # body: the antilog table alone
 # antilog rows per companion-matrix product in the base-3 fill: the fastest
-# of 256..8192 at 3^13 on a 2-core VM, also with another process holding a
-# core, when 8192 rows took 2.7x as long (BLAS threads contend)
-_BLOCK = 1 << 11
+# of 256..8192 at 3^12 and 3^13 with one BLAS thread on a 2-core VM, 1-7%
+# ahead of 2048, also with another process holding a core; 8192 rows are
+# 15-25% slower, as the products leave the cache
+_BLOCK = 1 << 12
 # bits of a word per lookup table in the characteristic-2 fill (2^11 int32
 # entries, 8 KB a table): F_{2^20} and F_{2^24} take two and three gathers
 # an element

@@ -93,9 +93,39 @@ def build_Atimes(p: int, A: int) -> HypSpec:
     return HypSpec(p, A, tuple(upstairs), (0,))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 41, which decides every
+    n < 3.3 * 10^24 (Sorenson and Webster 2017); above, n passed 13 strong
+    probable-prime tests.  Trial division would take minutes at 10^18."""
+    if n < 2 or n in _MR_BASES:
+        return n in _MR_BASES
+    if any(n % a == 0 for a in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def build_spec(kind: str, p: int, A: int, B: int | None = None) -> HypSpec:
     """The spec of a family kind: `build_AxB(p, A, B)` for 'AxB',
-    `build_Atimes(p, A)` for 'Atimes' (which does not read B)."""
+    `build_Atimes(p, A)` for 'Atimes' (which does not read B).  p must be
+    a prime."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     if kind == "AxB":
         return build_AxB(p, A, B)
     if kind == "Atimes":

@@ -86,6 +86,25 @@ def test_classify_refusals_are_usage_errors(argv, capsys):
     assert out == "" and err.startswith("classify: ")
 
 
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+def test_classify_refuses_a_p_that_is_not_prime(p, capsys):
+    # p = 0 used to die with ZeroDivisionError, p = 4 printed a report
+    assert main(["classify", "--p", p, "--A", "3", "--B", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"classify: p = {p} is not a prime\n"
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_trace_table_refuses_field_degree_below_1(degree, tmp_path, capsys):
+    # a usage error (2), not an exceeded resource cap (3)
+    rc = main(["trace-table", "--family", "4x5", "--field-degree", degree,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--field-degree" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("r_max", ["0", "-1"])
 def test_verify_digit_lemma_refuses_r_max_below_1(r_max, capsys):
     # r_max < 1 would verify nothing and pass
@@ -147,6 +166,31 @@ def test_import_leaves_numpy_fft_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="counts threads in /proc/self/task (Linux)")
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_import_starts_one_blas_thread_unless_asked(user_value):
+    # importing hypmono sets OPENBLAS_NUM_THREADS=1 before numpy loads
+    # OpenBLAS, so no worker thread starts; a count the user set is kept
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import os, hypmono.cli; print(len(os.listdir('/proc/self/task')),"
+            " os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout.split()
+    threads, value = int(out[0]), out[1]
+    if user_value is None:
+        assert (threads, value) == (1, "1")
+    else:
+        assert value == user_value
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert threads == 2  # the user's count reaches OpenBLAS
 
 
 def test_usage_error_exit_code():

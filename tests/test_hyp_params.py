@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypmono.finite_field import _prime_factors
 from hypmono.hyp_params import (
     BelyiMatch,
     HypSpec,
@@ -15,8 +16,24 @@ from hypmono.hyp_params import (
     inertia_model,
     kummer_induction_candidates,
     primitivity_verdict,
+    _is_prime,
+    build_spec,
     selfdual_test,
 )
+
+
+def test_is_prime_matches_trial_division_and_refuses_pseudoprimes():
+    assert [n for n in range(-3, 1 << 15) if _is_prime(n)] == [
+        n for n in range(2, 1 << 15) if _prime_factors(n) == [n]]
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37, a
+    # Carmichael number, and primes far beyond trial division
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561):
+        assert not _is_prime(n)
+    for n in (10 ** 18 + 3, 2 ** 61 - 1, 2 ** 89 - 1):
+        assert _is_prime(n)
+    assert build_spec("AxB", 10 ** 18 + 3, 3, 5).p == 10 ** 18 + 3
+    with pytest.raises(ValueError, match="not a prime"):
+        build_spec("Atimes", 2047, 7)  # 23 * 89, a strong pseudoprime to base 2
 
 
 def test_build_axb_counts():
