@@ -8,10 +8,13 @@ batch CLI for the full reproduction suite.
 
 import os
 
-# One OpenBLAS thread unless the user set another count: read once, when
-# numpy loads OpenBLAS, so this comes before the first numpy import.  No
-# call here gains from a second BLAS thread, and an idle worker spins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# One OpenBLAS thread unless the user set a count in any variable OpenBLAS
+# reads: it reads them once, when numpy loads it, so this comes before the
+# first numpy import.  No call here gains from a second BLAS thread, and an
+# idle worker spins.  Child processes inherit the setting.
+if not any(var in os.environ for var in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .cyclotomic import CycNumber, cyclotomic_polynomial
 from .errors import (

@@ -7,9 +7,9 @@ sums G(e) = g(psi, chi_e) = sum_a psi(g^a) zeta_{q-1}^(e*a) are one DFT of
 psi o antilog: `gauss_sums` computes them with a bound on their error and
 is the one source of float Gauss sums.  The exact `gauss_sum(field, e)`
 counts exponents instead, below the cap EXACT_PHI_CAP on its degree, and is
-the reference the DFT is tested against; both take the same e.  `_fft_eta`,
-`_times` and `_l2` are the error rules of every certified float bound, here
-and in `exp_sums`.
+the reference the DFT is tested against; both take the same e.  `_fft_eta`
+and `_times` are the error rules of every certified float bound, here and
+in `exp_sums`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ __all__ = ["gauss_sums", "gauss_sum"]
 _U = 2.0 ** -53  # unit roundoff of float64
 # the error allowed per rounded entry or product: 2^-50, eight unit roundoffs
 _EPS = 2.0 ** -50
-# float64 entries squared at a time by _l2: a 64 KB temporary, where one
-# square of a whole array would add an array to the peak of `_times`
-_L2_BLOCK = 1 << 13
 
 
 def _fft_eta(n: int) -> float:
@@ -67,32 +64,6 @@ def _fft_eta(n: int) -> float:
     return max(direct, bluestein)
 
 
-def _l2(x: np.ndarray) -> float:
-    """The 2-norm of x, real, complex or integer, without BLAS.
-
-    The squares of the n float64 entries (two per complex entry) are added
-    by numpy's pairwise sum in blocks of _L2_BLOCK, and the block sums by
-    `math.fsum`, correctly rounded.  So each square passes through at most
-    d = min(n - 1, ceil(log2 min(n, _L2_BLOCK)) + 18) roundings of a sum,
-    d <= 31, never more than in a sequential sum as a BLAS dot product may
-    do.  With the squaring and the root, and squares that neither overflow
-    nor underflow, the result is off by less than (d + 4) u / 2 <= 17.5u
-    relative, u = 2^-53.  The slack of each caller covers it: `_times`
-    charges _EPS = 8u per product, over three times the sqrt(5) u of a
-    complex product's rounding; `exp_sums._cyclic_conv2` raises its norms
-    by N _EPS >= (N + 4) u / 2; in `exp_sums._gauss_table` the factor
-    1 / (1 - eta) over eta allows the norm a shortfall up to eta, and
-    eta >= 20u for n >= 2 (at n = 1 the transform is exact and eta = 0).
-    """
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        x = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    v = x.reshape(-1)
-    return math.sqrt(math.fsum(
-        float(np.square(v[i:i + _L2_BLOCK], dtype=np.float64).sum())
-        for i in range(0, v.size, _L2_BLOCK)))
-
-
 def _times(a: np.ndarray, a_err: float, b: np.ndarray, b_err: float):
     """a * b and a bound on the 2-norm of its error, from bounds a_err and
     b_err on those of a and b: with a~ = a + da and b~ = b + db,
@@ -101,7 +72,7 @@ def _times(a: np.ndarray, a_err: float, b: np.ndarray, b_err: float):
     prod = a * b
     err = (float(np.abs(a).max()) * b_err
            + a_err * (float(np.abs(b).max()) + b_err)
-           + _EPS * _l2(prod))
+           + _EPS * float(np.linalg.norm(prod)))
     return prod, err
 
 

@@ -29,13 +29,15 @@ against an independent one; no equality is assumed.
 from __future__ import annotations
 
 import cmath
+import csv
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .characters import _EPS, _fft_eta, _l2, _times, gauss_sums
+from .characters import _EPS, _fft_eta, _times, gauss_sums
 from .cyclotomic import (CycNumber, _abs_sums, _check_int64, _galois_matrix,
                          _matmul_checked, _mul_rows, _rows_matrix)
 from .errors import CapExceededError
@@ -332,7 +334,8 @@ def _cyclic_conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     eta_n, eta_m = _fft_eta(n), _fft_eta(m)
     eta = eta_n + eta_m + eta_n * eta_m
     # float 2-norms, raised by N _EPS to cover the rounding of their sums
-    big_l2, y_l2 = (_l2(v) * (1 + N * _EPS) for v in (big, y))
+    big_l2, y_l2 = (float(np.linalg.norm(v.astype(np.float64))) * (1 + N * _EPS)
+                    for v in (big, y))
     nnz = int(np.count_nonzero(big))
 
     def bound(w: int) -> float:
@@ -414,7 +417,7 @@ def _gauss_table(field: FieldTable, exps: list[int], B: int):
     X, x_err = _times(X, x_err, twist, math.sqrt(n) * _EPS)
     del twist
     eta = _fft_eta(n)
-    err = (x_err + eta / (1 - eta) * _l2(X)) / math.sqrt(n)
+    err = (x_err + eta / (1 - eta) * float(np.linalg.norm(X))) / math.sqrt(n)
     raw = np.fft.fft(X)
     raw /= n
     return raw, err
@@ -603,16 +606,13 @@ def export_csv(table: TraceTable, path) -> None:
     with open(path, "w", newline="") as fh:
         if table.mode == "exact":
             # each value's order, numerators and den in lowest terms, as a
-            # CycNumber stores them, without a CycNumber per row: the bytes
-            # of csv.writer over json.dumps, which quotes the JSON and
-            # doubles its quotes
+            # CycNumber stores them, without a CycNumber per row
             num, den = table._lowest_terms()
             order = table.value_order
-            fh.write("s_log_index,exact\r\n")
-            fh.write("".join([
-                '%d,"{""order"": %d, ""num"": [%s], ""den"": %d}"\r\n'
-                % (i, order, ", ".join(map(str, row)), d)
-                for i, (row, d) in enumerate(zip(num.tolist(), den.tolist()))]))
+            writer = csv.writer(fh)
+            writer.writerow(["s_log_index", "exact"])
+            writer.writerows([i, json.dumps({"order": order, "num": row, "den": d})]
+                             for i, (row, d) in enumerate(zip(num.tolist(), den.tolist())))
         else:
             # the bytes of csv.writer, which writes a float as its repr and
             # ends rows with \r\n, one string per _CSV_ROWS rows: 30 ms

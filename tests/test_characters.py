@@ -1,13 +1,9 @@
 import math
-import re
-from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from hypmono.characters import _EPS, _L2_BLOCK, _l2, _times, gauss_sum, gauss_sums
+from hypmono.characters import _EPS, _times, gauss_sum, gauss_sums
 from hypmono.cyclotomic import CycNumber
 from hypmono.errors import CapExceededError
 from hypmono.finite_field import build_field
@@ -150,46 +146,3 @@ def test_exact_gauss_sum_refuses_beyond_cap():
     # phi(lcm(2, 1023)) = 600 > EXACT_PHI_CAP
     with pytest.raises(CapExceededError):
         gauss_sum(build_field(2, 10), 1)
-
-
-def _l2_inputs():
-    rng = np.random.default_rng(23)
-    for n in (1, 7, 127, 128, 129, 1000, 16383):
-        scale = 10.0 ** rng.integers(-8, 9, n)
-        yield f"real-{n}", rng.standard_normal(n) * scale
-        yield f"complex-{n}", (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
-    yield "real-constant", np.full(3 * _L2_BLOCK + 5, 0.1)
-    # the operands of exp_sums._cyclic_conv2: 2-D int64 counts, cast in _l2
-    yield "int-2d", rng.integers(0, 1 << 40, (127, 12))
-    yield "int-2d-small", rng.integers(0, 50, (1023, 6))
-    yield "int-2d-strided", rng.integers(0, 1 << 20, (300, 40))[:, ::3]
-
-
-@pytest.mark.parametrize("x", [x for _, x in _l2_inputs()],
-                         ids=[name for name, _ in _l2_inputs()])
-def test_l2_is_within_its_stated_bound(x):
-    # (d + 4) u / 2 relative, d = min(n - 1, ceil(log2 min(n, block)) + 18)
-    # for n float64 entries, against the exact root of the exact sum of
-    # squares and against np.linalg.norm, whose dot product may be off by
-    # up to (n + 3) u / 2
-    u = 2.0 ** -53
-    flat = x.view(np.float64) if np.iscomplexobj(x) else x
-    n = flat.size
-    d = min(n - 1, math.ceil(math.log2(min(n, _L2_BLOCK))) + 18)
-    bound = (d + 4) * u / 2
-    got = _l2(x)
-    exact = sum(Fraction(v) ** 2 for v in flat.ravel().tolist())
-    assert (1 - bound) ** 2 * exact <= Fraction(got) ** 2 <= (1 + bound) ** 2 * exact
-    ref = float(np.linalg.norm(x))
-    assert abs(got - ref) <= (bound + (n + 3) * u / 2) * ref
-
-
-def test_no_blas_call_in_the_library():
-    # the error bounds take their norms from _l2; no BLAS routine is called
-    # by name, so none depends on a BLAS thread pool
-    src = Path(__file__).resolve().parent.parent / "src" / "hypmono"
-    pattern = re.compile(r"\b(?:np|numpy)\.(?:linalg|dot|vdot)\b|\.v?dot\(|import linalg")
-    hits = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
-            for i, line in enumerate(path.read_text().splitlines(), 1)
-            if pattern.search(line)]
-    assert hits == []

@@ -389,32 +389,6 @@ def test_float_csv_bytes_match_csv_writer(tmp_path, f16, monkeypatch):
     assert path.read_bytes() == ref.getvalue().encode()
 
 
-def test_exact_csv_bytes_match_csv_writer(tmp_path):
-    import csv
-    import io
-
-    fam = FAMILIES["4x5"]
-    te = trace_table_all(build_field(3, 2), fam.kind, A=fam.A, B=fam.B, mode="exact")
-    den = te.den
-    # planted rows: negative numerators, dens above 1 after reduction, a
-    # zero row, a whole multiple of den and numerators past 2^40
-    num = np.array(te.exact_num)
-    num[:5] = [[-3, 0, 7, -1], [0, 0, 0, 0], [2 * den, -den, 0, 0],
-               [-(1 << 41) - 1, 1 << 40, 3, -den], [den // 3, 0, 0, 2 * den // 3]]
-    num.flags.writeable = False
-    te = dataclasses.replace(te, exact_num=num)
-    values = te.exact_values
-    assert any(v.den > 1 for v in values) and any(min(v.num) < 0 for v in values)
-    ref = io.StringIO(newline="")
-    writer = csv.writer(ref)
-    writer.writerow(["s_log_index", "exact"])
-    writer.writerows([i, json.dumps({"order": v.order, "num": list(v.num), "den": v.den})]
-                     for i, v in enumerate(values))
-    path = tmp_path / "exact.csv"
-    export_csv(te, path)
-    assert path.read_bytes() == ref.getvalue().encode()
-
-
 def test_family_registry():
     fam = FAMILIES["3x13"]
     assert (fam.p, fam.A, fam.B, fam.rank) == (2, 3, 13, 24)
