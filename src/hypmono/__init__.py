@@ -25,7 +25,6 @@ from .errors import (
 from .finite_field import FieldTable, build_field, load_cache, save_cache
 from .characters import gauss_sum
 from .kubert import (
-    QmodZ,
     bracket,
     check_criterion_Atimes,
     check_criterion_AxB,

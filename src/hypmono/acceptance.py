@@ -141,7 +141,7 @@ def _c5_v_identities(seed):
     for p, r in ((2, 10), (3, 6)):
         n = p ** r - 1
         for a in range(1, n, max(1, n // 97)):
-            v = kubert.kubert_v(kubert.QmodZ(a, n), p)
+            v = kubert.kubert_v(Fraction(a, n), p)
             if v != Fraction(kubert.bracket(a, p, r), r * (p - 1)):
                 v_bad += 1
     details["scalar_vs_bracket_violations"] = v_bad

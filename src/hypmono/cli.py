@@ -3,8 +3,8 @@
 One subcommand per reproducible artifact: digit-lemma verification runs,
 trace tables with their statistics, parameter-set classification, and the
 full reproduction suite.  Exit codes: 0 success, 1 verification failure,
-2 usage error (parameters the model refuses included), 3 resource cap
-exceeded.
+2 usage error (any ValueError a command raises: parameters the model
+refuses included), 3 resource cap exceeded (`CapExceededError`).
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ def cmd_verify_digit_lemma(args) -> int:
     lemma = getattr(kubert, f"verify_lemma_{family}")
     r_max = args.r_max if args.r_max is not None else kubert.LEMMAS[family].r_ext
     if r_max < 1:
-        print(f"verify-digit-lemma: --r-max must be at least 1, not {r_max}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--r-max must be at least 1, not {r_max}")
     reports = [lemma(r) for r in range(1, r_max + 1)]
     reports += kubert.bracket_reports(family, r_max)
     out = Path(args.out) / f"digit_lemma_{family}.ndjson" if args.out else None
@@ -75,13 +73,7 @@ def cmd_trace_table(args) -> int:
     fam = exp_sums.FAMILIES[args.family]
     k = args.field_degree
     if k < 1:
-        print(f"trace-table: --field-degree must be at least 1, not {k}",
-              file=sys.stderr)
-        return 2
-    if k % fam.base_degree:
-        raise CapExceededError(
-            f"field degree {k} does not contain the degree-{fam.base_degree} base field"
-        )
+        raise ValueError(f"--field-degree must be at least 1, not {k}")
     field = _field(fam.p, k)
     modes = ["exact", "float"] if args.mode == "both" else [args.mode]
     tables = {
@@ -117,24 +109,18 @@ def cmd_trace_table(args) -> int:
 def cmd_classify(args) -> int:
     if args.family:
         if (args.p, args.A, args.B) != (None, None, None):
-            print("classify: --family takes no --p, --A or --B", file=sys.stderr)
-            return 2
+            raise ValueError("--family takes no --p, --A or --B")
         fam = exp_sums.FAMILIES[args.family]
         label, kind, p, A, B = args.family, fam.kind, fam.p, fam.A, fam.B
     elif args.A is None or args.p is None:
-        print("classify: need --family or both --p and --A", file=sys.stderr)
-        return 2
+        raise ValueError("need --family or both --p and --A")
     else:
         p, A, B = args.p, args.A, args.B
         label, kind = (f"{A}x", "Atimes") if B is None else (f"{A}x{B}", "AxB")
     # the A-times spec does not read B, so its report leaves B out
     params = {"A": A, "B": B} if kind == "AxB" else {"A": A}
-    try:
-        spec = hyp_params.build_spec(kind, p, A, B)
-        report = hyp_params.classification_report(spec, label, params)
-    except ValueError as exc:  # parameters the model refuses
-        print(f"classify: {exc}", file=sys.stderr)
-        return 2
+    spec = hyp_params.build_spec(kind, p, A, B)
+    report = hyp_params.classification_report(spec, label, params)
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -210,6 +196,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # parameters the model refuses
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

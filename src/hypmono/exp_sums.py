@@ -42,6 +42,7 @@ from .cyclotomic import (CycNumber, _abs_sums, _check_int64, _galois_matrix,
                          _matmul_checked, _mul_rows, _rows_matrix)
 from .errors import CapExceededError
 from .finite_field import FieldTable
+from .hyp_params import build_spec
 from .kubert import multiplicative_order
 
 _EXACT_Q_CAP = 1 << 10
@@ -62,15 +63,6 @@ class FamilyParams:
     B: int
     rank: int
 
-    @property
-    def char_order(self) -> int:
-        # common order of the auxiliary characters in the trace formula
-        return self.A if self.kind == "AxB" else 4
-
-    @property
-    def base_degree(self) -> int:
-        return multiplicative_order(self.p, self.char_order)
-
 
 FAMILIES = {
     "3x13": FamilyParams("3x13", "AxB", 2, 3, 13, 24),
@@ -79,25 +71,31 @@ FAMILIES = {
 }
 
 
-def _char_exponents(field: FieldTable, kind: str, A: int) -> list[int]:
-    """Auxiliary character exponents, ascending, as fixed by the formula:
-    the A-1 nontrivial characters of order dividing A for the product
-    family; the conjugate pair of quartic characters otherwise."""
-    n = field.q - 1
-    if kind == "AxB":
-        if A is None or A < 3 or n % A:
-            raise ValueError(f"A = {A} must be given, >= 3 and divide q-1 = {n}")
-        return [j * (n // A) for j in range(1, A)]
-    if n % 4:
-        raise ValueError(f"q-1 = {n} must be divisible by 4")
-    return [n // 4, 3 * n // 4]
+def _formula(field: FieldTable, kind: str, A: int, B: int):
+    """The trace formula of a family over this field, validated once for the
+    direct evaluator and both table routes: (exps, m, sign, h, q0).
 
-
-def _char_order_of(field: FieldTable, exps: list[int]) -> int:
-    """lcm of the orders of the characters with these exponents; the trace
-    values lie in Q(zeta_m) for m = lcm(p, this order)."""
-    n = field.q - 1
-    return math.lcm(*(n // math.gcd(e, n) for e in exps))
+    The family must pass `build_spec` (the A-times family with A = 4B), and
+    its auxiliary characters, of order d = A for the product family and the
+    conjugate quartic pair otherwise (d = 4), must exist over the field:
+    d | q - 1.  exps are their exponents, ascending (chi(g^j) = zeta_n^(e j),
+    n = q - 1); the values lie in Q(zeta_m), m = lcm(p, d); sign is
+    (-1)^nu for nu = len(exps); h = log(-1); q0 is the size of the base
+    field, the least one holding the characters."""
+    p, n = field.p, field.q - 1
+    if A is None or B is None:
+        raise ValueError("A and B must be given")
+    if kind == "Atimes" and A != 4 * B:  # the quartic pair times characters of order B
+        raise ValueError(f"the A-times family has A = 4B = {4 * B}, not {A}")
+    build_spec(kind, p, A, B)
+    d = A if kind == "AxB" else 4
+    if n % d:
+        raise ValueError(f"F_{field.q} lacks the characters of order {d}: "
+                         f"{d} does not divide q - 1 = {n}")
+    exps = [j * (n // d) for j in (range(1, d) if kind == "AxB" else (1, 3))]
+    sign = -1 if len(exps) % 2 else 1
+    h = int(field.log[field.neg(1)])
+    return exps, math.lcm(p, d), sign, h, p ** multiplicative_order(p, d)
 
 
 def _check_point(field: FieldTable, s) -> None:
@@ -149,11 +147,12 @@ def _power_sum_counts(field: FieldTable, B: int, ts) -> np.ndarray:
 # ----------------------------------------------------------------------
 # single-point (direct) evaluators
 
-def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumber:
-    """The defining tuple sum at one point, every tuple its own term:
-    (-1)^nu / q^nu times the sum over (t_1, ..., t_nu) in (K^*)^nu of
-    psi(-t_1 ... t_nu / s) * prod chi_i(t_i) * prod S(t_i), with
-    S(t) = sum over x in K of psi(Bx - x^B / t) and chi_i(g^j) = zeta_n^(e_i j).
+def _trace_direct(field: FieldTable, kind: str, A: int, B: int, s: int) -> CycNumber:
+    """The defining tuple sum of `_formula`'s family at one point, every
+    tuple its own term: (-1)^nu / q^nu times the sum over (t_1, ..., t_nu)
+    in (K^*)^nu of psi(-t_1 ... t_nu / s) * prod chi_i(t_i) * prod S(t_i),
+    with S(t) = sum over x in K of psi(Bx - x^B / t) and
+    chi_i(g^j) = zeta_n^(e_i j).
 
     S(t) lies in the group ring Z[Z/p]: the count vectors of all t, from
     `_power_sum_counts` (element by element), are formed once per call.  A
@@ -162,9 +161,11 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumb
     at v lands on the exponent (Tr(-t_1 ... t_nu / s) + v) m/p + sum of
     (e_i j_i mod n) m/n of zeta_m, t_i = g^(j_i), and the counts of all
     tuples are added exactly in int64 into m exponent counts; they total
-    (n q)^nu, which is checked against int64 first.  No twisted-count convolution, Gauss sum or table
-    transform is used: this route is independent of `trace_table_all`.
+    (n q)^nu, which is checked against int64 first.  No twisted-count
+    convolution, Gauss sum or table transform is used: this route shares
+    only the family's definition, `_formula`, with `trace_table_all`.
     """
+    exps, m, sign, h, _ = _formula(field, kind, A, B)
     q, n, p = field.q, field.q - 1, field.p
     nu = len(exps)
     if n ** nu > _DIRECT_TUPLE_CAP:
@@ -173,7 +174,6 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumb
         )
     _check_point(field, s)
     _check_int64((n * q) ** nu, "direct tuple sum")
-    m = math.lcm(p, _char_order_of(field, exps))
     logs, digits = np.arange(n, dtype=np.int64), np.arange(p)
     counts = _power_sum_counts(field, B, field.antilog)
     # shifted[j, u, v] = counts[j, v - u]: multiplication by S(g^j) in Z[Z/p]
@@ -183,12 +183,10 @@ def _trace_direct(field: FieldTable, exps: list[int], B: int, s: int) -> CycNumb
         prod = np.einsum("tu,juv->tjv", prod, shifted).reshape(-1, p)
         log_sum = (log_sum[:, None] + logs).ravel()
         char_exp = (char_exp[:, None] + ((e * logs) % n) * m // n).ravel()
-    neg_shift = 0 if p == 2 else int(field.log[field.neg(1)])
-    w = field.trace_powers()[(log_sum + neg_shift - field.log[s]) % n]
+    w = field.trace_powers()[(log_sum + h - field.log[s]) % n]
     exponents = ((w[:, None] + digits) % p * (m // p) + char_exp[:, None]) % m
     total = np.zeros(m, dtype=np.int64)
     np.add.at(total, exponents.ravel(), prod.ravel())
-    sign = -1 if nu % 2 else 1
     return CycNumber.from_exponent_counts(m, sign * total, q ** nu)
 
 
@@ -196,21 +194,13 @@ def trace_axb(field: FieldTable, A: int, B: int, s: int) -> CycNumber:
     """Trace at s of the two-parameter family: the (A-1)-fold sum
     psi(-prod t_i / s) * prod chi_i(t_i) * prod of twisted sums,
     times (-1/q)^(A-1)."""
-    if math.gcd(A, B) != 1 or A < 3 or B < 3:
-        raise ValueError("need coprime A, B >= 3")
-    if A % field.p == 0 or B % field.p == 0:
-        raise ValueError("A and B must be prime to p")
-    return _trace_direct(field, _char_exponents(field, "AxB", A), B, s)
+    return _trace_direct(field, "AxB", A, B, s)
 
 
 def trace_quartic(field: FieldTable, B: int, s: int) -> CycNumber:
     """Trace at s of the quartic-pair family: the double sum with factor
     chi4(u) * conj(chi4)(v) and the twisted sums for x^B, times (1/q^2)."""
-    if field.p == 2:
-        raise ValueError("this family lives in odd characteristic")
-    if B % field.p == 0:
-        raise ValueError("B must be prime to p")
-    return _trace_direct(field, _char_exponents(field, "Atimes", 0), B, s)
+    return _trace_direct(field, "Atimes", 4 * B, B, s)
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +358,7 @@ def _cyclic_conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauss_table(field: FieldTable, exps: list[int], B: int):
+def _gauss_table(field: FieldTable, exps: list[int], h: int, B: int):
     """Raw float trace sums over Z/n, n = q - 1, from Gauss sums alone, and
     a bound on their largest error.
 
@@ -376,7 +366,7 @@ def _gauss_table(field: FieldTable, exps: list[int], B: int):
     * being cyclic convolution, f_k(j) = zeta_n^(e_k j) S(g^j) and
     S(t) = sum over x of psi(Bx - x^B / t).  With
     G(e) = sum_a psi(g^a) zeta_n^(ea) (`characters.gauss_sums`),
-    h = log(-1) and lb = log(B mod p), the Mellin coefficients of S are
+    h = log(-1) (both from `_formula`) and lb = log(B mod p), the Mellin coefficients of S are
     M_S(e) = sum_j S(g^j) zeta_n^(ej) = n [e = 0] + zeta_n^(ec) G(eB) G(-e)
     with c = h - B lb (x = 0 gives the first term; for x = g^a the
     substitution j = aB - l splits the rest into two Gauss sums).  The raw
@@ -400,7 +390,6 @@ def _gauss_table(field: FieldTable, exps: list[int], B: int):
     n, p, nu = field.q - 1, field.p, len(exps)
     G, g_err = gauss_sums(field)
     logs = np.arange(n, dtype=np.int64)
-    h = int(field.log[field.neg(1)])
     c = (h - B * int(field.log[B % p])) % n
     g_neg = G[-logs]
     # the dels below keep at most four arrays of n complex values alive
@@ -445,22 +434,11 @@ def trace_table_all(
         raise CapExceededError(
             f"q = {q} exceeds the exact-mode table cap {_EXACT_Q_CAP}"
         )
-    if B is None or math.gcd(B, p) != 1:
-        raise ValueError("B must be given and prime to p")
-    if kind == "AxB":
-        exps = _char_exponents(field, "AxB", A)
-    elif kind == "Atimes":
-        if A not in (None, 4 * B):  # the quartic pair times characters of order B
-            raise ValueError(f"the A-times family has A = 4B = {4 * B}, not {A}")
-        A, exps = 4 * B, _char_exponents(field, "Atimes", 0)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
+    if kind == "Atimes" and A is None and B is not None:
+        A = 4 * B
+    exps, m, sign, h, base_size = _formula(field, kind, A, B)
     params = {"A": A, "B": B}
     nu = len(exps)
-    char_order = _char_order_of(field, exps)
-    m = math.lcm(p, char_order)
-    base_size = p ** multiplicative_order(p, char_order)
-    sign = -1 if nu % 2 else 1
 
     if mode == "exact":
         counts = _twisted_counts(field, B)
@@ -476,7 +454,6 @@ def trace_table_all(
         # h = log(-1): the convolution of g with the indicator kernel
         # K[d, w(h - d) m / p] = 1
         w = field.trace_powers()
-        h = int(field.log[field.neg(1)])
         kernel = np.zeros((n, m), dtype=np.int64)
         kernel[logs, w[(h - logs) % n] * (m // p)] = 1
         raw = _cyclic_conv2(kernel, g)
@@ -485,7 +462,7 @@ def trace_table_all(
         return TraceTable(kind, p, params, field, base_size, "exact", nu, m,
                           exact_num=num)
 
-    values, err = _gauss_table(field, exps, B)
+    values, err = _gauss_table(field, exps, h, B)
     values *= sign / q ** nu
     total_err = err / q ** nu + float(np.abs(values).max()) * _EPS
     return TraceTable(kind, p, params, field, base_size, "float", nu, m,

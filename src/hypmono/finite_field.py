@@ -394,10 +394,6 @@ class FieldTable:
     def units(self) -> np.ndarray:
         return self.antilog.astype(np.int64)
 
-    @property
-    def generator(self) -> int:
-        return int(self.antilog[1]) if self.q > 2 else 1
-
     def __repr__(self):
         return f"FieldTable(p={self.p}, k={self.k}, q={self.q})"
 

@@ -121,58 +121,18 @@ def multiplicative_order(p: int, m: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Q/Z prime to p, and the V-function
-
-@dataclass(frozen=True)
-class QmodZ:
-    """Element a/m of Q/Z, stored reduced with 0 <= a < m."""
-
-    a: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("denominator must be positive")
-        a = self.a % self.m
-        g = math.gcd(a, self.m)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "m", self.m // g)
-
-    @classmethod
-    def from_fraction(cls, fr) -> "QmodZ":
-        fr = Fraction(fr)
-        return cls(fr.numerator, fr.denominator)
-
-    def __neg__(self) -> "QmodZ":
-        return QmodZ(self.m - self.a, self.m)
-
-    def __add__(self, other: "QmodZ") -> "QmodZ":
-        return QmodZ.from_fraction(self.to_fraction() + other.to_fraction())
-
-    def scale(self, n: int) -> "QmodZ":
-        return QmodZ(self.a * n, self.m)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.a, self.m)
-
-    def __str__(self):
-        return f"{self.a}/{self.m}"
-
+# the V-function on Q/Z prime to p
 
 def kubert_v(x, p: int) -> Fraction:
-    """V(x) for x in (Q/Z) prime to p; V(0) = 0."""
-    if not isinstance(x, QmodZ):
-        x = QmodZ.from_fraction(Fraction(x))
-    if x.is_zero:
+    """V(x) for x in (Q/Z) prime to p, any x that `Fraction` takes, read
+    mod 1; V(0) = 0."""
+    x = Fraction(x) % 1
+    if x == 0:
         return Fraction(0)
-    if x.m % p == 0:
-        raise ValueError(f"denominator {x.m} is not prime to {p}")
-    r = multiplicative_order(p, x.m)
-    a = x.a * (p ** r - 1) // x.m
+    if x.denominator % p == 0:
+        raise ValueError(f"denominator {x.denominator} is not prime to {p}")
+    r = multiplicative_order(p, x.denominator)
+    a = x.numerator * (p ** r - 1) // x.denominator
     return Fraction(digit_sum(a, p), r * (p - 1))
 
 
@@ -635,17 +595,6 @@ class CriterionReport:
     def passed(self) -> bool:
         return not self.counterexamples
 
-    def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "p": self.p,
-            "params": list(self.params),
-            "r_max": self.r_max,
-            "checked": self.checked,
-            "counterexamples": [c.to_json() for c in self.counterexamples],
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-
 
 @dataclass(frozen=True)
 class Criterion:
@@ -677,12 +626,12 @@ def _check_criterion(crit: Criterion, r_max: int) -> CriterionReport:
                        [(c, 0) for c in crit.big],
                        [Variant("", crit.constant * r * (p - 1))], n)
         checked += rep.checked
-        cx += [Counterexample(QmodZ(c.x, n), c.rhs, c.lhs) for c in rep.counterexamples]
+        cx += [Counterexample(Fraction(c.x, n), c.rhs, c.lhs) for c in rep.counterexamples]
     for a in range(crit.hand):
-        x = QmodZ(a, crit.hand)
-        big = sum(kubert_v(x.scale(c), p) for c in crit.big) + crit.constant * (
+        x = Fraction(a, crit.hand)
+        big = sum(kubert_v(c * x, p) for c in crit.big) + crit.constant * (
             kubert_v(x, p) + kubert_v(-x, p))
-        small = sum(kubert_v(x.scale(c), p) for c in crit.small)
+        small = sum(kubert_v(c * x, p) for c in crit.small)
         checked += 1
         if big < small:
             cx.append(Counterexample(x, big, small))

@@ -207,10 +207,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("family", ["3x13", "28x"])
+def test_trace_table_refuses_a_field_without_the_characters(family, tmp_path, capsys):
+    # F_8 and F_27 lack the characters of order 3 and 4 that the trace
+    # formulas use: a parameter the model refuses (2), not a cap (3)
+    rc = main(["trace-table", "--family", family, "--field-degree", "3",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("trace-table: ") and "characters" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cap_exit_code(capsys):
-    # degree 3 does not contain the degree-2 base field of the 3x13 family
-    rc = main(["trace-table", "--family", "3x13", "--field-degree", "3"])
-    assert rc == 3
     # exact mode beyond the table cap
     rc = main(["trace-table", "--family", "3x13", "--field-degree", "12",
                "--mode", "exact"])

@@ -12,6 +12,7 @@ from hypmono.exp_sums import (
     FAMILIES,
     _cyclic_conv2,
     _power_sum_counts,
+    _trace_direct,
     _twisted_counts,
     export_csv,
     float_gap,
@@ -52,7 +53,7 @@ def table_f16(f16):
 
 def test_twisted_sum_examples(f4):
     # sum over x in F4 of psi(13x - x^13 / t) is 4 at t = 1 and 0 at t = g
-    counts = _power_sum_counts(f4, 13, [1, f4.generator])
+    counts = _power_sum_counts(f4, 13, [1, int(f4.antilog[1])])
     assert counts.tolist() == [[4, 0], [2, 2]]
     assert CycNumber.from_exponent_counts(2, counts[0]) == 4
     assert CycNumber.from_exponent_counts(2, counts[1]) == 0
@@ -289,6 +290,38 @@ def test_trace_preconditions(f4, f9, f16):
         trace_table_all(f9, "Atimes", A=20, B=7)  # the A-times family has A = 4B
 
 
+def test_direct_and_tables_refuse_alike():
+    # the direct evaluator and both table routes validate one formula: they
+    # refuse the same families and accept each of FAMILIES at its base field
+    refused = [
+        (2, 4, "AxB", 3, 9),  # gcd(A, B) != 1; the tables used to accept it
+        (2, 4, "AxB", 3, 3),
+        (2, 4, "AxB", None, 13),
+        (2, 4, "AxB", 7, 13),  # 7 does not divide q - 1 = 15
+        (2, 2, "Atimes", 28, 7),  # the A-times family needs odd p
+        (3, 2, "Atimes", 12, 3),  # B = 3 divisible by p
+        (3, 2, "Atimes", 20, 7),  # A != 4B
+    ]
+    for p, k, kind, A, B in refused:
+        field = build_field(p, k)
+        with pytest.raises(ValueError):
+            _trace_direct(field, kind, A, B, 1)
+        if kind == "AxB" or A == 4 * B:  # trace_quartic passes A = 4B itself
+            with pytest.raises(ValueError):
+                trace_axb(field, A, B, 1) if kind == "AxB" else trace_quartic(field, B, 1)
+        for mode in ("exact", "float"):
+            with pytest.raises(ValueError):
+                trace_table_all(field, kind, A=A, B=B, mode=mode)
+    for fam in FAMILIES.values():
+        field = build_field(fam.p, 2)
+        if fam.kind == "AxB":
+            assert trace_axb(field, fam.A, fam.B, 1) is not None
+        else:
+            assert trace_quartic(field, fam.B, 1) is not None
+        for mode in ("exact", "float"):
+            assert trace_table_all(field, fam.kind, A=fam.A, B=fam.B, mode=mode).mode == mode
+
+
 def test_points_out_of_range_are_refused(f9):
     # a point is a nonzero element, 0 < s < q; -1 would wrap to s = 8 and
     # s = q would index past the tables
@@ -392,7 +425,9 @@ def test_float_csv_bytes_match_csv_writer(tmp_path, f16, monkeypatch):
 def test_family_registry():
     fam = FAMILIES["3x13"]
     assert (fam.p, fam.A, fam.B, fam.rank) == (2, 3, 13, 24)
-    assert fam.base_degree == 2 and FAMILIES["28x"].base_degree == 2
+    # the base field, the least holding the characters of the trace formula
+    assert {name: trace_table_all(build_field(f.p, 2), f.kind, A=f.A, B=f.B).base_size
+            for name, f in FAMILIES.items()} == {"3x13": 4, "4x5": 9, "28x": 9}
     assert FAMILIES["4x5"].rank == 12
     # the spec's M is the order of the local monodromy at 0, its n the rank
     specs = {name: build_spec(f.kind, f.p, f.A, f.B) for name, f in FAMILIES.items()}

@@ -25,13 +25,13 @@ SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (2, 10),
 def test_f4_is_the_unique_quadratic():
     f4 = build_field(2, 2)
     assert f4.modulus == (1, 1, 1)
-    w = f4.generator  # class of t
+    w = int(f4.antilog[1])  # class of t
     assert f4.mul(w, w) == f4.add(w, 1)  # w^2 = w + 1
 
 
 def test_f4_examples():
     f4 = build_field(2, 2)
-    w = f4.generator
+    w = int(f4.antilog[1])
     assert f4.mul(w, f4.mul(w, w)) == 1  # w * w^2 = 1
     assert f4.pow(w, 13) == w  # 13 mod 3 = 1
     assert f4.inv(1) == 1
@@ -39,7 +39,7 @@ def test_f4_examples():
 
 def test_trace_examples():
     f4 = build_field(2, 2)
-    assert f4.trace_to_prime(f4.generator) == 1
+    assert f4.trace_to_prime(int(f4.antilog[1])) == 1
     assert f4.trace_to_prime(0) == 0
     f9 = build_field(3, 2)
     # Tr(1) = k * 1 = 2 in F_3

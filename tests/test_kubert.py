@@ -6,7 +6,6 @@ import pytest
 
 from hypmono.errors import CapExceededError
 from hypmono.kubert import (
-    QmodZ,
     bracket,
     bracket_reports,
     bracket_vec,
@@ -69,22 +68,16 @@ def test_brackets_refuse_r_below_one(p):
         bracket_vec(np.arange(4), p, 0)
 
 
-def test_qmodz_normalization():
-    x = QmodZ(10, 15)
-    assert (x.a, x.m) == (2, 3)
-    assert (-x).to_fraction() == Fraction(1, 3)
-    assert x.scale(3).is_zero
-    assert QmodZ(0, 7).is_zero
-    assert str(QmodZ(4, 6)) == "2/3"
-
-
 def test_v_examples():
-    assert kubert_v(QmodZ(0, 1), 2) == 0
-    assert kubert_v(QmodZ(1, 3), 2) == Fraction(1, 2)
-    assert kubert_v(QmodZ(1, 3), 2) + kubert_v(QmodZ(2, 3), 2) == 1
+    assert kubert_v(Fraction(0, 1), 2) == 0
+    assert kubert_v(Fraction(1, 3), 2) == Fraction(1, 2)
+    assert kubert_v(Fraction(1, 3), 2) + kubert_v(Fraction(2, 3), 2) == 1
+    # read mod 1: 4/3 and -2/3 are 1/3, 1 is 0
+    assert kubert_v(Fraction(4, 3), 2) == kubert_v(Fraction(-2, 3), 2) == Fraction(1, 2)
+    assert kubert_v(1, 2) == 0
     assert kubert_v(Fraction(1, 8), 3) == Fraction(1, 4)
     with pytest.raises(ValueError):
-        kubert_v(QmodZ(1, 6), 2)
+        kubert_v(Fraction(1, 6), 2)
 
 
 def test_v_reflection_exhaustive_small():
@@ -92,17 +85,17 @@ def test_v_reflection_exhaustive_small():
         for r in range(1, rmax + 1):
             n = p ** r - 1
             for a in range(1, n):
-                assert kubert_v(QmodZ(a, n), p) + kubert_v(QmodZ(n - a, n), p) == 1
+                assert kubert_v(Fraction(a, n), p) + kubert_v(Fraction(n - a, n), p) == 1
 
 
 def test_v_triplication_everywhere():
     # V(3x) + 1 = V(x) + V(x + 1/3) + V(x + 2/3), including degenerate x
-    third = QmodZ(1, 3)
+    third = Fraction(1, 3)
     for r in (1, 2, 3, 4, 5, 6):
         n = 2 ** r - 1
         for a in range(n):
-            x = QmodZ(a, n)
-            lhs = kubert_v(x.scale(3), 2) + 1
+            x = Fraction(a, n)
+            lhs = kubert_v(3 * x, 2) + 1
             rhs = (kubert_v(x, 2) + kubert_v(x + third, 2)
                    + kubert_v(x + third + third, 2))
             assert lhs == rhs
@@ -110,12 +103,12 @@ def test_v_triplication_everywhere():
 
 def test_v_duplication_everywhere():
     # V(2x) + 1/2 = V(x) + V(x + 1/2), including degenerate x
-    half = QmodZ(1, 2)
+    half = Fraction(1, 2)
     for r in (1, 2, 3, 4):
         n = 3 ** r - 1
         for a in range(n):
-            x = QmodZ(a, n)
-            assert kubert_v(x.scale(2), 3) + Fraction(1, 2) == \
+            x = Fraction(a, n)
+            assert kubert_v(2 * x, 3) + Fraction(1, 2) == \
                 kubert_v(x, 3) + kubert_v(x + half, 3)
 
 
@@ -127,8 +120,8 @@ def test_v_well_defined_across_levels():
             for k in (2, 3):
                 nn = p ** (k * r) - 1
                 for a in range(n):
-                    assert kubert_v(QmodZ(a, n), p) == \
-                        kubert_v(QmodZ(a * (nn // n), nn), p)
+                    assert kubert_v(Fraction(a, n), p) == \
+                        kubert_v(Fraction(a * (nn // n), nn), p)
 
 
 def test_sequence_ab():
@@ -238,9 +231,9 @@ def test_criterion_axb_small():
     rep = check_criterion_AxB(3, 4, 5, 6)
     assert rep.passed
     # x = 1/3 spot check: V(39x) + 1 = 1 >= V(3x) + V(13x) = 1/2
-    x = QmodZ(1, 3)
-    lhs = kubert_v(x.scale(39), 2) + 1
-    rhs = kubert_v(x.scale(3), 2) + kubert_v(x.scale(13), 2)
+    x = Fraction(1, 3)
+    lhs = kubert_v(39 * x, 2) + 1
+    rhs = kubert_v(3 * x, 2) + kubert_v(13 * x, 2)
     assert lhs == 1 and rhs == Fraction(1, 2)
 
 
@@ -250,9 +243,9 @@ def test_criterion_atimes_small():
     with pytest.raises(ValueError):
         check_criterion_Atimes(3, 2, 5, 28, 4)
     # x = 1/2: all terms through the scalar V oracle
-    x = QmodZ(1, 2)
-    lhs = kubert_v(x.scale(28), 3) + kubert_v(x.scale(2), 3) + kubert_v(-x, 3)
-    rhs = kubert_v(x.scale(14), 3) + kubert_v(x.scale(4), 3)
+    x = Fraction(1, 2)
+    lhs = kubert_v(28 * x, 3) + kubert_v(2 * x, 3) + kubert_v(-x, 3)
+    rhs = kubert_v(14 * x, 3) + kubert_v(4 * x, 3)
     assert lhs >= rhs
 
 
@@ -326,7 +319,7 @@ def test_v_lands_in_unit_interval():
         for r in range(1, rmax + 1):
             n = p ** r - 1
             for a in range(n):
-                v = kubert_v(QmodZ(a, n), p)
+                v = kubert_v(Fraction(a, n), p)
                 assert 0 <= v < 1
 
 
@@ -334,7 +327,8 @@ def _records(report):
     if hasattr(report, "to_json_records"):
         records = report.to_json_records()
     else:
-        records = [report.to_json()]
+        records = [{"checked": report.checked,
+                    "counterexamples": [c.to_json() for c in report.counterexamples]}]
     return [{k: v for k, v in rec.items() if k != "elapsed_ms"} for rec in records]
 
 
@@ -673,13 +667,13 @@ def test_criteria_match_scalar_route():
                 lhs = bracket(A * B * a, p, r) + r * (p - 1)
                 rhs = bracket(A * a, p, r) + bracket(B * a, p, r)
                 if lhs < rhs:
-                    want.append({"x": str(QmodZ(a, n)), "lhs": lhs, "rhs": rhs})
+                    want.append({"x": str(Fraction(a, n)), "lhs": lhs, "rhs": rhs})
         for a in range(A * B):
-            x = QmodZ(a, A * B)
-            lhs = kubert_v(x.scale(A * B), p) + kubert_v(x, p) + kubert_v(-x, p)
-            rhs = kubert_v(x.scale(A), p) + kubert_v(x.scale(B), p)
+            x = Fraction(a, A * B)
+            lhs = kubert_v(A * B * x, p) + kubert_v(x, p) + kubert_v(-x, p)
+            rhs = kubert_v(A * x, p) + kubert_v(B * x, p)
             if lhs < rhs:
                 want.append({"x": str(x), "lhs": str(lhs), "rhs": str(rhs)})
         rep = check_criterion_AxB(p, A, B, r_max)
-        assert rep.to_json()["counterexamples"] == want
+        assert [c.to_json() for c in rep.counterexamples] == want
         assert rep.passed == (p == 3)

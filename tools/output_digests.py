@@ -13,6 +13,9 @@ name -> sha256, covering:
   parameters `--p 3 --A 4 --B 5` and `--p 3 --A 28`;
 - the CSVs and the stats JSON of `trace-table --mode both` for 3x13 at
   degrees 4 and 10, 4x5 at 2, 4 and 6, and 28x at 2 and 6;
+- the stats JSON alone of `trace-table --mode float` for 3x13 at degree
+  16 and 4x5 and 28x at degree 10, where the last bits of `float_err`
+  show a change in the float route;
 - the `verify-digit-lemma` NDJSON at the CLI defaults for every family,
   with the timing field `elapsed_ms` taken out of each record;
 - the `verify-digit-lemma --help` text.
@@ -36,6 +39,7 @@ CLASSIFY = [["--family", "3x13"], ["--family", "4x5"], ["--family", "28x"],
             ["--p", "3", "--A", "4", "--B", "5"], ["--p", "3", "--A", "28"]]
 TRACE_TABLES = [("3x13", 4), ("3x13", 10), ("4x5", 2), ("4x5", 4), ("4x5", 6),
                 ("28x", 2), ("28x", 6)]
+FLOAT_STATS = [("3x13", 16), ("4x5", 10), ("28x", 10)]
 LEMMAS = ["3x13", "4x5", "28"]
 
 
@@ -66,6 +70,12 @@ def main() -> int:
                 "--mode", "both", "--out", str(table_dir))
             for path in sorted(table_dir.iterdir()):
                 out[f"trace-table {path.name}"] = sha256(path.read_bytes())
+        for family, k in FLOAT_STATS:
+            table_dir = work / f"float_{family}_{k}"
+            cli("trace-table", "--family", family, "--field-degree", str(k),
+                "--mode", "float", "--out", str(table_dir))
+            path = next(table_dir.glob("*_stats.json"))
+            out[f"trace-table --mode float {path.name}"] = sha256(path.read_bytes())
         for family in LEMMAS:
             records = [json.loads(line) for line in
                        cli("verify-digit-lemma", "--family", family).decode().splitlines()]
