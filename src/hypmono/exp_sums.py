@@ -360,13 +360,13 @@ def _cyclic_conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _gauss_table(field: FieldTable, exps: list[int], h: int, B: int):
     """Raw float trace sums over Z/n, n = q - 1, from Gauss sums alone, and
-    a bound on their largest error.
+    a bound on their largest error; exps and h = log(-1) are `_formula`'s.
 
     The raw sum at i is sum over l of (f_1 * ... * f_nu)(l) psi(-g^(l-i)),
     * being cyclic convolution, f_k(j) = zeta_n^(e_k j) S(g^j) and
     S(t) = sum over x of psi(Bx - x^B / t).  With
     G(e) = sum_a psi(g^a) zeta_n^(ea) (`characters.gauss_sums`),
-    h = log(-1) (both from `_formula`) and lb = log(B mod p), the Mellin coefficients of S are
+    h = log(-1) and lb = log(B mod p), the Mellin coefficients of S are
     M_S(e) = sum_j S(g^j) zeta_n^(ej) = n [e = 0] + zeta_n^(ec) G(eB) G(-e)
     with c = h - B lb (x = 0 gives the first term; for x = g^a the
     substitution j = aB - l splits the rest into two Gauss sums).  The raw
