@@ -46,7 +46,6 @@ from .exp_sums import (
 )
 from .hyp_params import (
     HypSpec,
-    InertiaModel,
     belyi_induction_match,
     build_Atimes,
     build_AxB,

@@ -29,9 +29,11 @@ def _field(p: int, k: int):
     path = Path(cache_dir) / f"field_{p}_{k}.tab"
     if path.exists():
         try:
-            return load_cache(path)
-        except ValueError:
-            pass  # fall through to a rebuild; the cache is never trusted
+            field = load_cache(path)
+            if (field.p, field.k) == (p, k):
+                return field
+        except ValueError:  # a malformed cache is rebuilt, like one of another field
+            pass
     field = build_field(p, k)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_cache(field, path)
@@ -121,14 +123,7 @@ def cmd_classify(args) -> int:
     params = {"A": A, "B": B} if kind == "AxB" else {"A": A}
     spec = hyp_params.build_spec(kind, p, A, B)
     report = hyp_params.classification_report(spec, label, params)
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            _dump(report, fh)
-        print(f"classify {label}: wrote {path}")
-    else:
-        _dump(report, sys.stdout)
+    _emit_records([report], Path(args.out) if args.out else None, f"classify {label}")
     return 0
 
 

@@ -164,36 +164,6 @@ def _reduce_exponents(m: int, terms) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _minimal_form(order: int, num: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Power-basis coordinates of sum num[j] * zeta_order^j in the smallest
-    Q(zeta_d) holding it, found by descending one prime l | order at a time."""
-    descended = True
-    while descended:
-        descended = False
-        for ell in _prime_factors(order):
-            m = order // ell
-            if m % ell == 0:
-                # Phi_order(x) = Phi_m(x^l): the subfield is spanned by x^(l*i)
-                if any(c for j, c in enumerate(num) if j % ell):
-                    continue
-                num = num[::ell]
-            else:
-                # zeta_order = zeta_m^u * zeta_l^v; write the value as
-                # sum_b z_b zeta_l^b with z_b in Q(zeta_m), which lies in
-                # Q(zeta_m) iff z_1 = ... = z_(l-1), and then equals z_0 - z_(l-1)
-                u, v = pow(ell, -1, m), pow(m, -1, ell)
-                parts = [[] for _ in range(ell)]
-                for j, c in enumerate(num):
-                    parts[v * j % ell].append((u * j % m, c))
-                z = [_reduce_exponents(m, t) for t in parts]
-                if any(zb != z[-1] for zb in z[1:-1]):
-                    continue
-                num = tuple(a - b for a, b in zip(z[0], z[-1]))
-            order, descended = m, True
-            break
-    return order, num
-
-
 def _binary(op):
     """op with a rational or finite float operand made a CycNumber; NotImplemented
     for any operand that is not one of these or a CycNumber."""
@@ -333,11 +303,19 @@ class CycNumber:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        order, num = _minimal_form(self.order, self.num)
-        canon = CycNumber(order, num, self.den)
-        if order == 1:
-            return hash(Fraction(canon.num[0], canon.den))
-        return hash((order, canon.num, canon.den))
+        """The hash of the mean of the conjugates, Tr(x)/phi(m).  It does not
+        depend on the order m that x is written in, and is x itself for a
+        rational x, so equal values hash alike.  zeta_m^i has the mean
+        mu(d)/phi(d), d = m/gcd(i, m): a product of -1/(l - 1) over the
+        primes l of a squarefree d, else 0.  Conjugates, and all values of
+        trace zero, share a hash; nothing in hypmono hashes a CycNumber."""
+        mean = Fraction(0)
+        for i, c in enumerate(self.num):
+            d = self.order // math.gcd(i, self.order)
+            primes = _prime_factors(d)
+            if c and math.prod(primes) == d:
+                mean += c * math.prod(Fraction(-1, ell - 1) for ell in primes)
+        return hash(mean / self.den)
 
     def __repr__(self):
         return f"CycNumber(order={self.order}, num={self.num}, den={self.den})"

@@ -56,7 +56,6 @@ _CSV_ROWS = 1024
 class FamilyParams:
     """The one record of a family's facts; every consumer reads them here."""
 
-    name: str
     kind: str  # 'AxB' | 'Atimes'
     p: int
     A: int
@@ -65,9 +64,9 @@ class FamilyParams:
 
 
 FAMILIES = {
-    "3x13": FamilyParams("3x13", "AxB", 2, 3, 13, 24),
-    "4x5": FamilyParams("4x5", "AxB", 3, 4, 5, 12),
-    "28x": FamilyParams("28x", "Atimes", 3, 28, 7, 12),
+    "3x13": FamilyParams("AxB", 2, 3, 13, 24),
+    "4x5": FamilyParams("AxB", 3, 4, 5, 12),
+    "28x": FamilyParams("Atimes", 3, 28, 7, 12),
 }
 
 

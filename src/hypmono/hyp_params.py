@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .kubert import multiplicative_order
 
 __all__ = [
     "HypSpec",
-    "InertiaModel",
     "BelyiMatch",
-    "ClassificationVerdict",
     "build_AxB",
     "build_Atimes",
     "build_spec",
@@ -145,7 +143,7 @@ def kummer_induction_candidates(spec: HypSpec) -> list[int]:
     degrees = [N for N in range(2, limit + 1) if limit % N == 0 and N % spec.p]
     sides = [sorted(side) for side in spec.as_fractions()] if degrees else []
     return [N for N in degrees
-            if all(sorted(_mod1(x + Fraction(1, N)) for x in side) == side for side in sides)]
+            if all(sorted((x + Fraction(1, N)) % 1 for x in side) == side for side in sides)]
 
 
 # ----------------------------------------------------------------------
@@ -173,21 +171,17 @@ class BelyiMatch:
         }
 
 
-def _mod1(fr: Fraction) -> Fraction:
-    return Fraction(fr.numerator % fr.denominator, fr.denominator)
-
-
 def _roots(target: Fraction, k: int) -> list[Fraction]:
     """The k preimages of target under multiplication by k in Q/Z."""
-    return [_mod1(Fraction(target.numerator + j * target.denominator,
-                           target.denominator * k)) for j in range(k)]
+    return [Fraction(target.numerator + j * target.denominator,
+                     target.denominator * k) % 1 for j in range(k)]
 
 
 def _p_division(target: Fraction, p: int, r: int) -> Fraction:
     """The unique prime-to-p preimage under multiplication by p^r."""
     d = target.denominator
     inv = pow(p, -r, d) if d > 1 else 0
-    return _mod1(Fraction(target.numerator * inv, d))
+    return Fraction(target.numerator * inv, d) % 1
 
 
 def _multiset(fracs) -> tuple:
@@ -215,15 +209,15 @@ def belyi_induction_match(spec: HypSpec) -> list[BelyiMatch]:
                     if A % p == 0 or B % p == 0:
                         continue
                     # each fibre is a sub-multiset of the upstairs one
-                    lams = [lam for lam in sorted({_mod1(A * u) for u in up})
+                    lams = [lam for lam in sorted({(A * u) % 1 for u in up})
                             if Counter(_roots(lam, A)) <= up_count]
-                    sigmas = [sigma for sigma in sorted({_mod1(B * u) for u in up})
+                    sigmas = [sigma for sigma in sorted({(B * u) % 1 for u in up})
                               if Counter(_roots(sigma, B)) <= up_count]
                     for lam in lams:
                         for sigma in sigmas:
                             if _multiset(_roots(lam, A) + _roots(sigma, B)) != up_set:
                                 continue
-                            tau = _p_division(_mod1(lam + sigma), p, r)
+                            tau = _p_division((lam + sigma) % 1, p, r)
                             if _multiset(_roots(tau, d0)) == down_set:
                                 matches.append(
                                     BelyiMatch("a", A, B, r, d0, lam, sigma)
@@ -241,11 +235,11 @@ def belyi_induction_match(spec: HypSpec) -> list[BelyiMatch]:
         tame = m - d0
         if rem == 0 and d0 >= 1 and d0 % p and tame >= 1 and tame % p:
             found = []
-            for prod in sorted({_mod1(n * u) for u in up}):
+            for prod in sorted({(n * u) % 1 for u in up}):
                 if _multiset(_roots(prod, n)) != up_set:
                     continue
-                for x in sorted({_mod1(tame * d) for d in down}):
-                    y = _mod1(prod - x)
+                for x in sorted({(tame * d) % 1 for d in down}):
+                    y = (prod - x) % 1
                     if _multiset(_roots(x, tame) + _roots(_p_division(y, p, r), d0)) == down_set:
                         found.append((x, y))
             matches += [BelyiMatch("b", tame, d0 * pr, r, d0, x, y) for x, y in found]
@@ -267,19 +261,13 @@ def _p_exponent(n: int, p: int) -> int | None:
     return e if n == 1 else None
 
 
-@dataclass
-class ClassificationVerdict:
-    status: str  # 'NOT_INDUCED' | 'INCONCLUSIVE'
-    kummer: list[int] = field(default_factory=list)
-    belyi: list[BelyiMatch] = field(default_factory=list)
-    tensor_indecomposable_hypotheses: bool = False
-
-
-def primitivity_verdict(spec: HypSpec) -> ClassificationVerdict:
-    """NOT_INDUCED when a rank corollary applies and both pushforward
-    searches come back empty; INCONCLUSIVE (with candidates) otherwise.
-    A pushforward of type (n, 1) forces n to be a power of p, and with
-    m > 1 tame characters no pushforward shape has a p-power rank."""
+def primitivity_verdict(spec: HypSpec) -> dict:
+    """The report's primitivity fields: the Kummer and Belyi candidates, the
+    verdict and whether the tensor-indecomposability hypotheses hold.  It is
+    NOT_INDUCED when a rank corollary applies and both pushforward searches
+    come back empty, INCONCLUSIVE otherwise.  A pushforward of type (n, 1)
+    forces n to be a power of p, and with m > 1 tame characters no
+    pushforward shape has a p-power rank."""
     kummer = kummer_induction_candidates(spec)
     belyi = belyi_induction_match(spec)
     n, m = spec.n, spec.m
@@ -287,8 +275,13 @@ def primitivity_verdict(spec: HypSpec) -> ClassificationVerdict:
     even_power = e is not None and e >= 2 and e % 2 == 0
     tensor_hyp = (n != 4 and not even_power) or (even_power and m > 1)
     corollary = (m == 1 and n >= 2 and e is None) or (m > 1 and e is not None)
-    status = "NOT_INDUCED" if corollary and not kummer and not belyi else "INCONCLUSIVE"
-    return ClassificationVerdict(status, kummer, belyi, tensor_hyp)
+    return {
+        "kummer": kummer,
+        "belyi": [b.to_json() for b in belyi],
+        "primitivity": "NOT_INDUCED" if corollary and not kummer and not belyi
+                       else "INCONCLUSIVE",
+        "tensor_indecomposable_hypotheses": tensor_hyp,
+    }
 
 
 def selfdual_test(spec: HypSpec) -> str:
@@ -308,19 +301,11 @@ def det_product_check(spec: HypSpec) -> bool:
     return sum(spec.upstairs) % spec.M == 0
 
 
-@dataclass(frozen=True)
-class InertiaModel:
-    N: int
-    f: int
-    group: str
-    product_case: str  # 'trivial' | 'quadratic' | 'other'
-    hypothesis_met: bool
-
-
-def inertia_model(spec: HypSpec) -> InertiaModel:
-    """Shape of the local monodromy image at infinity: the wild part is
-    the additive group of F_{p^f} (f the order of p mod N), extended by a
-    cyclic group permuting its N characters."""
+def inertia_model(spec: HypSpec) -> dict:
+    """The report's `inertia` field, the shape of the local monodromy image
+    at infinity: the wild part is the additive group of F_{p^f} (f the
+    order of p mod N), extended by a cyclic group permuting its N
+    characters.  `product_case` is 'trivial', 'quadratic' or 'other'."""
     N = spec.n - spec.m
     p = spec.p
     if N % p == 0:
@@ -333,14 +318,12 @@ def inertia_model(spec: HypSpec) -> InertiaModel:
         case = "quadratic"
     else:
         case = "other"
-    hypothesis = case == ("trivial" if N % 2 else "quadratic")
-    return InertiaModel(N, f, f"C{p}^{f} : C{N}", case, hypothesis)
+    return {"N": N, "f": f, "group": f"C{p}^{f} : C{N}", "product_case": case,
+            "hypothesis_met": case == ("trivial" if N % 2 else "quadratic")}
 
 
 def classification_report(spec: HypSpec, label: str, params: dict) -> dict:
     """The report `hypmono classify` prints; C9 checks its facts."""
-    verdict = primitivity_verdict(spec)
-    inertia = inertia_model(spec)
     return {
         "family": label,
         "p": spec.p,
@@ -348,17 +331,8 @@ def classification_report(spec: HypSpec, label: str, params: dict) -> dict:
         "B": params.get("B"),
         "n": spec.n,
         "m": spec.m,
-        "kummer": verdict.kummer,
-        "belyi": [b.to_json() for b in verdict.belyi],
-        "primitivity": verdict.status,
-        "tensor_indecomposable_hypotheses": verdict.tensor_indecomposable_hypotheses,
+        **primitivity_verdict(spec),
         "selfdual": selfdual_test(spec),
         "det_trivial": det_product_check(spec),
-        "inertia": {
-            "N": inertia.N,
-            "f": inertia.f,
-            "group": inertia.group,
-            "product_case": inertia.product_case,
-            "hypothesis_met": inertia.hypothesis_met,
-        },
+        "inertia": inertia_model(spec),
     }

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hypmono.cli import main
-from hypmono.finite_field import build_field
+from hypmono.finite_field import build_field, save_cache
 
 
 def test_verify_digit_lemma_stream(capsys):
@@ -61,6 +61,15 @@ def test_classify_report_bytes(argv, digest, capsys):
     # a family's explicit parameters give the report of --family
     assert main(["classify", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_classify_out_writes_the_stdout_bytes(tmp_path, capsys):
+    assert main(["classify", "--family", "4x5"]) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "reports" / "4x5.json"
+    assert main(["classify", "--family", "4x5", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"classify 4x5: wrote {path}\n"
+    assert path.read_text() == printed
 
 
 def test_classify_explicit_params(capsys):
@@ -265,6 +274,23 @@ def test_field_cache_env_rebuilds_a_bad_cache(tmp_path, monkeypatch, capsys):
     path.write_bytes(b"HMFT0001" + blob[8:head] + hashlib.sha256(old_body).digest() + old_body)
     assert main(argv) == 0
     assert path.read_bytes() == blob
+
+
+def test_field_cache_env_rebuilds_a_cache_of_another_field(tmp_path, monkeypatch, capsys):
+    # F_81 saved under the name of F_729: the cache is checked, not its name
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("HYPMONO_CACHE", str(cache))
+    cache.mkdir()
+    path = cache / "field_3_6.tab"
+    save_cache(build_field(3, 4), path)
+    out = tmp_path / "out"
+    assert main(["trace-table", "--family", "4x5", "--field-degree", "6",
+                 "--out", str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == [
+        "trace_4x5_q729_float.csv", "trace_4x5_q729_stats.json"]
+    want = tmp_path / "want.tab"
+    save_cache(build_field(3, 6), want)
+    assert path.read_bytes() == want.read_bytes()  # rebuilt and rewritten
 
 
 def test_verification_failure_exit_code(monkeypatch, capsys):

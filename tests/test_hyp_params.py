@@ -162,16 +162,16 @@ def test_belyi_roundtrip_synthetic():
         for m in matches
     )
     verdict = primitivity_verdict(spec)
-    assert verdict.status == "INCONCLUSIVE"  # rank 8 = 2^3, candidates found
-    assert verdict.belyi
+    assert verdict["primitivity"] == "INCONCLUSIVE"  # rank 8 = 2^3, candidates found
+    assert verdict["belyi"]
 
 
 def test_primitivity_not_induced():
     for spec in (build_AxB(2, 3, 13), build_AxB(3, 4, 5), build_Atimes(3, 28)):
         verdict = primitivity_verdict(spec)
-        assert verdict.status == "NOT_INDUCED"
-        assert verdict.kummer == [] and verdict.belyi == []
-        assert verdict.tensor_indecomposable_hypotheses
+        assert verdict["primitivity"] == "NOT_INDUCED"
+        assert verdict["kummer"] == [] and verdict["belyi"] == []
+        assert verdict["tensor_indecomposable_hypotheses"]
 
 
 def test_selfdual():
@@ -196,16 +196,16 @@ def test_det_product():
 
 def test_inertia_models():
     m1 = inertia_model(build_AxB(2, 3, 13))
-    assert (m1.N, m1.f, m1.group) == (23, 11, "C2^11 : C23")
-    assert m1.product_case == "trivial" and m1.hypothesis_met
+    assert (m1["N"], m1["f"], m1["group"]) == (23, 11, "C2^11 : C23")
+    assert m1["product_case"] == "trivial" and m1["hypothesis_met"]
     m2 = inertia_model(build_AxB(3, 4, 5))
-    assert (m2.N, m2.f, m2.group) == (11, 5, "C3^5 : C11")
+    assert (m2["N"], m2["f"], m2["group"]) == (11, 5, "C3^5 : C11")
     m3 = inertia_model(build_Atimes(3, 28))
-    assert (m3.N, m3.f, m3.group) == (11, 5, "C3^5 : C11")
+    assert (m3["N"], m3["f"], m3["group"]) == (11, 5, "C3^5 : C11")
     # f is minimal
     for m, p in ((m1, 2), (m2, 3)):
-        assert all(pow(p, d, m.N) != 1 for d in range(1, m.f))
-        assert pow(p, m.f, m.N) == 1
+        assert all(pow(p, d, m["N"]) != 1 for d in range(1, m["f"]))
+        assert pow(p, m["f"], m["N"]) == 1
     with pytest.raises(ValueError):
         inertia_model(HypSpec(2, 15, (1, 2), ()))  # N = 2 divisible by p
 
@@ -257,7 +257,7 @@ def test_belyi_roundtrip_wild_cases():
     mc = next(m for m in matches if m.case == "c")
     assert (mc.A, mc.B, mc.d0, mc.r) == (4, 3, 1, 2)
     assert (mc.lam, mc.sigma) == (sigma, lam)
-    assert primitivity_verdict(spec).status == "INCONCLUSIVE"
+    assert primitivity_verdict(spec)["primitivity"] == "INCONCLUSIVE"
 
 
 def _case_a_reference(spec: HypSpec) -> list[BelyiMatch]:
