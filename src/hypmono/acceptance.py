@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exp_sums, hyp_params, kubert
-from .finite_field import _prime_factors, build_field
+from .finite_field import build_field
 
 
 @dataclass
@@ -158,7 +158,7 @@ def _c6_criteria(seed):
             rep = kubert.check_criterion_AxB(fam.p, fam.A, fam.B, r_max)
         else:
             key = f"Atimes_{fam.p}_{fam.A}"
-            rep = kubert.check_criterion_Atimes(fam.p, *_prime_factors(fam.A), fam.A, r_max)
+            rep = kubert.check_criterion_Atimes(fam.p, fam.A, r_max)
         details[key] = {"checked": rep.checked, "counterexamples": len(rep.counterexamples)}
         ok &= rep.passed
     return ok, details
@@ -186,7 +186,7 @@ def _c7_trace_tables(seed):
             te, tf = _table_cached(name, k, "exact"), _table_cached(name, k, "float")
             checks = {
                 "integral": exp_sums.integrality_check(te),
-                "purity": exp_sums.purity_check(te, fam.rank),
+                "purity": exp_sums.purity_check(te),
                 "frobenius": exp_sums.frobenius_invariance_check(te),
             }
             galois = exp_sums.galois_invariance_check(te)

@@ -11,33 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import acceptance, exp_sums, hyp_params, kubert
 from .errors import CapExceededError
-from .finite_field import build_field, load_cache, save_cache
-
-CACHE_ENV = "HYPMONO_CACHE"
-
-
-def _field(p: int, k: int):
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return build_field(p, k)
-    path = Path(cache_dir) / f"field_{p}_{k}.tab"
-    if path.exists():
-        try:
-            field = load_cache(path)
-            if (field.p, field.k) == (p, k):
-                return field
-        except ValueError:  # a malformed cache is rebuilt, like one of another field
-            pass
-    field = build_field(p, k)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_cache(field, path)
-    return field
+from .finite_field import build_field
 
 
 def _dump(obj, fh) -> None:
@@ -76,25 +55,13 @@ def cmd_trace_table(args) -> int:
     k = args.field_degree
     if k < 1:
         raise ValueError(f"--field-degree must be at least 1, not {k}")
-    field = _field(fam.p, k)
+    field = build_field(fam.p, k)
     modes = ["exact", "float"] if args.mode == "both" else [args.mode]
     tables = {
         mode: exp_sums.trace_table_all(field, fam.kind, A=fam.A, B=fam.B, mode=mode)
         for mode in modes
     }
-    primary = tables.get("exact") or tables["float"]
-    stats = exp_sums.table_stats(primary)
-    stats["purity_pass"] = exp_sums.purity_check(primary, fam.rank)
-    if primary.mode == "exact":
-        stats["galois_pass"] = exp_sums.galois_invariance_check(primary)
-        if fam.p == 2:
-            stats["rationality_pass"] = exp_sums.rationality_check(primary)
-    if "float" in tables:
-        stats["float_err"] = tables["float"].float_err
-    if len(tables) == 2:
-        gap = exp_sums.float_gap(tables["exact"], tables["float"])
-        stats["float_gap"] = gap
-        stats["float_gap_over_tol"] = exp_sums.gap_over_tol(gap, stats["float_err"])
+    stats = exp_sums.table_stats(*tables.values())
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     base = f"trace_{args.family}_q{field.q}"

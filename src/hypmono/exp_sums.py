@@ -60,19 +60,18 @@ class FamilyParams:
     p: int
     A: int
     B: int
-    rank: int
 
 
 FAMILIES = {
-    "3x13": FamilyParams("AxB", 2, 3, 13, 24),
-    "4x5": FamilyParams("AxB", 3, 4, 5, 12),
-    "28x": FamilyParams("Atimes", 3, 28, 7, 12),
+    "3x13": FamilyParams("AxB", 2, 3, 13),
+    "4x5": FamilyParams("AxB", 3, 4, 5),
+    "28x": FamilyParams("Atimes", 3, 28, 7),
 }
 
 
 def _formula(field: FieldTable, kind: str, A: int, B: int):
     """The trace formula of a family over this field, validated once for the
-    direct evaluator and both table routes: (exps, m, sign, h, q0).
+    direct evaluator and both table routes: (exps, m, sign, h, q0, rank).
 
     The family must pass `build_spec` (the A-times family with A = 4B), and
     its auxiliary characters, of order d = A for the product family and the
@@ -80,13 +79,13 @@ def _formula(field: FieldTable, kind: str, A: int, B: int):
     d | q - 1.  exps are their exponents, ascending (chi(g^j) = zeta_n^(e j),
     n = q - 1); the values lie in Q(zeta_m), m = lcm(p, d); sign is
     (-1)^nu for nu = len(exps); h = log(-1); q0 is the size of the base
-    field, the least one holding the characters."""
+    field, the least one holding the characters; rank is the spec's n."""
     p, n = field.p, field.q - 1
     if A is None or B is None:
         raise ValueError("A and B must be given")
     if kind == "Atimes" and A != 4 * B:  # the quartic pair times characters of order B
         raise ValueError(f"the A-times family has A = 4B = {4 * B}, not {A}")
-    build_spec(kind, p, A, B)
+    rank = build_spec(kind, p, A, B).n
     d = A if kind == "AxB" else 4
     if n % d:
         raise ValueError(f"F_{field.q} lacks the characters of order {d}: "
@@ -94,7 +93,7 @@ def _formula(field: FieldTable, kind: str, A: int, B: int):
     exps = [j * (n // d) for j in (range(1, d) if kind == "AxB" else (1, 3))]
     sign = -1 if len(exps) % 2 else 1
     h = int(field.log[field.neg(1)])
-    return exps, math.lcm(p, d), sign, h, p ** multiplicative_order(p, d)
+    return exps, math.lcm(p, d), sign, h, p ** multiplicative_order(p, d), rank
 
 
 def _check_point(field: FieldTable, s) -> None:
@@ -161,10 +160,12 @@ def _trace_direct(field: FieldTable, kind: str, A: int, B: int, s: int) -> CycNu
     (e_i j_i mod n) m/n of zeta_m, t_i = g^(j_i), and the counts of all
     tuples are added exactly in int64 into m exponent counts; they total
     (n q)^nu, which is checked against int64 first.  No twisted-count
-    convolution, Gauss sum or table transform is used: this route shares
-    only the family's definition, `_formula`, with `trace_table_all`.
+    convolution, Gauss sum or table transform is used.  This route shares
+    `_formula` with `trace_table_all`, and the power-basis rows `_rows_matrix`
+    that reduce exponent counts (here via `CycNumber.from_exponent_counts`),
+    so C10 cannot see a wrong row; `test_cyclotomic` checks the rows.
     """
-    exps, m, sign, h, _ = _formula(field, kind, A, B)
+    exps, m, sign, h, _, _ = _formula(field, kind, A, B)
     q, n, p = field.q, field.q - 1, field.p
     nu = len(exps)
     if n ** nu > _DIRECT_TUPLE_CAP:
@@ -211,13 +212,15 @@ class TraceTable:
     `exact_num`, a read-only (q - 1, phi(m)) int64 array: row i is T(g^i) on
     the power basis of Q(zeta_m), m = `value_order`, as numerators over `den`
     = q^nu; `value`, `value_at_log` and `exact_values` build one `CycNumber`
-    per value read.  A float table holds `float_values` within `float_err`."""
+    per value read.  A float table holds `float_values` within `float_err`.
+    `rank` is the family's rank, the bound of `purity_check`."""
 
     family: str  # 'AxB' | 'Atimes'
     p: int
     params: dict
     field: FieldTable
     base_size: int
+    rank: int
     mode: str
     nu: int
     value_order: int
@@ -435,7 +438,7 @@ def trace_table_all(
         )
     if kind == "Atimes" and A is None and B is not None:
         A = 4 * B
-    exps, m, sign, h, base_size = _formula(field, kind, A, B)
+    exps, m, sign, h, base_size, rank = _formula(field, kind, A, B)
     params = {"A": A, "B": B}
     nu = len(exps)
 
@@ -458,13 +461,13 @@ def trace_table_all(
         raw = _cyclic_conv2(kernel, g)
         num = _matmul_checked(sign * raw, _rows_matrix(m)[:m], "power-basis reduction")
         num.flags.writeable = False
-        return TraceTable(kind, p, params, field, base_size, "exact", nu, m,
+        return TraceTable(kind, p, params, field, base_size, rank, "exact", nu, m,
                           exact_num=num)
 
     values, err = _gauss_table(field, exps, h, B)
     values *= sign / q ** nu
     total_err = err / q ** nu + float(np.abs(values).max()) * _EPS
-    return TraceTable(kind, p, params, field, base_size, "float", nu, m,
+    return TraceTable(kind, p, params, field, base_size, rank, "float", nu, m,
                       float_values=values, float_err=total_err)
 
 
@@ -520,15 +523,15 @@ def galois_invariance_check(table: TraceTable) -> bool:
     )
 
 
-def purity_check(table: TraceTable, rank: int) -> bool:
+def purity_check(table: TraceTable) -> bool:
     """Weight-zero bound |T(s)| <= rank for every s: |T|^2 rational and at
     most rank^2 (exact), or |T| within the certified bound (float)."""
     if table.mode == "exact":
         a2, den2 = _exact_abs2(table)
         # a2 is int64, so a bound past int64 is as good as 2^63 - 1
-        bound = min(rank * rank * den2, (1 << 63) - 1)
+        bound = min(table.rank ** 2 * den2, (1 << 63) - 1)
         return not a2[:, 1:].any() and bool((a2[:, 0] <= bound).all())
-    return bool((np.abs(table.float_values) <= rank + table.float_err).all())
+    return bool((np.abs(table.float_values) <= table.rank + table.float_err).all())
 
 
 def rationality_check(table: TraceTable) -> bool:
@@ -560,9 +563,14 @@ def gap_over_tol(gap: float, tol: float) -> float:
     return gap if gap > tol else 0.0
 
 
-def table_stats(table: TraceTable) -> dict:
+def table_stats(table: TraceTable, float_table: TraceTable | None = None) -> dict:
+    """The `trace-table` report of a table: its moments and the checks its
+    mode allows, with `float_err` for a float table.  Given the float table
+    of the same family and field as well, an exact table's report adds that
+    table's `float_err`, its `float_gap` and the `float_gap_over_tol`."""
     vals = table.complex_values()
-    return {
+    exact = table.mode == "exact"
+    stats = {
         "family": table.family,
         "p": table.p,
         "A": table.params.get("A"),
@@ -571,9 +579,21 @@ def table_stats(table: TraceTable) -> dict:
         "M1": moments(table, 1),
         "M2": moments(table, 2),
         "max_abs": float(np.abs(vals).max()),
-        "integrality_pass": integrality_check(table) if table.mode == "exact" else None,
+        "integrality_pass": integrality_check(table) if exact else None,
         "frobenius_pass": frobenius_invariance_check(table),
+        "purity_pass": purity_check(table),
     }
+    if not exact:
+        stats["float_err"] = table.float_err
+        return stats
+    stats["galois_pass"] = galois_invariance_check(table)
+    if table.p == 2:
+        stats["rationality_pass"] = rationality_check(table)
+    if float_table is not None:
+        gap = float_gap(table, float_table)
+        stats.update(float_err=float_table.float_err, float_gap=gap,
+                     float_gap_over_tol=gap_over_tol(gap, float_table.float_err))
+    return stats
 
 
 def export_csv(table: TraceTable, path) -> None:

@@ -51,8 +51,8 @@ R_CAP = {2: 30, 3: 18}
 
 def digit_sum(n: int, p: int) -> int:
     """Sum of base-p digits of a nonnegative integer."""
-    if n < 0:
-        raise ValueError("digit sums are defined for nonnegative integers")
+    if n < 0 or p < 2:
+        raise ValueError("digit sums need nonnegative integers and a base of at least 2")
     if p == 2:
         return int(n).bit_count()
     s = 0
@@ -89,8 +89,8 @@ def _digit_sums(values: np.ndarray, p: int) -> np.ndarray:
 def digit_sum_vec(values: np.ndarray, p: int) -> np.ndarray:
     """int64 digit sums of nonnegative integers, elementwise."""
     values = np.asarray(values)
-    if values.min(initial=0) < 0:
-        raise ValueError("digit sums are defined for nonnegative integers")
+    if values.min(initial=0) < 0 or p < 2:
+        raise ValueError("digit sums need nonnegative integers and a base of at least 2")
     return _digit_sums(values, p).astype(np.int64)
 
 
@@ -591,13 +591,14 @@ class CriterionReport:
         return not self.counterexamples
 
 
-def _check_criterion(p, r_max, big, small, constant, hand) -> CriterionReport:
+def _check_criterion(p, r_max, big, small, constant) -> CriterionReport:
     """sum over big of V(cx) + constant >= sum over small of V(cx).
 
     At x = a/n, n = p^r - 1, r <= r_max, r(p-1) V(cx) is the digit sum of
-    c*a mod n.  The hand set x in (1/hand)Z checks the full statement, with
-    the constant spelled V(x) + V(-x).
+    c*a mod n.  The hand set x in (1/hand)Z, hand the lcm of the c, checks
+    the full statement, with the constant spelled V(x) + V(-x).
     """
+    hand = math.lcm(*big, *small)
     checked = 0
     cx: list[Counterexample] = []
     for r in range(1, r_max + 1):
@@ -623,17 +624,18 @@ def check_criterion_AxB(p: int, A: int, B: int, r_max: int) -> CriterionReport:
     plus the full-statement check on the hand set x in (1/AB)Z."""
     if math.gcd(A * B, p) != 1:
         raise ValueError("A and B must be prime to p")
-    return _check_criterion(p, r_max, big=(A * B,), small=(A, B), constant=1, hand=A * B)
+    return _check_criterion(p, r_max, big=(A * B,), small=(A, B), constant=1)
 
 
-def check_criterion_Atimes(
-    p: int, p1: int, p2: int, A: int, r_max: int
-) -> CriterionReport:
+def check_criterion_Atimes(p: int, A: int, r_max: int) -> CriterionReport:
     """V(Ax) + V(Ax/(p1 p2)) + V(-x) >= V(Ax/p1) + V(Ax/p2) over
-    denominators p^r - 1, plus the hand set x in (1/A)Z."""
+    denominators p^r - 1, p1 and p2 the two primes dividing A, plus the
+    hand set x in (1/A)Z."""
     if math.gcd(A, p) != 1:
         raise ValueError("A must be prime to p")
-    if set(_prime_factors(A)) != {p1, p2}:
-        raise ValueError(f"A = {A} must be divisible by exactly {{{p1}, {p2}}}")
+    primes = _prime_factors(A)
+    if len(primes) != 2:
+        raise ValueError(f"A = {A} must have exactly two prime factors, not {primes}")
+    p1, p2 = primes
     return _check_criterion(p, r_max, big=(A, A // (p1 * p2), -1),
-                            small=(A // p1, A // p2), constant=0, hand=A)
+                            small=(A // p1, A // p2), constant=0)

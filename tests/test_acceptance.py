@@ -49,9 +49,33 @@ def test_digit_lemma_descriptions_state_r_ext(cid, family):
 
 def test_c7_fails_on_a_failed_check(monkeypatch):
     # False == 0.0, so a failed check must not pass as a zero float gap
-    monkeypatch.setattr(exp_sums, "purity_check", lambda table, rank: False)
+    monkeypatch.setattr(exp_sums, "purity_check", lambda table: False)
     passed, details = acceptance._c7_trace_tables(0)
     assert details["F16"]["purity"] is False and not passed
+
+
+def test_c7_agrees_with_the_trace_table_report():
+    # C7 lists its checks apart from `table_stats`: each of its entries must
+    # hold the report's flags of the same exact and float tables
+    names = {"integral": "integrality_pass", "purity": "purity_pass",
+             "frobenius": "frobenius_pass", "rational": "rationality_pass",
+             "galois": "galois_pass", "zeta3_span": "galois_pass",
+             "float_gap_over_tol": "float_gap_over_tol"}
+    _, details = acceptance._c7_trace_tables(0)
+    seen = {"F4_closed_form"}
+    for family, fam in exp_sums.FAMILIES.items():
+        for k in range(1, 11):
+            q = fam.p ** k
+            label = f"F{q}" if fam.p == 2 else f"F{q}_{family}"
+            if label not in details:
+                continue
+            seen.add(label)
+            stats = exp_sums.table_stats(acceptance._table_cached(family, k, "exact"),
+                                         acceptance._table_cached(family, k, "float"))
+            flags = {key: stats[key] for key in stats
+                     if key.endswith("_pass") or key == "float_gap_over_tol"}
+            assert {names[key]: value for key, value in details[label].items()} == flags
+    assert seen == set(details)
 
 
 @pytest.mark.parametrize("family, k", [("3x13", 10), ("4x5", 6), ("28x", 6)])

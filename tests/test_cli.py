@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from hypmono.cli import main
-from hypmono.finite_field import build_field, save_cache
 
 
 def test_verify_digit_lemma_stream(capsys):
@@ -237,60 +236,6 @@ def test_cap_exit_code(capsys):
     rc = main(["trace-table", "--family", "3x13", "--field-degree", "26",
                "--mode", "float"])
     assert rc == 3
-
-
-def test_field_cache_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HYPMONO_CACHE", str(tmp_path / "cache"))
-    rc = main(["trace-table", "--family", "4x5", "--field-degree", "2",
-               "--mode", "exact", "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "cache" / "field_3_2.tab").exists()
-    # second run loads from the cache
-    rc = main(["trace-table", "--family", "4x5", "--field-degree", "2",
-               "--mode", "exact", "--out", str(tmp_path)])
-    assert rc == 0
-
-
-def test_field_cache_env_rebuilds_a_bad_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HYPMONO_CACHE", str(tmp_path / "cache"))
-    argv = ["trace-table", "--family", "4x5", "--field-degree", "2",
-            "--mode", "exact", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    path = tmp_path / "cache" / "field_3_2.tab"
-    blob = path.read_bytes()
-    # swap the first two antilog entries and reseal the checksum; the
-    # header is magic, p, k, len(modulus) and the 3 coefficients of F_9
-    head = 20 + 4 * 3
-    body = blob[head + 36:head + 40] + blob[head + 32:head + 36] + blob[head + 40:]
-    path.write_bytes(blob[:head] + hashlib.sha256(body).digest() + body)
-    assert main(argv) == 0
-    assert path.read_bytes() == blob  # rebuilt and rewritten
-    path.write_bytes(blob[:14])  # truncated header
-    assert main(argv) == 0
-    assert path.read_bytes() == blob
-    # a well-formed cache of the earlier format, which also stored the
-    # trace table after the antilog under the magic HMFT0001
-    old_body = blob[head + 32:] + build_field(3, 2).trace_table.astype("<u4").tobytes()
-    path.write_bytes(b"HMFT0001" + blob[8:head] + hashlib.sha256(old_body).digest() + old_body)
-    assert main(argv) == 0
-    assert path.read_bytes() == blob
-
-
-def test_field_cache_env_rebuilds_a_cache_of_another_field(tmp_path, monkeypatch, capsys):
-    # F_81 saved under the name of F_729: the cache is checked, not its name
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("HYPMONO_CACHE", str(cache))
-    cache.mkdir()
-    path = cache / "field_3_6.tab"
-    save_cache(build_field(3, 4), path)
-    out = tmp_path / "out"
-    assert main(["trace-table", "--family", "4x5", "--field-degree", "6",
-                 "--out", str(out)]) == 0
-    assert sorted(f.name for f in out.iterdir()) == [
-        "trace_4x5_q729_float.csv", "trace_4x5_q729_stats.json"]
-    want = tmp_path / "want.tab"
-    save_cache(build_field(3, 6), want)
-    assert path.read_bytes() == want.read_bytes()  # rebuilt and rewritten
 
 
 def test_verification_failure_exit_code(monkeypatch, capsys):

@@ -11,6 +11,7 @@ from hypmono.cyclotomic import (
     _galois_matrix,
     _matmul_checked,
     _mul_rows,
+    _rows_matrix,
     cyclotomic_polynomial,
     phi,
 )
@@ -114,6 +115,18 @@ def test_from_exponent_counts_matches_sum():
               + CycNumber.root_of_unity(6, 2)
               + CycNumber.root_of_unity(6, 5) * 3) * Fraction(1, 4)
     assert v == manual
+
+
+def test_power_basis_rows_are_powers_of_zeta():
+    # the direct evaluator and the exact tables both reduce exponent counts
+    # through these rows, so C10 cannot see a wrong one: row e must be
+    # zeta_m^e on the basis 1, zeta_m, ..., zeta_m^(phi(m) - 1), in floats
+    for m in range(1, 61):
+        rows = _rows_matrix(m)
+        assert rows.shape[0] >= m and rows.shape[1] == phi(m)
+        zeta = np.exp(2j * np.pi * np.arange(rows.shape[0]) / m)
+        gap = np.abs(rows @ zeta[:rows.shape[1]] - zeta)
+        assert (gap <= 1e-12 * np.abs(rows).sum(axis=1)).all(), m
 
 
 def _value(order, terms, scale=1):

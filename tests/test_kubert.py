@@ -49,6 +49,16 @@ def test_digit_sums_refuse_negative_input(p):
             digit_sum_vec(np.array(values), p)
     assert digit_sum_vec(np.array([], dtype=np.int64), p).tolist() == []
 
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_digit_sums_refuse_a_base_below_two(p):
+    # in base 1, n //= p never shrinks n and the digit-sum table never grows
+    with pytest.raises(ValueError):
+        digit_sum(5, p)
+    with pytest.raises(ValueError):
+        digit_sum_vec(np.array([5]), p)
+
+
 def test_bracket_examples():
     assert bracket(20, 2, 4) == 2  # 20 mod 15 = 5 = 0101
     assert bracket(2 ** 4 - 1, 2, 4) == 0
@@ -238,10 +248,11 @@ def test_criterion_axb_small():
 
 
 def test_criterion_atimes_small():
-    rep = check_criterion_Atimes(3, 2, 7, 28, 6)
+    rep = check_criterion_Atimes(3, 28, 6)
     assert rep.passed
-    with pytest.raises(ValueError):
-        check_criterion_Atimes(3, 2, 5, 28, 4)
+    for A in (49, 770):  # one prime factor, four
+        with pytest.raises(ValueError):
+            check_criterion_Atimes(3, A, 4)
     # x = 1/2: all terms through the scalar V oracle
     x = Fraction(1, 2)
     lhs = kubert_v(28 * x, 3) + kubert_v(2 * x, 3) + kubert_v(-x, 3)

@@ -1,27 +1,27 @@
-"""Paired benchmark runs: a base revision against the working tree.
+"""Paired benchmark runs: a base revision against HEAD.
 
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --base REV --label L [--seed0 S]
 
-For every workload in BENCHMARK.json it runs the checkout's own, unchanged
-`perfbench/run.py --trace 0` on both sides, ten pairs of runs, with the
-run length `run_seconds` from BENCHMARK.json.  The base side is the
-committed tree of REV, exported with `git archive` into a temporary
-directory (the benchmark likewise runs committed files in a fresh
-directory); the other side is the working tree.  Both runs of a pair use
-the same seed, and the side that runs first alternates from pair to pair.
-Runs go one at a time, so the two sides never share the CPU.
+For every workload in BENCHMARK.json it runs `perfbench/run.py --trace 0`
+on both sides, ten pairs of runs, with the run length `run_seconds` from
+BENCHMARK.json.  Each side is the committed tree of its revision, REV or
+HEAD, exported with `git archive` into a temporary directory of its own
+(the benchmark likewise runs committed files in a fresh directory), so
+the two sides run from alike places and every record measures a commit.
+It refuses to start while src/ differs from HEAD: commit first.  Both
+runs of a pair use the same seed, and the side that runs first alternates
+from pair to pair.  Runs go one at a time, so the two sides never share
+the CPU.
 
 It writes BENCH_<L>.json at the root of the checkout.  Each side is named
-by its commit and by the digest of its src/ tree that perfbench reports;
-the working tree's entry also lists `git status --porcelain` as it was
-when the runs began, empty when the tree measured is exactly HEAD.  Per
-workload and end-to-end metric it records every run's value on each side,
-each side's median and quartiles, the pairs the working tree wins (ties
-count for neither side), and whether the claim rule holds: wins in at
-least nine tenths of the pairs, and medians further apart than the base
-runs' quartile spread.
+by its commit and by the digest of its src/ tree that perfbench reports.
+Per workload and end-to-end metric it records every run's value on each
+side, each side's median and quartiles, the pairs HEAD wins (ties count
+for neither side), and whether the claim rule holds: wins in at least
+nine tenths of the pairs, and medians further apart than the base runs'
+quartile spread.
 """
 
 from __future__ import annotations
@@ -108,20 +108,21 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    if git("status", "--porcelain", "--", "src"):
+        sys.exit("src/ differs from HEAD; commit it first, so the runs measure a commit")
     out = {
         "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-        "head": {"commit": git("rev-parse", "HEAD"), "tree": "working tree",
-                 "status": git("status", "--porcelain").splitlines()},
+        "head": {"rev": "HEAD", "commit": git("rev-parse", "HEAD")},
         "pairs": PAIRS,
         "run_seconds": seconds,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "processor": platform.processor()},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp)
-        export(args.base, base_root)
-        sides = {"base": base_root, "head": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {side: Path(tmp) / side for side in ("base", "head")}
+        for side, root in sides.items():
+            export(out[side]["commit"], root)
         digests = {"base": set(), "head": set()}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "head": []}

@@ -49,7 +49,6 @@ def sha256(data: bytes) -> str:
 
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("HYPMONO_CACHE", None)
     out = {}
     with tempfile.TemporaryDirectory(prefix="output-digests-") as tmp:
         work = Path(tmp)
