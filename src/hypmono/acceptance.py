@@ -95,7 +95,7 @@ def _c5_v_identities(seed):
         n, nn = 2 ** r - 1, 2 ** big - 1
         rep = nn // n
         a = np.arange(n, dtype=np.int64) * rep
-        ar, br = nn // 3, 2 * nn // 3
+        ar, br = kubert.sequence_AB(big)  # the thirds of 2^big - 1
         lhs = kubert.bracket_vec(3 * a, 2, big) + big
         rhs = (
             kubert.bracket_vec(a, 2, big)
@@ -177,29 +177,21 @@ def _c7_trace_tables(seed):
         for s in f4.units()
     )
 
-    # (b) exact tables: integral, bounded, Frobenius-invariant, float path
-    # within its certified bound; in characteristic 2 rational and Galois
-    # invariant, in characteristic 3 in the span of zeta_3
+    # (b) the `trace-table` report of each exact table beside its float
+    # table, its flags under C7's names; in characteristic 3 the Galois
+    # check is the span of zeta_3, and the report has no rationality flag
+    names = {"integrality_pass": "integral", "purity_pass": "purity",
+             "frobenius_pass": "frobenius", "rationality_pass": "rational",
+             "galois_pass": "galois", "float_gap_over_tol": "float_gap_over_tol"}
     for name, ks in (("3x13", (4, 6)), ("4x5", (2, 4)), ("28x", (2, 4))):
-        fam = exp_sums.FAMILIES[name]
         for k in ks:
-            te, tf = _table_cached(name, k, "exact"), _table_cached(name, k, "float")
-            checks = {
-                "integral": exp_sums.integrality_check(te),
-                "purity": exp_sums.purity_check(te),
-                "frobenius": exp_sums.frobenius_invariance_check(te),
-            }
-            galois = exp_sums.galois_invariance_check(te)
-            if fam.p == 2:
-                checks.update(rational=exp_sums.rationality_check(te), galois=galois)
-                label = f"F{te.field.q}"
-            else:
-                checks["zeta3_span"] = galois
-                label = f"F{te.field.q}_{name}"
-            gap = exp_sums.gap_over_tol(exp_sums.float_gap(te, tf), tf.float_err)
-            # a check passes only as True: False == 0.0 would pass as a gap
-            ok &= all(checks.values()) and gap == 0.0
-            details[label] = {**checks, "float_gap_over_tol": gap}
+            stats = exp_sums.table_stats(_table_cached(name, k, "exact"),
+                                         _table_cached(name, k, "float"))
+            char3 = stats["p"] == 3
+            label = f"F{stats['q']}_{name}" if char3 else f"F{stats['q']}"
+            keys = {**names, "galois_pass": "zeta3_span"} if char3 else names
+            details[label] = {keys[key]: v for key, v in stats.items() if key in keys}
+            ok &= exp_sums.stats_pass(stats)
     return ok, details
 
 

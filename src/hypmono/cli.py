@@ -71,8 +71,7 @@ def cmd_trace_table(args) -> int:
         _dump(stats, fh)
     print(f"trace-table {args.family} over q={field.q}: "
           f"M1={stats['M1']:.6f} max|T|={stats['max_abs']:.4f} -> {out_dir}")
-    failed = any(v is False for key, v in stats.items() if key.endswith("_pass"))
-    return 1 if failed or stats.get("float_gap_over_tol") else 0
+    return 0 if exp_sums.stats_pass(stats) else 1
 
 
 def cmd_classify(args) -> int:

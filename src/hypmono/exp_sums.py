@@ -557,12 +557,6 @@ def float_gap(table_exact: TraceTable, table_float: TraceTable) -> float:
     return float(np.abs(gap).max())
 
 
-def gap_over_tol(gap: float, tol: float) -> float:
-    """The float gap if it exceeds the certified bound tol, else 0.0: the
-    `float_gap_over_tol` of C7 and of the `trace-table` stats."""
-    return gap if gap > tol else 0.0
-
-
 def table_stats(table: TraceTable, float_table: TraceTable | None = None) -> dict:
     """The `trace-table` report of a table: its moments and the checks its
     mode allows, with `float_err` for a float table.  Given the float table
@@ -590,10 +584,17 @@ def table_stats(table: TraceTable, float_table: TraceTable | None = None) -> dic
     if table.p == 2:
         stats["rationality_pass"] = rationality_check(table)
     if float_table is not None:
-        gap = float_gap(table, float_table)
-        stats.update(float_err=float_table.float_err, float_gap=gap,
-                     float_gap_over_tol=gap_over_tol(gap, float_table.float_err))
+        gap, tol = float_gap(table, float_table), float_table.float_err
+        stats.update(float_err=tol, float_gap=gap, float_gap_over_tol=gap if gap > tol else 0.0)
     return stats
+
+
+def stats_pass(stats: dict) -> bool:
+    """Whether a `table_stats` report holds, the pass rule of C7 and of
+    `trace-table`: no `_pass` flag is False (None marks a check the table's
+    mode does not allow) and `float_gap_over_tol` is 0 or absent."""
+    return not (any(v is False for key, v in stats.items() if key.endswith("_pass"))
+                or stats.get("float_gap_over_tol"))
 
 
 def export_csv(table: TraceTable, path) -> None:

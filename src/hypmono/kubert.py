@@ -96,15 +96,15 @@ def digit_sum_vec(values: np.ndarray, p: int) -> np.ndarray:
 
 def bracket(x: int, p: int, r: int) -> int:
     """Digit sum of x reduced mod p^r - 1 into [0, p^r - 1)."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    if r < 1 or p < 2:
+        raise ValueError("brackets need r of at least 1 and a base of at least 2")
     return digit_sum(x % (p ** r - 1), p)
 
 
 def bracket_vec(values: np.ndarray, p: int, r: int) -> np.ndarray:
     """int64 digit sums of the values reduced mod p^r - 1, elementwise."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    if r < 1 or p < 2:
+        raise ValueError("brackets need r of at least 1 and a base of at least 2")
     return digit_sum_vec(np.asarray(values) % (p ** r - 1), p)
 
 
@@ -126,6 +126,8 @@ def multiplicative_order(p: int, m: int) -> int:
 def kubert_v(x, p: int) -> Fraction:
     """V(x) for x in (Q/Z) prime to p, any x that `Fraction` takes, read
     mod 1; V(0) = 0."""
+    if p < 2:
+        raise ValueError("V needs a base of at least 2")
     x = Fraction(x) % 1
     if x == 0:
         return Fraction(0)

@@ -54,6 +54,15 @@ def test_c7_fails_on_a_failed_check(monkeypatch):
     assert details["F16"]["purity"] is False and not passed
 
 
+def test_c7_fails_on_a_float_gap_over_its_bound(monkeypatch):
+    monkeypatch.setattr(exp_sums, "float_gap", lambda exact, flt: 0.5)
+    passed, details = acceptance._c7_trace_tables(0)
+    assert not passed
+    tables = [entry for label, entry in details.items() if label != "F4_closed_form"]
+    assert len(tables) == 6
+    assert all(entry["float_gap_over_tol"] == 0.5 for entry in tables)
+
+
 def test_c7_agrees_with_the_trace_table_report():
     # C7 lists its checks apart from `table_stats`: each of its entries must
     # hold the report's flags of the same exact and float tables

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,18 @@ def test_digit_sums_refuse_a_base_below_two(p):
         digit_sum(5, p)
     with pytest.raises(ValueError):
         digit_sum_vec(np.array([5]), p)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_brackets_and_v_refuse_a_base_below_two(p):
+    # p^r - 1 is 0 or -1, so a reduction mod it divides by zero or leaves
+    # a negative value; the base must be refused first, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: bracket(5, p, 2), lambda: bracket_vec(np.array([5]), p, 2),
+                     lambda: kubert_v(Fraction(1, 3), p)):
+            with pytest.raises(ValueError, match="base of at least 2"):
+                call()
 
 
 def test_bracket_examples():
