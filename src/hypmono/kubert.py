@@ -3,9 +3,8 @@
 The V-function on (Q/Z) prime to p is computed combinatorially: for
 x = a/(p^r - 1) in lowest terms with r the multiplicative order of p mod
 the denominator, V(x) is the base-p digit sum of a divided by r(p-1).
-The digit lemma verifiers enumerate every x below p^r and check the
-bracket inequalities in all their leading-digit variants, recording slack
-histograms and (expected empty) counterexample lists.
+The digit lemma verifiers check every x below p^r in each leading-digit
+variant, recording slack histograms and counterexample lists.
 
 One entry point, `_scan`, checks every x: it counts the slacks of all x
 in a histogram and recomputes both sides at an x only when the slack
@@ -13,13 +12,11 @@ shows a counterexample.  One class kernel, `_class_counts`, serves the
 lemmas and, with every c*x + o reduced mod p^r - 1, the bracket forms
 and the criteria.  x = h*P + l has the slack of its l plus that of its
 row h and carry class (27 for 3x13, 16 for 4x5, 15 for 28), so the
-histograms are exact counts per class and row.  Mod p^r - 1 the carry
-out of the top re-enters at the bottom, and only the few rows where it
-could wrap are scanned x by x, so a scan takes time about sqrt(p^r).  In
-both modes the rows of a form with |c| > 255 are scanned x by x too.
-
-Both sides' digit-sum totals are bounded from the forms before a scan, and
-a form whose values could leave int64 or int16 raises CapExceededError.
+histograms are exact counts per class and row, and only the rows where
+the carry could wrap mod p^r - 1 are scanned x by x.  With P near
+sqrt(K p^r) for the lemmas and sqrt(p^r) mod p^r - 1, K = sum(|c| + 1),
+a scan takes time about sqrt(p^r); scans of p^r <= 2^14 go x by x.
+Forms whose values could leave int64 or int16 raise CapExceededError.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from .errors import CapExceededError
 from .finite_field import _prime_factors
 
 # the most low values P of a row, and the most x per block scanned x by x
-# (a block's int16 slacks fit in L2)
+# (a block's int16 slacks fit in L2); a scan of p^r <= _CHUNK // 4 is x by x
 _CHUNK = 1 << 16
 _SLACK_CAP = 32  # histogram bins: -1 (violation) .. 32 (anything larger clipped)
 _CARRY_CAP = 255  # most |c| the carry classes take: they stay few and c*l + u fits int32
@@ -94,18 +91,21 @@ def digit_sum_vec(values: np.ndarray, p: int) -> np.ndarray:
     return _digit_sums(values, p).astype(np.int64)
 
 
-def bracket(x: int, p: int, r: int) -> int:
-    """Digit sum of x reduced mod p^r - 1 into [0, p^r - 1)."""
+def _modulus(p: int, r: int) -> int:
+    """p^r - 1, the modulus of the brackets."""
     if r < 1 or p < 2:
         raise ValueError("brackets need r of at least 1 and a base of at least 2")
-    return digit_sum(x % (p ** r - 1), p)
+    return p ** r - 1
+
+
+def bracket(x: int, p: int, r: int) -> int:
+    """Digit sum of x reduced mod p^r - 1 into [0, p^r - 1)."""
+    return digit_sum(x % _modulus(p, r), p)
 
 
 def bracket_vec(values: np.ndarray, p: int, r: int) -> np.ndarray:
     """int64 digit sums of the values reduced mod p^r - 1, elementwise."""
-    if r < 1 or p < 2:
-        raise ValueError("brackets need r of at least 1 and a base of at least 2")
-    return digit_sum_vec(np.asarray(values) % (p ** r - 1), p)
+    return digit_sum_vec(np.asarray(values) % _modulus(p, r), p)
 
 
 def multiplicative_order(p: int, m: int) -> int:
@@ -150,11 +150,11 @@ def sequence_AB(r: int) -> tuple[int, int]:
 def repunit_scaling_check(x, r: int, k: int, p: int):
     """Digit replication: [x*(p^(kr)-1)/(p^r-1)]_{kr} = k*[x]_r, for one x
     or elementwise for an array of them, in int64."""
+    n = _modulus(p, r)
     if p ** (k * r) > _INT64_MAX:
         raise CapExceededError(f"p^(kr) = {p}^{k * r} leaves int64")
-    n = p ** r - 1
     x = np.asarray(x)
-    if r < 1 or ((x < 0) | (x >= n)).any():
+    if ((x < 0) | (x >= n)).any():
         raise ValueError("x must lie in [0, p^r - 1)")
     x = x.astype(np.int64)
     rep = x * ((p ** (k * r) - 1) // n)
@@ -371,12 +371,15 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
     variant's rows, count its slacks, and only the cells (h, k) whose
     least slack breaks the allowance are expanded to their x.  Mod n the
     rows where hi + q could leave [0, G - 2] and those of x = 0 and x = n
-    are scanned x by x, in blocks of at most _CHUNK x: about
-    sum(|c| + 2) rows of P near p^(r/2).  With or without n, so are all
-    rows of a form with |c| > _CARRY_CAP.  Both paths add into one
-    histogram per variant."""
+    are scanned x by x, in blocks of at most _CHUNK x, and so are all
+    rows of a form with |c| > _CARRY_CAP, and all if p^r <= _CHUNK // 4.
+    Both paths add into one histogram per variant.  A scan costs about P
+    per low table and per x-by-x row, and K = sum(|c| + 1) per row: P is
+    the largest power of p to sqrt(K p^r), or sqrt(p^r) mod n, where about
+    K rows wrap."""
     lead = max((v.lead for v in variants), default=0)
-    cap = min(_CHUNK, p ** max(r - lead, 0), _CHUNK if n is None else p ** -(-r // 2))
+    K = sum(abs(c) + 1 for c, _ in [*lhs, *rhs])
+    cap = min(_CHUNK, p ** max(r - lead, 0), math.isqrt(p ** r * (K if n is None else 1)))
     P = 1
     while P * p <= cap:
         P *= p
@@ -395,7 +398,7 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
         # the rows where the carry could wrap
         edge = ((hi + np.minimum(c, 0) < 0) | (hi + np.maximum(c, 0) >= G - 1)).any(axis=0)
         edge[[0, -1]] = True
-    edge |= bool((np.abs(c) > _CARRY_CAP).any())  # the rows scanned x by x
+    edge |= bool((np.abs(c) > _CARRY_CAP).any()) or p ** r <= _CHUNK // 4  # scanned x by x
     hists = [np.zeros(bins, dtype=np.int64) for _ in variants]
     found = [[] for _ in variants]
 
@@ -476,7 +479,7 @@ def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
     """Check sum over lhs <= sum over rhs + allowance of every variant at
     each x, where a form (c, o) contributes the base-p digit sum of
     c*x + o.  Without n, x runs over [0, p^r); with n = p^r - 1, over
-    [1, n) with every c*x + o reduced mod n.  Both count per carry class."""
+    [1, n) with every c*x + o reduced mod n."""
     off, bins = _slack_range(p, r, lhs, rhs, n)
     reports = []
     for v, (counts, xs) in zip(variants, _class_counts(p, r, lhs, rhs, variants, n, off, bins)):
@@ -543,11 +546,9 @@ def verify_brackets(family: str, r: int) -> tuple[VerificationReport, Verificati
 
     Both compare the same forms, reduced mod p^r - 1, and differ only in
     the allowance: `bracket_allowance` for the corollary (variant
-    bracket_plus<a>), 0 for the sharp form (variant sharp).  One `_scan`
-    with both variants builds the carry classes, the per-cell slacks and
-    the rows scanned x by x once; each report carries the scan's elapsed
-    time.  The 3x13 family is stated for even r only.  Returns
-    (corollary, sharp).
+    bracket_plus<a>), 0 for the sharp form (variant sharp).  Each report
+    carries the scan's elapsed time.  The 3x13 family is stated for even r
+    only.  Returns (corollary, sharp).
     """
     t0 = time.perf_counter()
     if family not in LEMMAS:

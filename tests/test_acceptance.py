@@ -64,8 +64,9 @@ def test_c7_fails_on_a_float_gap_over_its_bound(monkeypatch):
 
 
 def test_c7_agrees_with_the_trace_table_report():
-    # C7 lists its checks apart from `table_stats`: each of its entries must
-    # hold the report's flags of the same exact and float tables
+    # C7 renames the flags of `table_stats`: each of its entries must hold,
+    # under C7's names, the report's flags of the same exact and float
+    # tables, and C7 must list a table for every entry it has
     names = {"integral": "integrality_pass", "purity": "purity_pass",
              "frobenius": "frobenius_pass", "rational": "rationality_pass",
              "galois": "galois_pass", "zeta3_span": "galois_pass",

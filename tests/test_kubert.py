@@ -72,6 +72,15 @@ def test_brackets_and_v_refuse_a_base_below_two(p):
                 call()
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_repunit_scaling_refuses_a_base_below_two(p):
+    # p^r - 1 is 0 or -1: an empty x would divide by zero, and any x would
+    # be refused as out of range
+    for x in (np.array([], dtype=np.int64), np.array([0])):
+        with pytest.raises(ValueError, match="base of at least 2"):
+            repunit_scaling_check(x, 2, 2, p)
+
+
 def test_bracket_examples():
     assert bracket(20, 2, 4) == 2  # 20 mod 15 = 5 = 0101
     assert bracket(2 ** 4 - 1, 2, 4) == 0
@@ -662,6 +671,16 @@ def test_class_counts_match_a_per_x_reference(monkeypatch, chunk):
         mod_cases.append((lemma.p, r, *lemma.forms(r), variants, lemma.p ** r - 1))
     mod_cases.append((3, 11, [(14, 0), (4, 0)], [(28, 0), (2, 0), (-1, 0)],  # C6's Atimes 28
                       [kb.Variant("minus1", -1)], 3 ** 11 - 1))
+    # above p^r = _CHUNK // 4 not every row is scanned x by x, and P is sized
+    # from sqrt(K p^r) without n, from sqrt(p^r) mod n; allowances one and
+    # three below the lemma's and the sharp form's
+    for family, r in (("3x13", 15), ("4x5", 10)):
+        lemma = kb.LEMMAS[family]
+        for group, a, n in ((cases, lemma.variants[0].allowance, None),
+                            (mod_cases, 0, lemma.p ** r - 1)):
+            variants = [kb.Variant("tight", a - 1),
+                        kb.Variant("top", a - 3, lead=2, allowed=frozenset({1}))]
+            group.append((lemma.p, r, *lemma.forms(r), variants, n))
     for group in (cases, mod_cases):
         assert any(rep.counterexamples for case in group for rep in _reference_scan(*case))
     for case in cases + mod_cases:

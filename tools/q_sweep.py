@@ -1,4 +1,5 @@
-"""Field-build and float-table cost against q, one fresh process a point.
+"""Field-build, float-table and digit-scan cost against q, one fresh
+process a point.
 
 Usage, from the root of a checkout:
 
@@ -14,13 +15,22 @@ from the checkout's src/, three runs a point:
   4x5 table needs quartic characters, 4 | q - 1, so p = 3 has it at even
   k only.
 
+For each digit lemma family (3x13, 4x5, 28) it times two exhaustive
+scans at q = p^r, r = 8 up to `kubert.R_CAP[p]`, the same way, each
+after an untimed call of the same function at r = 2:
+
+- `verify_lemma_<family>(r)`, over 0 <= x < p^r;
+- `verify_brackets(family, r)`, over 0 < x < p^r - 1, at even r only
+  for 3x13.
+
 Each process reports the time of the call alone and its max RSS
 (`ru_maxrss`, so a table's RSS includes its field); a point keeps the
 median time and the largest RSS of its runs, and a table point also the
-sha256 of its float values, to compare the sweeps of two trees.  Per
-series the points are listed by log2 q with log2 of the time, and each
-step between neighbours carries the slope log(t2 / t1) / log(q2 / q1):
-about 1 for O(q) and for O(q log q) at these sizes, 2 for O(q^2).
+sha256 of its float values, a scan point that of its reports, to
+compare the sweeps of two trees.  Per series the points are listed by
+log2 q with log2 of the time, and each step between neighbours carries
+the slope log(t2 / t1) / log(q2 / q1): about 1 for O(q) and for
+O(q log q) at these sizes, 2 for O(q^2), 0.5 for a scan in O(sqrt(q)).
 
 It writes BENCH_<L>-sweep.json at the root of the checkout and prints one
 line per point.  Runs go one at a time; the 3x13 table at 2^24 peaks near
@@ -42,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FAMILY = {2: "3x13", 3: "4x5"}
 DEGREES = {2: range(10, 25, 2), 3: range(6, 16)}
+SCAN_FAMILIES = {"3x13": 2, "4x5": 3, "28": 3}
 REPEAT = 3
 
 
@@ -55,7 +66,25 @@ def child(job: str, p: int, k: int) -> None:
     from hypmono.finite_field import build_field
 
     out = {}
-    if job == "build":
+    if job.startswith(("lemma.", "brackets.")):
+        from hypmono import kubert
+
+        kind, family = job.split(".")
+        if kind == "lemma":
+            scan = getattr(kubert, f"verify_lemma_{family}")
+        else:
+            def scan(r):
+                return kubert.verify_brackets(family, r)
+        scan(2)
+        t0 = time.perf_counter()
+        reports = scan(k)
+        out["s"] = time.perf_counter() - t0
+        records = [rec for rep in (reports if kind == "brackets" else [reports])
+                   for rec in rep.to_json_records()]
+        for rec in records:
+            del rec["elapsed_ms"]
+        out["sha256"] = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    elif job == "build":
         t0 = time.perf_counter()
         build_field(p, k)
         out["s"] = time.perf_counter() - t0
@@ -86,11 +115,12 @@ def run_point(job: str, p: int, k: int) -> dict:
              "s": statistics.median(r["s"] for r in runs),
              "max_rss_mb": max(r["max_rss_mb"] for r in runs)}
     point["log2_s"] = math.log2(point["s"])
-    if job == "table":
+    if job != "build":
         digests = {r["sha256"] for r in runs}
         if len(digests) != 1:
-            raise RuntimeError(f"table at {p}^{k} differs between runs")
+            raise RuntimeError(f"{job} at {p}^{k} differs between runs")
         point["sha256"] = digests.pop()
+    if job == "table":
         point["float_err"] = runs[0]["float_err"]
     return point
 
@@ -132,6 +162,20 @@ def main(argv=None) -> int:
                 points.append(point)
                 print(f"{name} q={p}^{k}: {point['s']:.4f} s, "
                       f"{point['max_rss_mb']:.0f} MB", flush=True)
+            out["series"][name] = {"points": points, "steps": slopes(points)}
+    sys.path.insert(0, str(ROOT / "src"))  # for the r caps of the scans
+    from hypmono.kubert import R_CAP
+
+    for family, p in SCAN_FAMILIES.items():
+        for kind in ("lemma", "brackets"):
+            name = f"scan.{kind}.{family}"
+            points = []
+            for r in range(8, R_CAP[p] + 1):
+                if kind == "brackets" and family == "3x13" and r % 2:
+                    continue  # the base-2 bracket forms are stated for even r
+                point = run_point(f"{kind}.{family}", p, r)
+                points.append(point)
+                print(f"{name} q={p}^{r}: {point['s'] * 1e3:.2f} ms", flush=True)
             out["series"][name] = {"points": points, "steps": slopes(points)}
     path = ROOT / f"BENCH_{args.label}-sweep.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
