@@ -63,22 +63,17 @@ def test_digit_sums_refuse_a_base_below_two(p):
 @pytest.mark.parametrize("p", [0, 1])
 def test_brackets_and_v_refuse_a_base_below_two(p):
     # p^r - 1 is 0 or -1, so a reduction mod it divides by zero or leaves
-    # a negative value; the base must be refused first, without a warning
+    # a negative value, and a repunit check of an empty x divides by zero or
+    # refuses any x as out of range; the base must be refused first, without
+    # a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: bracket(5, p, 2), lambda: bracket_vec(np.array([5]), p, 2),
-                     lambda: kubert_v(Fraction(1, 3), p)):
+                     lambda: kubert_v(Fraction(1, 3), p),
+                     lambda: repunit_scaling_check(np.array([], dtype=np.int64), 2, 2, p),
+                     lambda: repunit_scaling_check(np.array([0]), 2, 2, p)):
             with pytest.raises(ValueError, match="base of at least 2"):
                 call()
-
-
-@pytest.mark.parametrize("p", [0, 1])
-def test_repunit_scaling_refuses_a_base_below_two(p):
-    # p^r - 1 is 0 or -1: an empty x would divide by zero, and any x would
-    # be refused as out of range
-    for x in (np.array([], dtype=np.int64), np.array([0])):
-        with pytest.raises(ValueError, match="base of at least 2"):
-            repunit_scaling_check(x, 2, 2, p)
 
 
 def test_bracket_examples():

@@ -52,12 +52,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FAMILY = {2: "3x13", 3: "4x5"}
 DEGREES = {2: range(10, 25, 2), 3: range(6, 16)}
-SCAN_FAMILIES = {"3x13": 2, "4x5": 3, "28": 3}
 REPEAT = 3
 
 
 def child(job: str, p: int, k: int) -> None:
     """Run one timed call in this process and print its JSON record."""
+    import functools
     import hashlib
     import resource
     import time
@@ -73,14 +73,14 @@ def child(job: str, p: int, k: int) -> None:
         if kind == "lemma":
             scan = getattr(kubert, f"verify_lemma_{family}")
         else:
-            def scan(r):
-                return kubert.verify_brackets(family, r)
+            scan = functools.partial(kubert.verify_brackets, family)
         scan(2)
         t0 = time.perf_counter()
         reports = scan(k)
         out["s"] = time.perf_counter() - t0
-        records = [rec for rep in (reports if kind == "brackets" else [reports])
-                   for rec in rep.to_json_records()]
+        if kind == "lemma":
+            reports = [reports]
+        records = [rec for rep in reports for rec in rep.to_json_records()]
         for rec in records:
             del rec["elapsed_ms"]
         out["sha256"] = hashlib.sha256(json.dumps(records).encode()).hexdigest()
@@ -163,16 +163,17 @@ def main(argv=None) -> int:
                 print(f"{name} q={p}^{k}: {point['s']:.4f} s, "
                       f"{point['max_rss_mb']:.0f} MB", flush=True)
             out["series"][name] = {"points": points, "steps": slopes(points)}
-    sys.path.insert(0, str(ROOT / "src"))  # for the r caps of the scans
-    from hypmono.kubert import R_CAP
+    sys.path.insert(0, str(ROOT / "src"))  # for the scans' families and r caps
+    from hypmono.kubert import LEMMAS, R_CAP
 
-    for family, p in SCAN_FAMILIES.items():
+    for family, lemma in LEMMAS.items():
+        p = lemma.p
         for kind in ("lemma", "brackets"):
             name = f"scan.{kind}.{family}"
             points = []
             for r in range(8, R_CAP[p] + 1):
-                if kind == "brackets" and family == "3x13" and r % 2:
-                    continue  # the base-2 bracket forms are stated for even r
+                if kind == "brackets" and lemma.even_r_brackets and r % 2:
+                    continue
                 point = run_point(f"{kind}.{family}", p, r)
                 points.append(point)
                 print(f"{name} q={p}^{r}: {point['s'] * 1e3:.2f} ms", flush=True)
