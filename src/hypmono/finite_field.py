@@ -77,11 +77,11 @@ _BLOCK = 1 << 12
 # an element
 _XOR_CHUNK = 11
 # base-3 digits added per lookup in the digit-wise addition table (uint16,
-# 3^(2C) entries): one add of 531k random pairs at 3^12 took a median 20 ms
-# with 6 (two blocks, 1.06 MB), 35 ms with 5 (three blocks, 0.12 MB), 32 ms
-# with 7 (9.6 MB) and 184 ms digit by digit; 4.8M pairs at 3^13 and 3^15
-# (three blocks at 5 and at 6) took 0.40-0.42 s with 5, 0.42-0.45 s with 6
-# (2-core VM)
+# 3^(2C) entries): one int32 add of 531k random pairs at 3^12 took a median
+# 8 ms with 6 (two blocks, 1.06 MB), 19 ms with 5 (three blocks, 0.12 MB)
+# and 12 ms with 7 (9.6 MB); 4.8M pairs at 3^13 and 3^15 (three blocks at 5
+# and at 6) took 0.15-0.16 s with 5 and 0.16-0.17 s with 6, and with 7
+# 0.14 s at 3^13 (two blocks) but 0.20-0.22 s at 3^15 (2-core VM)
 _ADD_DIGITS = 6
 
 
@@ -239,15 +239,22 @@ class FieldTable:
         """Tr(x) = sum_j d_j Tr(t^j) mod p, with Tr(t^j) = trace(M^j) mod p.
 
         One base-p digit at a time: the elements with top digit d_j = d
-        are the table so far shifted by d Tr(t^j); uint8 throughout.
+        are the table so far shifted by d Tr(t^j); uint8 throughout, in
+        place in the one table of q entries.
         """
         p = self.p
         m = self._companion()
         power = np.eye(self.k, dtype=np.int64)
-        trace = np.zeros(1, dtype=np.uint8)
+        trace = np.empty(self.q, dtype=np.uint8)
+        trace[0] = 0
+        size = 1  # trace[:size] is done
         for _ in range(self.k):
             tr_t = int(np.trace(power)) % p
-            trace = np.concatenate([(trace + d * tr_t) % p for d in range(p)])
+            for d in range(1, p):
+                shifted = trace[d * size:(d + 1) * size]
+                np.add(trace[:size], d * tr_t, out=shifted)
+                np.remainder(shifted, p, out=shifted)
+            size *= p
             power = power @ m % p
         return trace
 
@@ -272,8 +279,8 @@ class FieldTable:
         on fixed operands: every pair of all-d words (d = 0..p-1, each of
         which sets one digit value in every digit-block lookup) and 32
         hashed pairs, under the trace's additivity and x + ... + x = 0 (p
-        terms).  The tables are int32 and uint8: after the range check,
-        antilog * p < 2^31 at both degree caps.
+        terms).  The tables are int32 and uint8, and every step computes in
+        their width and writes into its own temporaries.
         """
         q, p = self.q, self.p
         antilog = self.antilog
@@ -285,10 +292,17 @@ class FieldTable:
         # fill: shift every digit up, and a carried-out top digit c adds c t^k
         red = sum(-c % p * p ** i for i, c in enumerate(self.modulus[:-1]))
         corr = np.array([self.scalar_mul(c, red) for c in range(p)], dtype=np.int32)
-        lead, rem = np.divmod(antilog * p, q)
+        top = q // p
+        lead = antilog // top  # the top digit c of t^i
+        rem = lead * top
+        np.subtract(antilog, rem, out=rem)
+        rem *= p  # t^i without its top digit, shifted up
         lead = np.take(corr, lead)  # c -> c t^k, rebound so that c is freed before the add
-        if not np.array_equal(self.add(rem, lead), np.roll(antilog, -1)):
+        succ = self.add(rem, lead)  # t^(i+1)
+        del rem, lead  # before the scatter below
+        if not (np.array_equal(succ[:-1], antilog[1:]) and succ[-1] == antilog[0]):
             raise AssertionError("antilog recurrence broken")
+        del succ
         # equidistribution of the trace, equivalent to exact cancellation of
         # every nontrivial additive character sum; counted value by value, as
         # a bincount would first widen the uint8 table to int64
@@ -308,7 +322,7 @@ class FieldTable:
         if np.any(total != 0):
             raise AssertionError("a word added to itself p times is not 0")
         log = np.full(q, -1, dtype=np.int32)
-        log[antilog] = np.arange(q - 1, dtype=np.int32)
+        np.put(log, antilog, np.arange(q - 1, dtype=np.int32))
         if np.any(log[1:] < 0):
             raise AssertionError(
                 "antilog table is not a bijection onto the nonzero elements; "
@@ -320,28 +334,44 @@ class FieldTable:
     # arithmetic
 
     def add(self, a, b):
+        """a + b for field elements: ints or integer arrays with entries in
+        [0, q).  Any other operand raises ValueError, since the base-3 digit
+        blocks would drop its digits beyond k or wrap it in int32."""
+        if not (_in_range(a, self.q) and _in_range(b, self.q)):
+            raise ValueError(f"add takes field elements, integers in 0..{self.q - 1}")
         if self.p == 2:
             return a ^ b
         return self._add3(a, b)
 
     def _add3(self, a, b):
-        """Digit-wise sum mod 3, _ADD_DIGITS digits per table lookup."""
+        """Digit-wise sum mod 3, _ADD_DIGITS digits per table lookup.
+
+        In int32 (elements are below 3^15 < 2^24): the digit blocks are
+        split off by floor division by the scalar base, each row index is
+        built in place in an array of the sum's shape, and the block sums,
+        lowest first, are joined into the int64 result from the top down.
+        """
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a = np.asarray(a).astype(np.int32, copy=False)
+        b = np.asarray(b).astype(np.int32, copy=False)
+        shape = np.broadcast(a, b).shape
         table, base = _digit_add_table(), 3 ** _ADD_DIGITS
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        scale = 1
-        for _ in range(-(-self.k // _ADD_DIGITS)):
-            a, row = np.divmod(a, base)
-            b, col = np.divmod(b, base)
+        sums = []
+        for _ in range(-(-self.k // _ADD_DIGITS) - 1):
+            a_hi, b_hi = a // base, b // base
+            row = np.multiply(a_hi, -base, out=np.empty(shape, dtype=np.int32))
+            row += a  # the block of a
             row *= base
-            row += col
-            del col  # one int64 array fewer at the peak
-            # widened by the int64 scale: a uint16 times a Python int above
-            # 65535 overflows
-            out += table[row] * np.int64(scale)
-            scale *= base
+            row += b
+            row -= b_hi * base  # and that of b
+            sums.append(np.take(table, row))
+            a, b = a_hi, b_hi
+        row = np.multiply(a, base, out=np.empty(shape, dtype=np.int32))
+        row += b  # the top blocks
+        out = np.take(table, row).astype(np.int64)
+        for low in reversed(sums):
+            out *= base
+            out += low
         return int(out) if scalar else out
 
     def neg(self, a):
@@ -398,6 +428,22 @@ class FieldTable:
         return f"FieldTable(p={self.p}, k={self.k}, q={self.q})"
 
 
+def _in_range(x, q: int) -> bool:
+    """Whether every entry of x lies in [0, q)."""
+    if isinstance(x, int):
+        return 0 <= x < q
+    x = np.asarray(x)
+    if x.size == 0:
+        return True
+    if x.dtype.kind == "i" and x.itemsize >= 4:
+        # read as unsigned, a negative entry is at least 2^31 > q, so one
+        # maximum bounds both ends
+        x = x.view(f"u{x.itemsize}")
+    elif x.dtype.kind != "u":
+        return x.min() >= 0 and x.max() < q
+    return x.max() < q
+
+
 def _widened(out):
     """An operation's result from narrow table values: an int for a scalar,
     else an int64 array."""
@@ -420,7 +466,9 @@ def save_cache(field: FieldTable, path) -> None:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<III", field.p, field.k, len(field.modulus)))
         fh.write(np.asarray(field.modulus, dtype="<u4").tobytes())
-        body = field.antilog.astype("<u4").tobytes()
+        # the entries are positive, so their <i4 bytes are their <u4 bytes;
+        # no copy on a little-endian machine
+        body = field.antilog.astype("<i4", copy=False)
         fh.write(hashlib.sha256(body).digest())
         fh.write(body)
 

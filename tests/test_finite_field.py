@@ -177,18 +177,27 @@ def _add_reference(a, b, p: int, k: int):
     return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(k))
 
 
-# degrees below, at and across the table's block width (_ADD_DIGITS = 6);
-# every pair at F3^6 reads every table entry
+# degrees below, at and across the table's block width (_ADD_DIGITS = 6),
+# up to the three blocks of 3^13 and the degree cap 3^15; every pair at
+# F3^6 reads every table entry
 @pytest.mark.parametrize("k,pairs", [(3, None), (5, 3000), (6, None), (7, 3000),
-                                     (9, 3000), (11, 3000), (12, 3000)],
+                                     (9, 3000), (11, 3000), (12, 3000), (13, 3000),
+                                     (15, 3000)],
                          ids=["F27-all", "F3^5-random", "F3^6-all", "F3^7-random",
-                              "F3^9-random", "F3^11-random", "F3^12-random"])
+                              "F3^9-random", "F3^11-random", "F3^12-random",
+                              "F3^13-random", "F3^15-random"])
 def test_add_matches_digit_reference(k, pairs):
-    field = build_field(3, k)
+    # the fields past 3^12 are built uncached, so that their tables (128 MB
+    # at 3^15) are freed after the test
+    field = build_field(3, k) if k <= 12 else FieldTable(3, k, PRIMITIVE_POLYS[(3, k)])
+    q = field.q
     if pairs is None:  # every pair
-        a, b = np.divmod(np.arange(field.q ** 2), field.q)
-    else:
-        a, b = np.random.default_rng(k).integers(0, field.q, size=(2, pairs))
+        a, b = np.divmod(np.arange(q ** 2), q)
+    else:  # random pairs, then pairs at and near q - 1
+        a, b = np.random.default_rng(k).integers(0, q, size=(2, pairs))
+        top = [q - 1, q - 2, q - 1, 0, q - 1, 1, q // 3, 2 * q // 3]
+        a = np.concatenate([a, top, top[::-1]])
+        b = np.concatenate([b, top[::-1], top])
     ref = _add_reference(a, b, 3, k)
     out = field.add(a, b)
     assert out.dtype == np.int64 and np.array_equal(out, ref)
@@ -203,6 +212,35 @@ def test_add_matches_digit_reference(k, pairs):
     doubled = _add_reference(a, a, 3, k)
     assert np.array_equal(field.neg(a), doubled) and np.array_equal(field.scalar_mul(2, a), doubled)
     assert type(field.neg(x)) is int and field.neg(x) == field.scalar_mul(2, x) == doubled[-1]
+    # int32 operands, as the antilog entries are, alone and with int64 ones
+    units = np.resize(field.antilog, len(a))
+    assert units.dtype == np.int32
+    for u, v in ((units, units[::-1]), (units, b), (b, units)):
+        out = field.add(u, v)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, _add_reference(u.astype(np.int64), v.astype(np.int64), 3, k))
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (3, 12), (2, 10)])
+def test_add_refuses_operands_outside_the_field(p, k):
+    # digit blocks past k were dropped without a word: at 3^6, q + 5 + 0
+    # read 5, -1 + 0 read 728 and 2^40 + 7 + 0 read 725
+    field = build_field(p, k)
+    q = field.q
+    for bad in (q, q + 5, -1, 2 ** 40 + 7, np.int64(-1), np.int32(q)):
+        for a, b in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="field elements"):
+                field.add(a, b)
+    for bad in ([2 ** 40 + 7], np.array([3, -1], dtype=np.int32), np.array([q]),
+                np.array([q], dtype=np.uint32), np.array([-1], dtype=np.int8),
+                np.array([[0, 1], [2, q + 1]])):
+        with pytest.raises(ValueError, match="field elements"):
+            field.add(bad, np.zeros(np.shape(bad), dtype=np.int64))
+        with pytest.raises(ValueError, match="field elements"):
+            field.add(1, bad)
+    # the edges themselves are elements
+    assert field.add(q - 1, 0) == q - 1 and field.add(0, 0) == 0
+    assert field.add(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).size == 0
 
 
 # every embedded modulus up to 2^12 and 3^8
@@ -336,12 +374,30 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_cache_rejects_malformed(tmp_path, case):
-    field = build_field(3, 4)
-    path = tmp_path / "f81.tab"
-    save_cache(field, path)
-    path.write_bytes(MALFORMED[case](path.read_bytes(), field))
-    with pytest.raises(ValueError):
-        load_cache(path)
+    # at both characteristics, so that the base-3 and the XOR recurrence
+    # check and the log scatter each meet every mutation
+    for p, k in ((3, 4), (2, 10)):
+        field = build_field(p, k)
+        path = tmp_path / f"f{field.q}.tab"
+        save_cache(field, path)
+        path.write_bytes(MALFORMED[case](path.read_bytes(), field))
+        with pytest.raises(ValueError):
+            load_cache(path)
+
+
+# sha256 of the save_cache file as written by the earlier writer, which
+# copied the antilog with astype("<u4"): the format and its bytes are fixed
+CACHE_SHA256 = {
+    (2, 10): "4fd88ede6a37a47659891daadb81f35645f83b967e687da46ceee409581f825d",
+    (3, 6): "914188699947611274d4eba79aadde426369bf5c69f8b58d9cb93234977c8df7",
+}
+
+
+@pytest.mark.parametrize("p,k", CACHE_SHA256)
+def test_cache_bytes_are_pinned(tmp_path, p, k):
+    path = tmp_path / "field.tab"
+    save_cache(build_field(p, k), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[(p, k)]
 
 
 def test_negative_antilog_entry_is_rejected():
