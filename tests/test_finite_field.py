@@ -223,8 +223,8 @@ def test_add_matches_digit_reference(k, pairs):
 
 @pytest.mark.parametrize("p,k", [(3, 6), (3, 12), (2, 10)])
 def test_add_refuses_operands_outside_the_field(p, k):
-    # digit blocks past k were dropped without a word: at 3^6, q + 5 + 0
-    # read 5, -1 + 0 read 728 and 2^40 + 7 + 0 read 725
+    # an operand outside [0, q) would lose its digits past k in the base-3
+    # digit blocks, or wrap in int32
     field = build_field(p, k)
     q = field.q
     for bad in (q, q + 5, -1, 2 ** 40 + 7, np.int64(-1), np.int32(q)):
