@@ -279,8 +279,8 @@ class FieldTable:
         on fixed operands: every pair of all-d words (d = 0..p-1, each of
         which sets one digit value in every digit-block lookup) and 32
         hashed pairs, under the trace's additivity and x + ... + x = 0 (p
-        terms).  The tables are int32 and uint8, and every step computes in
-        their width and writes into its own temporaries.
+        terms).  The tables are int32 and uint8, and the steps over all q
+        elements compute in int32, apart from the int64 sum `add` returns.
         """
         q, p = self.q, self.p
         antilog = self.antilog
