@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -47,8 +48,10 @@ from .kubert import multiplicative_order
 
 _EXACT_Q_CAP = 1 << 10
 _DIRECT_TUPLE_CAP = 1 << 20
-# float CSV rows joined per write (about 50 KB of text): joining the whole
-# 2^14 table at once held 2 MB more at the peak of its process
+# float CSV rows formatted and joined per write (about 50 KB of text).  4096
+# rows wrote the 11 CSVs of a perfbench trace-tables iteration in 8% less
+# time, but raised the 3^8 job's peak RSS by 0.4 MB, above that of every
+# other job; the whole 2^14 table in one block raised its job's by 4 MB
 _CSV_ROWS = 1024
 
 
@@ -599,24 +602,39 @@ def stats_pass(stats: dict) -> bool:
 
 def export_csv(table: TraceTable, path) -> None:
     """(s_log_index, re, im) for float tables, (s_log_index, exact JSON)
-    for exact ones."""
+    for exact ones, in the bytes of `csv.writer`.
+
+    Each distinct value is formatted once and its text gathered into every
+    row that holds it: a float keyed on its bit pattern, so that -0.0 and
+    0.0 keep their own text, and an exact row on its lowest-terms
+    numerators and den."""
     with open(path, "w", newline="") as fh:
         if table.mode == "exact":
             # each value's order, numerators and den in lowest terms, as a
             # CycNumber stores them, without a CycNumber per row
             num, den = table._lowest_terms()
-            order = table.value_order
-            writer = csv.writer(fh)
-            writer.writerow(["s_log_index", "exact"])
-            writer.writerows([i, json.dumps({"order": order, "num": row, "den": d})]
-                             for i, (row, d) in enumerate(zip(num.tolist(), den.tolist())))
+            distinct, index = np.unique(np.column_stack([num, den]), axis=0,
+                                        return_inverse=True)
+            quoted = io.StringIO(newline="")
+            csv.writer(quoted).writerows([json.dumps({"order": table.value_order,
+                                                      "num": row, "den": d})]
+                                         for *row, d in distinct.tolist())
+            cells = _gathered(quoted.getvalue().split("\r\n")[:-1], index)
+            fh.write("s_log_index,exact\r\n")
+            fh.write("".join([f"{i},{cell}\r\n" for i, cell in enumerate(cells)]))
         else:
-            # the bytes of csv.writer, which writes a float as its repr and
-            # ends rows with \r\n, one string per _CSV_ROWS rows: 30 ms
-            # against 50 ms at 2^14
-            re, im = table.float_values.real.tolist(), table.float_values.imag.tolist()
+            # csv.writer writes a float as its repr and ends rows with \r\n
+            bits = np.ascontiguousarray(table.float_values).view(np.int64)  # re, im, re, ...
+            n = len(bits) // 2
             fh.write("s_log_index,re,im\r\n")
-            for start in range(0, len(re), _CSV_ROWS):
-                stop = start + _CSV_ROWS
-                rows = zip(range(start, stop), re[start:stop], im[start:stop])
-                fh.write("".join(["%d,%r,%r\r\n" % row for row in rows]))
+            for start in range(0, n, _CSV_ROWS):
+                stop = min(start + _CSV_ROWS, n)
+                values, index = np.unique(bits[2 * start:2 * stop], return_inverse=True)
+                cells = _gathered(list(map(repr, values.view(np.float64).tolist())), index)
+                rows = zip(range(start, stop), cells[0::2], cells[1::2])
+                fh.write("".join([f"{i},{re},{im}\r\n" for i, re, im in rows]))
+
+
+def _gathered(texts: list[str], index: np.ndarray) -> list[str]:
+    """texts[j] for each j in index, gathered in C."""
+    return np.array(texts, dtype=object)[index].tolist()

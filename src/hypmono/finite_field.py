@@ -124,7 +124,10 @@ class FieldTable:
 
     All tables are read-only after construction and every operation is a
     pure read.  Operations accept plain ints or numpy arrays and return the
-    matching kind: an int for scalar input, an int64 array otherwise.
+    matching kind: an int for scalar input, an int64 array otherwise.  The
+    one exception is `add` and `neg` of arrays at p = 2, which keep the
+    operand's dtype (XOR cannot carry out of it), so that `_validate` adds
+    its int32 operands in int32.
 
     The tables are stored narrow: `antilog` and `log` as int32 (entries
     below q <= 2^24; `log[0]` is -1) and `trace_table` as uint8 (entries
@@ -340,7 +343,7 @@ class FieldTable:
         if not (_in_range(a, self.q) and _in_range(b, self.q)):
             raise ValueError(f"add takes field elements, integers in 0..{self.q - 1}")
         if self.p == 2:
-            return a ^ b
+            return _scalar_int(a ^ b)
         return self._add3(a, b)
 
     def _add3(self, a, b):
@@ -376,18 +379,15 @@ class FieldTable:
 
     def neg(self, a):
         if self.p == 2:
-            return a
+            return _scalar_int(a)
         return self.add(a, a)
 
     def scalar_mul(self, c: int, a):
         """(c mod p)-fold sum of a."""
         c %= self.p
-        if c == 0:
-            return a * 0
-        out = a
-        for _ in range(c - 1):
-            out = self.add(out, a)
-        return out
+        if c < 2:
+            return _widened(np.asarray(a) * c)
+        return self.add(a, a)  # c = 2, at p = 3 only
 
     def mul(self, a, b):
         a, b = np.asarray(a), np.asarray(b)
@@ -444,10 +444,15 @@ def _in_range(x, q: int) -> bool:
     return x.max() < q
 
 
+def _scalar_int(out):
+    """An int for a scalar, else out itself."""
+    return int(out) if np.ndim(out) == 0 else out
+
+
 def _widened(out):
     """An operation's result from narrow table values: an int for a scalar,
     else an int64 array."""
-    return int(out) if np.ndim(out) == 0 else out.astype(np.int64)
+    return int(out) if np.ndim(out) == 0 else out.astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)

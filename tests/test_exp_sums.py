@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 from fractions import Fraction
@@ -363,8 +365,6 @@ def test_direct_cap():
 
 
 def test_export_and_stats(tmp_path, f4, f16):
-    import csv
-
     te = trace_table_all(f4, "AxB", A=3, B=13, mode="exact")
     p1 = tmp_path / "exact.csv"
     export_csv(te, p1)
@@ -390,8 +390,6 @@ def test_export_and_stats(tmp_path, f4, f16):
 
 
 def test_float_csv_reads_back_with_float(tmp_path, f16):
-    import csv
-
     tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
     path = tmp_path / "float.csv"
     export_csv(tf, path)
@@ -401,10 +399,17 @@ def test_float_csv_reads_back_with_float(tmp_path, f16):
     assert np.array_equal(read_back, tf.float_values)
 
 
-def test_float_csv_bytes_match_csv_writer(tmp_path, f16, monkeypatch):
-    import csv
-    import io
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The bytes csv.writer gives header and rows, one row at a time."""
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return ref.getvalue().encode()
 
+
+def test_float_csv_bytes_match_csv_writer(tmp_path, f16, monkeypatch):
     from hypmono import exp_sums
 
     monkeypatch.setattr(exp_sums, "_CSV_ROWS", 4)  # 15 rows: three full blocks and a short one
@@ -412,14 +417,45 @@ def test_float_csv_bytes_match_csv_writer(tmp_path, f16, monkeypatch):
     odd = [-0.0, float("nan"), float("inf"), 5e-324, 1e16, -1 / 3, 0.1 + 0.2]
     values = tf.float_values.copy()
     values[:len(odd)] = [complex(x, -x) for x in odd]
+    # -0.0 and 0.0 (keyed apart by their bits) and NaN again in later blocks
+    values[9] = complex(0.0, float("nan"))
+    values[13] = complex(float("nan"), -0.0)
     tf = dataclasses.replace(tf, float_values=values)
-    ref = io.StringIO(newline="")
-    writer = csv.writer(ref)
-    writer.writerow(["s_log_index", "re", "im"])
-    writer.writerows(zip(range(len(values)), values.real.tolist(), values.imag.tolist()))
     path = tmp_path / "float.csv"
     export_csv(tf, path)
-    assert path.read_bytes() == ref.getvalue().encode()
+    rows = zip(range(len(values)), values.real.tolist(), values.imag.tolist())
+    assert path.read_bytes() == _csv_writer_bytes(["s_log_index", "re", "im"], rows)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "0,-0.0,0.0" and lines[10] == "9,0.0,nan" and lines[14] == "13,nan,-0.0"
+
+
+def test_float_csv_bytes_across_blocks(tmp_path):
+    # 6560 rows, several blocks of the real _CSV_ROWS, with values repeated
+    # within and across blocks
+    from hypmono import exp_sums
+
+    fam = FAMILIES["4x5"]
+    tf = trace_table_all(build_field(3, 8), fam.kind, A=fam.A, B=fam.B, mode="float")
+    assert len(tf) > 2 * exp_sums._CSV_ROWS
+    values = tf.float_values
+    path = tmp_path / "float.csv"
+    export_csv(tf, path)
+    rows = zip(range(len(values)), values.real.tolist(), values.imag.tolist())
+    assert path.read_bytes() == _csv_writer_bytes(["s_log_index", "re", "im"], rows)
+
+
+@pytest.mark.parametrize("family,k", [("3x13", 10), ("4x5", 6), ("28x", 6)])
+def test_exact_csv_bytes_match_per_row_json(tmp_path, family, k):
+    fam = FAMILIES[family]
+    te = trace_table_all(build_field(fam.p, k), fam.kind, A=fam.A, B=fam.B, mode="exact")
+    path = tmp_path / "exact.csv"
+    export_csv(te, path)
+    # these tables repeat rows, so the written cells are gathered
+    values = te.exact_values
+    assert len(set(values)) < len(values) // 10
+    rows = ([i, json.dumps({"order": v.order, "num": list(v.num), "den": v.den})]
+            for i, v in enumerate(values))
+    assert path.read_bytes() == _csv_writer_bytes(["s_log_index", "exact"], rows)
 
 
 def test_family_registry():

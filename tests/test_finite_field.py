@@ -157,6 +157,39 @@ def test_pow_where_log_times_exponent_leaves_int32(p, k):
     assert f.pow(x, e) == int(f.antilog[(n - 1) * e % n])
 
 
+@pytest.mark.parametrize("p,k", [(2, 10), (3, 6)])
+def test_add_and_neg_of_numpy_scalars_return_int(p, k):
+    f = build_field(p, k)
+    for x in (np.int32(3), np.int64(3), 3):
+        assert type(f.add(x, 5)) is int and type(f.add(5, x)) is int
+        assert type(f.neg(x)) is int
+    assert f.add(np.int32(3), 5) == f.add(3, 5) and f.neg(np.int32(3)) == f.neg(3)
+
+
+@pytest.mark.parametrize("p,k", [(2, 10), (3, 6)])
+def test_scalar_mul_returns_int_or_int64(p, k):
+    f = build_field(p, k)
+    narrow = f.antilog[:3]  # int32
+    for c in range(2 * p):
+        out = f.scalar_mul(c, narrow)
+        assert out.dtype == np.int64
+        assert out.tolist() == [f.scalar_mul(c, x) for x in narrow.tolist()]
+        for x in (np.int32(3), np.int64(3), 3):
+            assert type(f.scalar_mul(c, x)) is int
+    assert f.scalar_mul(0, narrow).tolist() == [0] * 3
+    assert f.scalar_mul(1, narrow).tolist() == narrow.tolist()
+
+
+def test_add_and_neg_of_arrays_keep_the_operand_dtype_at_p2():
+    # the documented exception: XOR stays in its operands' width, which
+    # _validate relies on to add int32 tables in int32
+    f = build_field(2, 10)
+    a, b = f.antilog[:4], f.antilog[4:8]
+    assert f.add(a, b).dtype == np.int32 and f.neg(a).dtype == np.int32
+    assert f.add(a, b).tolist() == [x ^ y for x, y in zip(a.tolist(), b.tolist())]
+    assert f.add(a.astype(np.int64), b).dtype == np.int64
+
+
 @pytest.mark.parametrize("k", [6, 7, 12])
 @pytest.mark.parametrize("wrong", [0, 1])
 def test_validate_refuses_a_wrong_digit_add_entry(monkeypatch, k, wrong):

@@ -16,6 +16,8 @@ name -> sha256, covering:
 - the stats JSON alone of `trace-table --mode float` for 3x13 at degree
   16 and 4x5 and 28x at degree 10, where the last bits of `float_err`
   show a change in the float route;
+- the CSV alone of `trace-table --mode float` for 3x13 at degree 14 and
+  4x5 at degree 8, the perfbench sizes, each written in several blocks;
 - the `verify-digit-lemma` NDJSON at the CLI defaults for every family,
   with the timing field `elapsed_ms` taken out of each record;
 - the `verify-digit-lemma --help` text.
@@ -40,6 +42,7 @@ CLASSIFY = [["--family", "3x13"], ["--family", "4x5"], ["--family", "28x"],
 TRACE_TABLES = [("3x13", 4), ("3x13", 10), ("4x5", 2), ("4x5", 4), ("4x5", 6),
                 ("28x", 2), ("28x", 6)]
 FLOAT_STATS = [("3x13", 16), ("4x5", 10), ("28x", 10)]
+FLOAT_CSVS = [("3x13", 14), ("4x5", 8)]
 LEMMAS = ["3x13", "4x5", "28"]
 
 
@@ -69,11 +72,12 @@ def main() -> int:
                 "--mode", "both", "--out", str(table_dir))
             for path in sorted(table_dir.iterdir()):
                 out[f"trace-table {path.name}"] = sha256(path.read_bytes())
-        for family, k in FLOAT_STATS:
+        for (family, k), suffix in ([(fk, "_stats.json") for fk in FLOAT_STATS]
+                                    + [(fk, "_float.csv") for fk in FLOAT_CSVS]):
             table_dir = work / f"float_{family}_{k}"
             cli("trace-table", "--family", family, "--field-degree", str(k),
                 "--mode", "float", "--out", str(table_dir))
-            path = next(table_dir.glob("*_stats.json"))
+            path = next(table_dir.glob("*" + suffix))
             out[f"trace-table --mode float {path.name}"] = sha256(path.read_bytes())
         for family in LEMMAS:
             records = [json.loads(line) for line in

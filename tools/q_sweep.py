@@ -1,19 +1,23 @@
-"""Field-build, float-table and digit-scan cost against q, one fresh
-process a point.
+"""Field-build, float-table, trace-table command and digit-scan cost
+against q, one fresh process a point.
 
 Usage, from the root of a checkout:
 
     python3 tools/q_sweep.py --label L
 
 At q = 2^10, 2^12, ..., 2^24 and 3^6, 3^7, ..., 3^15, up to the degree
-caps, it times two calls, each in a new interpreter that imports hypmono
+caps, it times three calls, each in a new interpreter that imports hypmono
 from the checkout's src/, three runs a point:
 
 - `build_field(p, k)`;
 - the float `trace_table_all` of the family over that characteristic,
   3x13 for p = 2 and 4x5 for p = 3, after an untimed `build_field`.  The
   4x5 table needs quartic characters, 4 | q - 1, so p = 3 has it at even
-  k only.
+  k only;
+- the whole `trace-table --mode float` command of that family, field
+  build, table, checks and CSV export, as `hypmono.cli.main` into a
+  temporary directory, up to 2^22 and 3^14 (the CSV at 2^24 alone is
+  about 0.8 GB).
 
 For each digit lemma family (3x13, 4x5, 28) it times two exhaustive
 scans at q = p^r, r = 8 up to `kubert.R_CAP[p]`, the same way, each
@@ -26,11 +30,12 @@ after an untimed call of the same function at r = 2:
 Each process reports the time of the call alone and its max RSS
 (`ru_maxrss`, so a table's RSS includes its field); a point keeps the
 median time and the largest RSS of its runs, and a table point also the
-sha256 of its float values, a scan point that of its reports, to
-compare the sweeps of two trees.  Per series the points are listed by
-log2 q with log2 of the time, and each step between neighbours carries
-the slope log(t2 / t1) / log(q2 / q1): about 1 for O(q) and for
-O(q log q) at these sizes, 2 for O(q^2), 0.5 for a scan in O(sqrt(q)).
+sha256 of its float values, a command point that of its CSV, a scan
+point that of its reports, to compare the sweeps of two trees.  Per
+series the points are listed by log2 q with log2 of the time, and each
+step between neighbours carries the slope log(t2 / t1) / log(q2 / q1):
+about 1 for O(q) and for O(q log q) at these sizes, 2 for O(q^2), 0.5
+for a scan in O(sqrt(q)).
 
 It writes BENCH_<L>-sweep.json at the root of the checkout and prints one
 line per point.  Runs go one at a time; the 3x13 table at 2^24 peaks near
@@ -52,6 +57,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FAMILY = {2: "3x13", 3: "4x5"}
 DEGREES = {2: range(10, 25, 2), 3: range(6, 16)}
+CLI_DEGREES = {2: range(10, 23, 2), 3: range(6, 15, 2)}
 REPEAT = 3
 
 
@@ -60,6 +66,7 @@ def child(job: str, p: int, k: int) -> None:
     import functools
     import hashlib
     import resource
+    import tempfile
     import time
 
     from hypmono.exp_sums import FAMILIES, trace_table_all
@@ -84,6 +91,19 @@ def child(job: str, p: int, k: int) -> None:
         for rec in records:
             del rec["elapsed_ms"]
         out["sha256"] = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    elif job == "cli":
+        from hypmono.cli import main
+
+        with tempfile.TemporaryDirectory(prefix="q-sweep-") as tmp:
+            argv = ["trace-table", "--family", FAMILY[p], "--field-degree", str(k),
+                    "--mode", "float", "--out", tmp]
+            t0 = time.perf_counter()
+            rc = main(argv)
+            out["s"] = time.perf_counter() - t0
+            if rc != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {rc}")
+            with open(next(Path(tmp).glob("*_float.csv")), "rb") as fh:
+                out["sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()
     elif job == "build":
         t0 = time.perf_counter()
         build_field(p, k)
@@ -152,10 +172,10 @@ def main(argv=None) -> int:
                        "processor": platform.processor(), "cpus": os.cpu_count()},
            "series": {}}
     for p, ks in DEGREES.items():
-        for job in ("build", "table"):
-            name = f"{job}.p{p}" + (f".{FAMILY[p]}" if job == "table" else "")
+        for job in ("build", "table", "cli"):
+            name = f"{job}.p{p}" + (f".{FAMILY[p]}" if job != "build" else "")
             points = []
-            for k in ks:
+            for k in CLI_DEGREES[p] if job == "cli" else ks:
                 if job == "table" and p == 3 and k % 2:
                     continue  # 4 does not divide 3^k - 1
                 point = run_point(job, p, k)
