@@ -48,10 +48,10 @@ from .kubert import multiplicative_order
 
 _EXACT_Q_CAP = 1 << 10
 _DIRECT_TUPLE_CAP = 1 << 20
-# float CSV rows formatted and joined per write (about 50 KB of text).  4096
-# rows wrote the 11 CSVs of a perfbench trace-tables iteration in 8% less
-# time, but raised the 3^8 job's peak RSS by 0.4 MB, above that of every
-# other job; the whole 2^14 table in one block raised its job's by 4 MB
+# float CSV rows formatted and joined per write (about 50 KB of text).  At
+# 3^8, blocks of 2048 and 4096 rows wrote 12% and 21% faster, but 4096 rows
+# raised the 2^14 job's peak RSS from 37.4 to 38.8 MB, above that of every
+# other trace-table job
 _CSV_ROWS = 1024
 
 
@@ -606,20 +606,22 @@ def export_csv(table: TraceTable, path) -> None:
 
     Each distinct value is formatted once and its text gathered into every
     row that holds it: a float keyed on its bit pattern, so that -0.0 and
-    0.0 keep their own text, and an exact row on its lowest-terms
-    numerators and den."""
+    0.0 keep their own text, within each block of `_CSV_ROWS` rows, and an
+    exact row on its lowest-terms numerators and den."""
     with open(path, "w", newline="") as fh:
         if table.mode == "exact":
             # each value's order, numerators and den in lowest terms, as a
             # CycNumber stores them, without a CycNumber per row
             num, den = table._lowest_terms()
-            distinct, index = np.unique(np.column_stack([num, den]), axis=0,
-                                        return_inverse=True)
-            quoted = io.StringIO(newline="")
-            csv.writer(quoted).writerows([json.dumps({"order": table.value_order,
-                                                      "num": row, "den": d})]
-                                         for *row, d in distinct.tolist())
-            cells = _gathered(quoted.getvalue().split("\r\n")[:-1], index)
+
+            def quoted(rows):
+                out = io.StringIO(newline="")
+                csv.writer(out).writerows([json.dumps({"order": table.value_order,
+                                                       "num": row, "den": d})]
+                                          for *row, d in rows)
+                return out.getvalue().splitlines()
+
+            cells = _format_once(list(map(tuple, np.column_stack([num, den]).tolist())), quoted)
             fh.write("s_log_index,exact\r\n")
             fh.write("".join([f"{i},{cell}\r\n" for i, cell in enumerate(cells)]))
         else:
@@ -629,12 +631,18 @@ def export_csv(table: TraceTable, path) -> None:
             fh.write("s_log_index,re,im\r\n")
             for start in range(0, n, _CSV_ROWS):
                 stop = min(start + _CSV_ROWS, n)
-                values, index = np.unique(bits[2 * start:2 * stop], return_inverse=True)
-                cells = _gathered(list(map(repr, values.view(np.float64).tolist())), index)
+                cells = _format_once(bits[2 * start:2 * stop].tolist(), _float_reprs)
                 rows = zip(range(start, stop), cells[0::2], cells[1::2])
                 fh.write("".join([f"{i},{re},{im}\r\n" for i, re, im in rows]))
 
 
-def _gathered(texts: list[str], index: np.ndarray) -> list[str]:
-    """texts[j] for each j in index, gathered in C."""
-    return np.array(texts, dtype=object)[index].tolist()
+def _format_once(keys: list, texts) -> list[str]:
+    """The text of each key, from one call of texts on the distinct keys in
+    order of first appearance: a dict memo built and read in C."""
+    distinct = list(dict.fromkeys(keys))
+    return list(map(dict(zip(distinct, texts(distinct))).__getitem__, keys))
+
+
+def _float_reprs(patterns: list[int]):
+    """repr of the float64 with each int64 bit pattern."""
+    return map(repr, np.array(patterns, dtype=np.int64).view(np.float64).tolist())
