@@ -67,11 +67,6 @@ PRIMITIVE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 _CACHE_MAGIC = b"HMFT0002"  # body: the antilog table alone
-# antilog rows per companion-matrix product in the base-3 fill: the fastest
-# of 256..8192 at 3^12 and 3^13 with one BLAS thread on a 2-core VM, 1-7%
-# ahead of 2048, also with another process holding a core; 8192 rows are
-# 15-25% slower, as the products leave the cache
-_BLOCK = 1 << 12
 # bits of a word per lookup table in the characteristic-2 fill (2^11 int32
 # entries, 8 KB a table): F_{2^20} and F_{2^24} take two and three gathers
 # an element
@@ -101,6 +96,15 @@ def _digit_add_table() -> np.ndarray:
     table = table.ravel()
     table.flags.writeable = False
     return table
+
+
+def _add_sliced(a1, a2, b1, b2, out1=None, out2=None):
+    """Digit-wise sum mod 3 of base-3 words held bit-sliced, as the masks
+    (ones, twos) of their digits 1 and 2: seven bitwise operations for all
+    digits at once (Kawahara, Aoki and Takagi).  Returns (ones, twos)."""
+    t = (a1 | b2) ^ (a2 | b1)
+    s1, s2 = a2 | b2, a1 | b1
+    return np.bitwise_xor(s1, t, out=out1), np.bitwise_xor(s2, t, out=out2)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -148,8 +152,14 @@ class FieldTable:
         if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
 
-        if antilog is None:
-            antilog = self._fill_antilog()
+        if antilog is None:  # antilog[i] = t^i for 0 <= i < q - 1
+            antilog = self._fill_antilog_xor() if p == 2 else self._fill_antilog_sliced()
+        # checked before the int32 narrowing, which would wrap a wide entry
+        # or truncate a float one into range; later steps index by them
+        antilog = np.asarray(antilog)
+        if (antilog.dtype.kind not in "iu" or antilog.shape != (self.q - 1,)
+                or antilog.min() < 1 or antilog.max() >= self.q):
+            raise AssertionError("antilog entries must be integers in 1..q-1, one per exponent")
         self.antilog = np.ascontiguousarray(antilog, dtype=np.int32)
         self.trace_table = self._fill_trace()
         self.log = self._validate()
@@ -158,25 +168,14 @@ class FieldTable:
             table.flags.writeable = False
 
     # ------------------------------------------------------------------
-    # construction: multiplication by t and the trace are F_p-linear maps
-    # of digit rows, digits(t * x) = digits(x) @ M mod p with M the
-    # companion matrix of the modulus
+    # construction: multiplication by a fixed element and the trace are
+    # F_p-linear maps of digit words; the trace reads the companion matrix
+    # M of the modulus, digits(t * x) = digits(x) @ M mod p
 
     def _companion(self) -> np.ndarray:
         m = np.eye(self.k, self.k, 1, dtype=np.int64)
         m[-1] = [-c % self.p for c in self.modulus[:-1]]  # t^k = -sum c_i t^i
         return m
-
-    def _fill_antilog(self) -> np.ndarray:
-        """antilog[i] = t^i for 0 <= i < q - 1.
-
-        Characteristic 2 doubles by XOR lookups; characteristic 3 keeps the
-        digit-matrix product, which measured 1.8 times as fast there as
-        doubling through the base-3 `add` (30 ms against 54 ms at 3^12).
-        """
-        if self.p == 2:
-            return self._fill_antilog_xor()
-        return self._fill_antilog_matmul()
 
     def _fill_antilog_xor(self) -> np.ndarray:
         """antilog[L:2L] = t^L * antilog[:L] for L = 1, 2, 4, ..., p = 2.
@@ -214,28 +213,42 @@ class FieldTable:
             length = end
         return antilog
 
-    def _fill_antilog_matmul(self) -> np.ndarray:
-        """antilog[s*L + i] = t^(s*L + i): block s is digits(t^i) @ M^(s*L).
+    def _fill_antilog_sliced(self) -> np.ndarray:
+        """antilog[L:2L] = t^L * antilog[:L] for L = 1, 2, 4, ..., p = 3.
 
-        Products of digit rows and reduced powers of M are at most
-        k (p-1)^2 <= 60 and encodings stay below q <= 2^24, so the float64
-        products are exact; the digits are reduced mod p in uint8, which
-        is several times faster than a float remainder.
+        The powers are held bit-sliced (see `_add_sliced`).  Multiplication
+        by a fixed c is F_3-linear, c x = c ones - c twos, so it is two
+        lookups in one table pair over the 2^k masks w, entry c w, and one
+        sliced add; negation swaps ones and twos.  The table of c = t is
+        spanned by the images t t^i, and its own entries times c give the
+        table of c^2.  The masks become encodings once, at the end.
         """
-        p, k, n = self.p, self.k, self.q - 1
-        m = self._companion()
-        rows, step = np.eye(1, k, dtype=np.int64), m  # rows t^0..t^(L-1), step M^L
-        while len(rows) < min(n, _BLOCK):
-            rows = np.vstack([rows, rows @ step % p])
-            step = step @ step % p
-        rows, step = rows.astype(np.float64), step.astype(np.float64)
-        weights = (p ** np.arange(k)).astype(np.float64)
-        antilog = np.empty(n, dtype=np.int32)
-        power = np.eye(k)
-        for start in range(0, n, len(rows)):
-            block = ((rows @ power).astype(np.uint8) % p) @ weights
-            antilog[start:start + len(rows)] = block[: n - start]
-            power = power @ step % p
+        k, n = self.k, self.q - 1
+        red = [-c % 3 for c in self.modulus[:-1]]  # the digits of t^k
+        images = [(2 << i, 0) for i in range(k - 1)]
+        images.append(tuple(sum(1 << i for i, d in enumerate(red) if d == v) for v in (1, 2)))
+        c1, c2 = np.zeros((2, 1 << k), dtype=np.int32)
+        for i, (b1, b2) in enumerate(images):  # entry w + 2^i: entry w plus t t^i
+            _add_sliced(c1[:1 << i], c2[:1 << i], b1, b2, c1[1 << i:2 << i], c2[1 << i:2 << i])
+
+        def times(c1, c2, x1, x2, out1=None, out2=None):
+            return _add_sliced(np.take(c1, x1), np.take(c2, x1),
+                               np.take(c2, x2), np.take(c1, x2), out1, out2)
+
+        ones, twos = np.zeros((2, n), dtype=np.int32)
+        ones[0] = 1
+        length = 1
+        while length < n:
+            end = min(2 * length, n)
+            times(c1, c2, ones[:end - length], twos[:end - length],
+                  ones[length:end], twos[length:end])
+            c1, c2 = times(c1, c2, c1, c2)
+            length = end
+        value = np.zeros(1 << k, dtype=np.int32)  # mask -> sum of 3^i over its bits
+        for i in range(k):
+            np.add(value[:1 << i], 3 ** i, out=value[1 << i:2 << i])
+        antilog = np.take(value, ones)
+        antilog += np.take(2 * value, twos)
         return antilog
 
     def _fill_trace(self) -> np.ndarray:
@@ -267,9 +280,8 @@ class FieldTable:
 
         The log is one scatter log[antilog[i]] = i, which is also the
         bijection check: q - 1 entries in 1..q-1 fill every slot 1..q-1
-        exactly when no two are equal.  The range is checked first, as
-        every later step indexes by the entries and a negative one would
-        wrap silently.
+        exactly when no two are equal.  The constructor has checked that
+        range already.
 
         These checks also prove the modulus f primitive, so it needs no
         irreducibility test of its own.  From antilog[0] = 1 the recurrence
@@ -287,20 +299,20 @@ class FieldTable:
         """
         q, p = self.q, self.p
         antilog = self.antilog
-        if antilog.shape != (q - 1,) or antilog.min() < 1 or antilog.max() >= q:
-            raise AssertionError("antilog entries must lie in 1..q-1, one per exponent")
         if antilog[0] != 1:
             raise AssertionError("antilog[0] must be 1")
         # multiply-by-t recurrence in digit arithmetic, independent of the
         # fill: shift every digit up, and a carried-out top digit c adds c t^k
         red = sum(-c % p * p ** i for i, c in enumerate(self.modulus[:-1]))
-        corr = np.array([self.scalar_mul(c, red) for c in range(p)], dtype=np.int32)
-        top = q // p
-        lead = antilog // top  # the top digit c of t^i
-        rem = lead * top
-        np.subtract(antilog, rem, out=rem)
+        corr = [self.scalar_mul(c, red) for c in range(p)]  # c t^k
+        lead, rem = np.divmod(antilog, q // p)  # the top digit c of t^i, and the rest
         rem *= p  # t^i without its top digit, shifted up
-        lead = np.take(corr, lead)  # c -> c t^k, rebound so that c is freed before the add
+        if p == 3:  # corr[c] = c corr[1] + (c >> 1) (corr[2] - 2 corr[1])
+            fix = (lead >> 1) * (corr[2] - 2 * corr[1])
+        lead *= corr[1]  # c -> c t^k in place, in int32 (below 2q)
+        if p == 3:
+            lead += fix
+            del fix
         succ = self.add(rem, lead)  # t^(i+1)
         del rem, lead  # before the scatter below
         if not (np.array_equal(succ[:-1], antilog[1:]) and succ[-1] == antilog[0]):

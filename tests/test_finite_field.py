@@ -12,6 +12,7 @@ from hypmono.errors import DegreeOutOfRangeError, UnsupportedCharacteristicError
 from hypmono.finite_field import (
     PRIMITIVE_POLYS,
     FieldTable,
+    _add_sliced,
     build_field,
     load_cache,
     save_cache,
@@ -294,28 +295,105 @@ def test_antilog_matches_scalar_recurrence(p, k):
     assert build_field(p, k).antilog.tolist() == ref
 
 
+def _matmul_fill(p: int, k: int) -> np.ndarray:
+    """antilog by the digit matrix: block s of B rows is digits(t^i) @
+    M^(B s) mod p, M the companion matrix.  Products of digit rows and
+    reduced powers are at most k (p - 1)^2, so float64 is exact."""
+    n = p ** k - 1
+    m = np.eye(k, k, 1)
+    m[-1] = [-c % p for c in PRIMITIVE_POLYS[(p, k)][:-1]]  # t^k = -sum c_i t^i
+    rows = [np.eye(1, k)[0]]
+    for _ in range(min(n, 4096) - 1):
+        rows.append(rows[-1] @ m % p)
+    rows, step, power = np.array(rows), np.eye(k), np.eye(k)
+    for _ in range(len(rows)):
+        step = step @ m % p
+    blocks = []
+    for _ in range(0, n, len(rows)):
+        blocks.append(rows @ power % p @ p ** np.arange(k))
+        power = power @ step % p
+    return np.concatenate(blocks)[:n].astype(np.int64)
+
+
 @pytest.mark.parametrize("k", range(1, 21))
 def test_xor_fill_matches_matmul_fill(k):
-    # the digit-matrix fill, kept for p = 3, works for p = 2 as well
-    field = build_field(2, k)
-    assert np.array_equal(field._fill_antilog_xor(), field._fill_antilog_matmul())
+    # the digit-matrix product, a second route that shares no step with
+    # the XOR doubling
+    assert np.array_equal(build_field(2, k)._fill_antilog_xor(), _matmul_fill(2, k))
 
 
-@pytest.mark.parametrize("k", [3, 12])
-def test_xor_fill_with_a_wrong_reduction_word_fails_validation(monkeypatch, k):
-    # the fill reads t^k off the modulus: with c_1 flipped there it fills
+# sha256 of the little-endian int32 antilog past REFERENCE_FIELDS, taken
+# from the earlier fills (digit-matrix products at p = 3), which agreed
+# with the scalar recurrence wherever it was run
+ANTILOG_SHA256 = {
+    (2, 13): "cfae1a625102ae98e585b75874f16e616e3e162d9d9b4452789996baf4e5aef2",
+    (2, 14): "10aa6351b8bf3e67da0ccd64636d25d8965cd3299c3180bca0e6db5283e0fcfc",
+    (2, 15): "7e3c9f8010ddd5a0e5b40b78d27aacf68271ae2af9c539593cf4cb45bfbd66c8",
+    (2, 16): "844f30cf20f327adeef60ce183014afb1c41c8cbb3f2f393ae4f5aa8b0c437ac",
+    (2, 17): "e4f2e9711acdc86451c30683012cb37dc620ceff8c78a3dedfe22f46711513ad",
+    (2, 18): "c62d13adc8c2cafe33adc6e5c097d8acbce8624771f9f05718ba145e2e756fbc",
+    (2, 19): "819b891041e4449ef1ce44408c33d4b594d5b7753473ad662812ed6d963aace7",
+    (2, 20): "489f41344ea2ea3509337753cd85b6be48fce6aa03cd914c4263ac0f7e71449f",
+    (3, 9): "fccbda8cb28954b5d2beec1d8e956d2396dd2c1021257318b8bdce6dc2e65c97",
+    (3, 10): "913ce2ef554f9ed8b04fe23ecc60ef329269ca648eea52f4b18530dbb2143f6f",
+    (3, 11): "e191396d40d1044204a60353239cae268ac27d988536508998d8fe2c390ad167",
+    (3, 12): "e3cebcf6eca9d6df61c0bfbc18641eb2b2297695be09f3397ed6ec540ebc1190",
+    (3, 13): "f6ec896a8208790cd0fa5a6d438dc73df2a3ddd208caa6eaab93201b66dc4f26",
+}
+
+
+@pytest.mark.parametrize("p,k", ANTILOG_SHA256)
+def test_antilog_digest_is_pinned(p, k):
+    # built uncached, so that the 3^13 tables are freed after the test
+    field = FieldTable(p, k, PRIMITIVE_POLYS[(p, k)])
+    digest = hashlib.sha256(field.antilog.astype("<i4").tobytes()).hexdigest()
+    assert digest == ANTILOG_SHA256[(p, k)]
+
+
+def test_sliced_add_matches_digit_sums():
+    # every pair of digits at every bit position up to 15, the others 0,
+    # then random 16-digit words
+    def sliced(words):
+        digits = words[:, None] // 3 ** np.arange(16) % 3
+        return [(digits == d) @ (1 << np.arange(16)) for d in (1, 2)]
+
+    pairs = np.array(list(itertools.product(range(3), repeat=2)))
+    a, b = (np.outer(pairs[:, j], 3 ** np.arange(16)).ravel() for j in (0, 1))
+    rng = np.random.default_rng(0)
+    a, b = np.concatenate([a, rng.integers(0, 3 ** 16, 500)]), np.concatenate([b, rng.integers(0, 3 ** 16, 500)])
+    s1, s2 = _add_sliced(*sliced(a), *sliced(b))
+    r1, r2 = sliced(_add_reference(a, b, 3, 16))
+    assert np.array_equal(s1, r1) and np.array_equal(s2, r2)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (2, 12), (3, 3), (3, 12)])
+def test_fill_with_a_wrong_reduction_word_fails_validation(monkeypatch, p, k):
+    # the fill reads t^k off the modulus: with c_1 changed there it fills
     # the powers of t modulo another polynomial, which the recurrence
     # check of _validate, reading the true modulus, refuses
-    fill = FieldTable._fill_antilog_xor
+    name = "_fill_antilog_xor" if p == 2 else "_fill_antilog_sliced"
+    fill = getattr(FieldTable, name)
 
     def wrong_fill(self):
         twin = copy.copy(self)
-        twin.modulus = (self.modulus[0], 1 - self.modulus[1], *self.modulus[2:])
+        twin.modulus = (self.modulus[0], (self.modulus[1] + 1) % p, *self.modulus[2:])
         return fill(twin)
 
-    monkeypatch.setattr(FieldTable, "_fill_antilog_xor", wrong_fill)
+    monkeypatch.setattr(FieldTable, name, wrong_fill)
     with pytest.raises(AssertionError, match="recurrence"):
-        FieldTable(2, k, PRIMITIVE_POLYS[(2, k)])
+        FieldTable(p, k, PRIMITIVE_POLYS[(p, k)])
+
+
+@pytest.mark.parametrize("k", [4, 7])
+def test_swap_after_top_digit_two_breaks_the_recurrence(k):
+    # the swapped entries and the ones before them all have top digit 2,
+    # so each recurrence step the swap breaks goes through c t^k at c = 2
+    field = build_field(3, k)
+    two = field.antilog // (field.q // 3) == 2
+    i, j = np.flatnonzero(two[:-1] & two[1:])[[0, -1]] + 1
+    antilog = _changed(field.antilog, [i, j], field.antilog[[j, i]])
+    with pytest.raises(AssertionError, match="recurrence"):
+        FieldTable(3, k, field.modulus, antilog=antilog)
 
 
 @pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
@@ -431,6 +509,17 @@ def test_cache_bytes_are_pinned(tmp_path, p, k):
     path = tmp_path / "field.tab"
     save_cache(build_field(p, k), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[(p, k)]
+
+
+def test_constructor_refuses_an_antilog_it_would_narrow():
+    # int32 narrowing would read 2^32 + 8 as 8 and x + 0.5 as x, both
+    # valid entries; a wide integer antilog in range is still taken
+    field = build_field(3, 2)
+    wide = field.antilog.astype(np.int64)
+    assert FieldTable(3, 2, field.modulus, antilog=wide).antilog.tolist() == wide.tolist()
+    for bad in (_changed(wide, int(np.flatnonzero(wide == 8)[0]), 2 ** 32 + 8), wide + 0.5):
+        with pytest.raises(AssertionError, match="1..q-1"):
+            FieldTable(3, 2, field.modulus, antilog=bad)
 
 
 def test_negative_antilog_entry_is_rejected():
