@@ -308,7 +308,8 @@ class FieldTable:
         lead, rem = np.divmod(antilog, q // p)  # the top digit c of t^i, and the rest
         rem *= p  # t^i without its top digit, shifted up
         if p == 3:  # corr[c] = c corr[1] + (c >> 1) (corr[2] - 2 corr[1])
-            fix = (lead >> 1) * (corr[2] - 2 * corr[1])
+            fix = lead >> 1
+            fix *= corr[2] - 2 * corr[1]
         lead *= corr[1]  # c -> c t^k in place, in int32 (below 2q)
         if p == 3:
             lead += fix
@@ -363,7 +364,7 @@ class FieldTable:
 
         In int32 (elements are below 3^15 < 2^24): the digit blocks are
         split off by floor division by the scalar base, each row index is
-        built in place in an array of the sum's shape, and the block sums,
+        built in place in one array of the sum's shape, and the block sums,
         lowest first, are joined into the int64 result from the top down.
         """
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
@@ -371,17 +372,17 @@ class FieldTable:
         b = np.asarray(b).astype(np.int32, copy=False)
         shape = np.broadcast(a, b).shape
         table, base = _digit_add_table(), 3 ** _ADD_DIGITS
-        sums = []
+        sums, row = [], np.empty(shape, dtype=np.int32)
         for _ in range(-(-self.k // _ADD_DIGITS) - 1):
             a_hi, b_hi = a // base, b // base
-            row = np.multiply(a_hi, -base, out=np.empty(shape, dtype=np.int32))
+            np.multiply(a_hi, -base, out=row)
             row += a  # the block of a
             row *= base
             row += b
             row -= b_hi * base  # and that of b
             sums.append(np.take(table, row))
             a, b = a_hi, b_hi
-        row = np.multiply(a, base, out=np.empty(shape, dtype=np.int32))
+        np.multiply(a, base, out=row)
         row += b  # the top blocks
         out = np.take(table, row).astype(np.int64)
         for low in reversed(sums):
