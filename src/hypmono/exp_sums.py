@@ -215,8 +215,11 @@ class TraceTable:
     `exact_num`, a read-only (q - 1, phi(m)) int64 array: row i is T(g^i) on
     the power basis of Q(zeta_m), m = `value_order`, as numerators over `den`
     = q^nu; `value`, `value_at_log` and `exact_values` build one `CycNumber`
-    per value read.  A float table holds `float_values` within `float_err`.
-    `rank` is the family's rank, the bound of `purity_check`."""
+    per value read.  A float table holds `float_values` within `float_err`;
+    where its values are real by the family's parameters (`trace_table_all`),
+    their imaginary parts are exactly 0 and `imag_residual` is the largest
+    |Im| the transform gave before they were dropped, else None.  `rank` is
+    the family's rank, the bound of `purity_check`."""
 
     family: str  # 'AxB' | 'Atimes'
     p: int
@@ -230,6 +233,7 @@ class TraceTable:
     exact_num: np.ndarray | None = None
     float_values: np.ndarray | None = None
     float_err: float = 0.0
+    imag_residual: float | None = None
 
     def __len__(self) -> int:
         return self.field.q - 1
@@ -431,6 +435,14 @@ def trace_table_all(
     The exact route is capped at q = 2^10; the float route has the a-priori
     bound of `_gauss_table` as `float_err`, and only the field degree caps
     bound it.  The A-times family has A = 4B, so its A may be left out.
+
+    At p = 2 with exponents closed under e -> -e mod q - 1 (the 3x13
+    family), every value is real: psi = +-1 and the characters come in
+    conjugate pairs, so conjugation maps the trace formula to itself.  The
+    float route checks that no imaginary part exceeds `float_err`, raising
+    AssertionError otherwise, and sets them all to 0.  A value projected onto
+    the real line is no further from the real true value, so `float_err`
+    still bounds it; the largest |Im| dropped is kept as `imag_residual`.
     """
     q, n, p = field.q, field.q - 1, field.p
     if mode not in ("exact", "float"):
@@ -470,8 +482,14 @@ def trace_table_all(
     values, err = _gauss_table(field, exps, h, B)
     values *= sign / q ** nu
     total_err = err / q ** nu + float(np.abs(values).max()) * _EPS
+    residual = None
+    if p == 2 and sorted(-e % n for e in exps) == exps:
+        residual = float(np.abs(values.imag).max())
+        if residual > total_err:
+            raise AssertionError("imaginary parts of a real table beyond its bound")
+        values.imag = 0.0
     return TraceTable(kind, p, params, field, base_size, rank, "float", nu, m,
-                      float_values=values, float_err=total_err)
+                      float_values=values, float_err=total_err, imag_residual=residual)
 
 
 # ----------------------------------------------------------------------
@@ -538,11 +556,13 @@ def purity_check(table: TraceTable) -> bool:
 
 
 def rationality_check(table: TraceTable) -> bool:
-    """All values rational: power-basis columns 1.. zero (exact), or an
-    imaginary part within the certified bound (float)."""
-    if table.mode == "exact":
-        return not table.exact_num[:, 1:].any()
-    return bool((np.abs(table.float_values.imag) <= table.float_err).all())
+    """All values rational: power-basis columns 1.. zero; exact mode only.
+    A float table whose values are real by its family's parameters has its
+    imaginary parts checked within `float_err` as it is built
+    (`trace_table_all`)."""
+    if table.mode != "exact":
+        raise ValueError("rationality requires an exact-mode table")
+    return not table.exact_num[:, 1:].any()
 
 
 def integrality_check(table: TraceTable) -> bool:
@@ -562,9 +582,10 @@ def float_gap(table_exact: TraceTable, table_float: TraceTable) -> float:
 
 def table_stats(table: TraceTable, float_table: TraceTable | None = None) -> dict:
     """The `trace-table` report of a table: its moments and the checks its
-    mode allows, with `float_err` for a float table.  Given the float table
-    of the same family and field as well, an exact table's report adds that
-    table's `float_err`, its `float_gap` and the `float_gap_over_tol`."""
+    mode allows, with `float_err` for a float table, and `imag_residual`
+    where it has one.  Given the float table of the same family and field as
+    well, an exact table's report adds those of that table, its `float_gap`
+    and the `float_gap_over_tol`."""
     vals = table.complex_values()
     exact = table.mode == "exact"
     stats = {
@@ -581,15 +602,23 @@ def table_stats(table: TraceTable, float_table: TraceTable | None = None) -> dic
         "purity_pass": purity_check(table),
     }
     if not exact:
-        stats["float_err"] = table.float_err
+        stats.update(_float_bounds(table))
         return stats
     stats["galois_pass"] = galois_invariance_check(table)
     if table.p == 2:
         stats["rationality_pass"] = rationality_check(table)
     if float_table is not None:
         gap, tol = float_gap(table, float_table), float_table.float_err
-        stats.update(float_err=tol, float_gap=gap, float_gap_over_tol=gap if gap > tol else 0.0)
+        stats.update(_float_bounds(float_table), float_gap=gap,
+                     float_gap_over_tol=gap if gap > tol else 0.0)
     return stats
+
+
+def _float_bounds(table: TraceTable) -> dict:
+    """A float table's `float_err`, and its `imag_residual` if it has one."""
+    if table.imag_residual is None:
+        return {"float_err": table.float_err}
+    return {"float_err": table.float_err, "imag_residual": table.imag_residual}
 
 
 def stats_pass(stats: dict) -> bool:
@@ -602,7 +631,8 @@ def stats_pass(stats: dict) -> bool:
 
 def export_csv(table: TraceTable, path) -> None:
     """(s_log_index, re, im) for float tables, (s_log_index, exact JSON)
-    for exact ones, in the bytes of `csv.writer`.
+    for exact ones, in the bytes of `csv.writer`.  The im column of a real
+    float table (3x13) is 0.0 in every row.
 
     Each distinct value is formatted once and its text gathered into every
     row that holds it: a float keyed on its bit pattern, so that -0.0 and

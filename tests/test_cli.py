@@ -134,8 +134,10 @@ def test_trace_table_outputs(tmp_path, capsys):
     assert stats["float_gap_over_tol"] == 0.0
     assert 0.0 < stats["float_err"] < 1e-9
     assert 0.0 <= stats["float_gap"] <= stats["float_err"]
+    assert 0.0 < stats["imag_residual"] <= stats["float_err"]
     assert (tmp_path / "trace_3x13_q16_exact.csv").exists()
-    assert (tmp_path / "trace_3x13_q16_float.csv").exists()
+    rows = (tmp_path / "trace_3x13_q16_float.csv").read_text().splitlines()[1:]
+    assert len(rows) == 15 and all(row.endswith(",0.0") for row in rows)
 
 
 @pytest.mark.parametrize("family, module, name, fake", [

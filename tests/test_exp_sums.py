@@ -477,8 +477,44 @@ def test_f256_float_table_bounded_and_real():
     table = trace_table_all(f256, "AxB", A=3, B=13, mode="float")
     vals = table.float_values
     assert np.abs(vals).max() <= 24 + 1e-6
-    assert np.abs(vals.imag).max() <= 1e-9
+    assert not vals.imag.any() and not np.signbit(vals.imag).any()  # all +0.0
+    assert 0.0 < table.imag_residual <= table.float_err
     assert frobenius_invariance_check(table)
+
+
+def test_real_table_refuses_imaginary_parts_beyond_its_bound(f16, monkeypatch):
+    from hypmono import exp_sums
+
+    gauss_table = exp_sums._gauss_table
+
+    def planted(*args):
+        raw, err = gauss_table(*args)
+        raw[5] += 1e-6j * np.abs(raw).max()  # far above float_err, < 1e-9
+        return raw, err
+
+    monkeypatch.setattr(exp_sums, "_gauss_table", planted)
+    with pytest.raises(AssertionError, match="beyond its bound"):
+        trace_table_all(f16, "AxB", A=3, B=13, mode="float")
+
+
+@pytest.mark.parametrize("family", ["4x5", "28x"])
+def test_char3_float_table_keeps_its_imaginary_parts(family):
+    # the values lie in Z[zeta_3], not in R: nothing is projected, and their
+    # imaginary parts, multiples of sqrt(3) / 2, stay
+    fam = FAMILIES[family]
+    table = trace_table_all(build_field(3, 4), fam.kind, A=fam.A, B=fam.B, mode="float")
+    assert table.imag_residual is None
+    assert np.abs(table.float_values.imag).max() > 0.8
+    assert "imag_residual" not in table_stats(table)
+
+
+def test_real_table_stats_report_the_dropped_residual(table_f16, f16):
+    tf = trace_table_all(f16, "AxB", A=3, B=13, mode="float")
+    for stats in (table_stats(tf), table_stats(table_f16, tf)):
+        assert stats["imag_residual"] == tf.imag_residual
+        assert 0.0 < stats["imag_residual"] <= stats["float_err"] == tf.float_err
+    with pytest.raises(ValueError):
+        rationality_check(tf)  # exact mode only; the build checked it
 
 
 def _naive_conv2(a, b):
@@ -554,5 +590,5 @@ def test_large_float_table_q4096():
     table = trace_table_all(f4096, "AxB", A=3, B=13, mode="float")
     assert purity_check(table)
     assert frobenius_invariance_check(table)
-    assert rationality_check(table)
+    assert not table.float_values.imag.any()
     assert abs(moments(table, 1) - 1.0) <= 10 / math.sqrt(4096)
