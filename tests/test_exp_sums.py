@@ -489,7 +489,8 @@ def test_real_table_refuses_imaginary_parts_beyond_its_bound(f16, monkeypatch):
 
     def planted(*args):
         raw, err = gauss_table(*args)
-        raw[5] += 1e-6j * np.abs(raw).max()  # far above float_err, < 1e-9
+        # 1e-6 of the largest value, far above float_err (below 1e-9 here)
+        raw[5] += 1e-6j * np.abs(raw).max()
         return raw, err
 
     monkeypatch.setattr(exp_sums, "_gauss_table", planted)

@@ -17,7 +17,7 @@ from the checkout's src/, three runs a point:
 - the whole `trace-table --mode float` command of that family, field
   build, table, checks and CSV export, as `hypmono.cli.main` into a
   temporary directory, up to 2^22 and 3^14 (the CSV at 2^24 alone is
-  about 0.8 GB).
+  about 0.5 GB).
 
 For each digit lemma family (3x13, 4x5, 28) it times two exhaustive
 scans at q = p^r, r = 8 up to `kubert.R_CAP[p]`, the same way, each
@@ -30,8 +30,9 @@ after an untimed call of the same function at r = 2:
 Each process reports the time of the call alone and its max RSS
 (`ru_maxrss`, so a table's RSS includes its field); a point keeps the
 median time and the largest RSS of its runs, and a table point also the
-sha256 of its float values, a command point that of its CSV, a scan
-point that of its reports, to compare the sweeps of two trees.  Per
+sha256 of its float values, a command point that of its CSV and the
+CSV's size in bytes, a scan point that of its reports, to compare the
+sweeps of two trees.  Per
 series the points are listed by log2 q with log2 of the time, and each
 step between neighbours carries the slope log(t2 / t1) / log(q2 / q1):
 about 1 for O(q) and for O(q log q) at these sizes, 2 for O(q^2), 0.5
@@ -104,6 +105,7 @@ def child(job: str, p: int, k: int) -> None:
                 raise RuntimeError(f"{' '.join(argv)} exited {rc}")
             with open(next(Path(tmp).glob("*_float.csv")), "rb") as fh:
                 out["sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()
+                out["csv_bytes"] = fh.tell()
     elif job == "build":
         t0 = time.perf_counter()
         build_field(p, k)
@@ -142,6 +144,8 @@ def run_point(job: str, p: int, k: int) -> dict:
         point["sha256"] = digests.pop()
     if job == "table":
         point["float_err"] = runs[0]["float_err"]
+    if job == "cli":
+        point["csv_bytes"] = runs[0]["csv_bytes"]
     return point
 
 
