@@ -4,13 +4,16 @@ One subcommand per reproducible artifact: digit-lemma verification runs,
 trace tables with their statistics, parameter-set classification, and the
 full reproduction suite.  Exit codes: 0 success, 1 verification failure,
 2 usage error (any ValueError a command raises: parameters the model
-refuses included), 3 resource cap exceeded (`CapExceededError`).
+refuses included, and an --out that cannot be made, refused before any
+computation), 3 resource cap exceeded (`CapExceededError`).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -29,7 +32,6 @@ def _emit_records(records, out_path, label):
         for rec in records:
             _dump(rec, sys.stdout)
     else:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w") as fh:
             for rec in records:
                 _dump(rec, fh)
@@ -62,8 +64,7 @@ def cmd_trace_table(args) -> int:
         for mode in modes
     }
     stats = exp_sums.table_stats(*tables.values())
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)
     base = f"trace_{args.family}_q{field.q}"
     for mode, table in tables.items():
         exp_sums.export_csv(table, out_dir / f"{base}_{mode}.csv")
@@ -95,8 +96,7 @@ def cmd_classify(args) -> int:
 
 def cmd_reproduce_all(args) -> int:
     results = acceptance.run_all(seed=args.seed)
-    out_dir = Path(args.out) if args.out else Path("reproduction")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)
     man = acceptance.manifest(results)
     with open(out_dir / "manifest.json", "w") as fh:
         _dump(man, fh)
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--family", required=True, choices=list(exp_sums.FAMILIES))
     p2.add_argument("--field-degree", type=int, required=True)
     p2.add_argument("--mode", choices=["exact", "float", "both"], default="float")
-    p2.add_argument("--out", default=None)
+    p2.add_argument("--out", default=".")
     p2.set_defaults(func=cmd_trace_table)
 
     p3 = sub.add_parser("classify", help="classify a parameter set")
@@ -144,14 +144,34 @@ def build_parser() -> argparse.ArgumentParser:
     p4 = sub.add_parser("reproduce-all",
                         help="run every acceptance criterion and write a manifest")
     p4.add_argument("--seed", type=int, default=20240601)
-    p4.add_argument("--out", default=None)
+    p4.add_argument("--out", default="reproduction")
     p4.set_defaults(func=cmd_reproduce_all)
     return parser
+
+
+def _make_out_dir(args) -> None:
+    """Make the directory a command writes into: its --out, or for
+    `classify`, whose --out names a file, the parent of that file.
+    Raises OSError where it cannot be made."""
+    if args.out is None:
+        return
+    out = Path(args.out)
+    if args.command == "classify":
+        if out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+        out = out.parent
+    out.mkdir(parents=True, exist_ok=True)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _make_out_dir(args)
+    except OSError as exc:
+        print(f"{args.command}: cannot write to --out {args.out}: {exc.filename}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CapExceededError as exc:

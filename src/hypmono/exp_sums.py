@@ -148,12 +148,12 @@ def _power_sum_counts(field: FieldTable, B: int, ts) -> np.ndarray:
 # ----------------------------------------------------------------------
 # single-point (direct) evaluators
 
-def _trace_direct(field: FieldTable, kind: str, A: int, B: int, s: int) -> CycNumber:
-    """The defining tuple sum of `_formula`'s family at one point, every
-    tuple its own term: (-1)^nu / q^nu times the sum over (t_1, ..., t_nu)
-    in (K^*)^nu of psi(-t_1 ... t_nu / s) * prod chi_i(t_i) * prod S(t_i),
-    with S(t) = sum over x in K of psi(Bx - x^B / t) and
-    chi_i(g^j) = zeta_n^(e_i j).
+def _trace_direct(field: FieldTable, kind: str, A: int, B: int, points) -> list[CycNumber]:
+    """The defining tuple sum of `_formula`'s family at each point s of a
+    list, every tuple its own term: (-1)^nu / q^nu times the sum over
+    (t_1, ..., t_nu) in (K^*)^nu of psi(-t_1 ... t_nu / s) *
+    prod chi_i(t_i) * prod S(t_i), with S(t) = sum over x in K of
+    psi(Bx - x^B / t) and chi_i(g^j) = zeta_n^(e_i j).
 
     S(t) lies in the group ring Z[Z/p]: the count vectors of all t, from
     `_power_sum_counts` (element by element), are formed once per call.  A
@@ -162,11 +162,15 @@ def _trace_direct(field: FieldTable, kind: str, A: int, B: int, s: int) -> CycNu
     at v lands on the exponent (Tr(-t_1 ... t_nu / s) + v) m/p + sum of
     (e_i j_i mod n) m/n of zeta_m, t_i = g^(j_i), and the counts of all
     tuples are added exactly in int64 into m exponent counts; they total
-    (n q)^nu, which is checked against int64 first.  No twisted-count
-    convolution, Gauss sum or table transform is used.  This route shares
-    `_formula` with `trace_table_all`, and the power-basis rows `_rows_matrix`
-    that reduce exponent counts (here via `CycNumber.from_exponent_counts`),
-    so C10 cannot see a wrong row; `test_cyclotomic` checks the rows.
+    (n q)^nu, which is checked against int64 first.  The products, the log
+    sums j_1 + ... + j_nu and the character exponents do not depend on s,
+    so they are formed once for all the points; the trace, the exponents
+    and their counts are formed at each point apart.  Every point is
+    checked before any tuple is.  No twisted-count convolution, Gauss sum
+    or table transform is used.  This route shares `_formula` with
+    `trace_table_all`, and the power-basis rows `_rows_matrix` that reduce
+    exponent counts (here via `CycNumber.from_exponent_counts`), so C10
+    cannot see a wrong row; `test_cyclotomic` checks the rows.
     """
     exps, m, sign, h, _, _ = _formula(field, kind, A, B)
     q, n, p = field.q, field.q - 1, field.p
@@ -175,7 +179,8 @@ def _trace_direct(field: FieldTable, kind: str, A: int, B: int, s: int) -> CycNu
         raise CapExceededError(
             f"direct evaluation over {n}^{nu} tuples exceeds the cap"
         )
-    _check_point(field, s)
+    for s in points:
+        _check_point(field, s)
     _check_int64((n * q) ** nu, "direct tuple sum")
     logs, digits = np.arange(n, dtype=np.int64), np.arange(p)
     counts = _power_sum_counts(field, B, field.antilog)
@@ -186,24 +191,30 @@ def _trace_direct(field: FieldTable, kind: str, A: int, B: int, s: int) -> CycNu
         prod = np.einsum("tu,juv->tjv", prod, shifted).reshape(-1, p)
         log_sum = (log_sum[:, None] + logs).ravel()
         char_exp = (char_exp[:, None] + ((e * logs) % n) * m // n).ravel()
-    w = field.trace_powers()[(log_sum + h - field.log[s]) % n]
-    exponents = ((w[:, None] + digits) % p * (m // p) + char_exp[:, None]) % m
-    total = np.zeros(m, dtype=np.int64)
-    np.add.at(total, exponents.ravel(), prod.ravel())
-    return CycNumber.from_exponent_counts(m, sign * total, q ** nu)
+    # psi(-t_1 ... t_nu / s) = zeta_p^w(log_sum + h - log s), w = Tr o antilog
+    log_sum = (log_sum + h) % n
+    lifted = digits * (m // p) + char_exp[:, None]
+    trace, values = field.trace_powers(), []
+    for s in points:
+        w = trace[(log_sum - field.log[s]) % n]
+        exponents = (w[:, None] * (m // p) + lifted) % m
+        total = np.zeros(m, dtype=np.int64)
+        np.add.at(total, exponents.ravel(), prod.ravel())
+        values.append(CycNumber.from_exponent_counts(m, sign * total, q ** nu))
+    return values
 
 
 def trace_axb(field: FieldTable, A: int, B: int, s: int) -> CycNumber:
     """Trace at s of the two-parameter family: the (A-1)-fold sum
     psi(-prod t_i / s) * prod chi_i(t_i) * prod of twisted sums,
     times (-1/q)^(A-1)."""
-    return _trace_direct(field, "AxB", A, B, s)
+    return _trace_direct(field, "AxB", A, B, [s])[0]
 
 
 def trace_quartic(field: FieldTable, B: int, s: int) -> CycNumber:
     """Trace at s of the quartic-pair family: the double sum with factor
     chi4(u) * conj(chi4)(v) and the twisted sums for x^B, times (1/q^2)."""
-    return _trace_direct(field, "Atimes", 4 * B, B, s)
+    return _trace_direct(field, "Atimes", 4 * B, B, [s])[0]
 
 
 # ----------------------------------------------------------------------

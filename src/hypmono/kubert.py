@@ -7,10 +7,12 @@ The digit lemma verifiers check every x below p^r in each leading-digit
 variant, recording slack histograms and counterexample lists.
 
 One entry point, `_scan`, checks every x: it counts the slacks of all x
-in a histogram and recomputes both sides at an x only when the slack
-shows a counterexample.  One class kernel, `_class_counts`, serves the
-lemmas and, with every c*x + o reduced mod p^r - 1, the bracket forms
-and the criteria.  x = h*P + l has the slack of its l plus that of its
+in one histogram per scope, the x a variant's leading digits allow, and
+recomputes both sides at an x only when the slack shows a
+counterexample.  Variants with one scope, such as a bracket corollary and
+its sharp form, share that count and differ only in the x they report.
+One class kernel, `_class_counts`, serves the lemmas and, with every
+c*x + o reduced mod p^r - 1, the bracket forms and the criteria.  x = h*P + l has the slack of its l plus that of its
 row h and carry class (27 for 3x13, 16 for 4x5, 15 for 28), so the
 histograms are exact counts per class and row, and only the rows where
 the carry could wrap mod p^r - 1 are scanned x by x.  With P near
@@ -238,13 +240,17 @@ class Variant:
     allowed: frozenset = frozenset({0})
     min_r: int = 1
 
-    def ranges(self, p: int, r: int) -> list[tuple[int, int]]:
-        """The covered x as half-open intervals: leading digits v are the
-        x with v * p^r <= x * p^lead < (v + 1) * p^r."""
-        def cut(v):
-            return -(-v * p ** r // p ** self.lead)
-
-        return [(cut(v), cut(v + 1)) for v in sorted(self.allowed)]
+    def ranges(self, p: int, r: int) -> tuple[tuple[int, int], ...]:
+        """The covered x as disjoint half-open intervals, ascending, with
+        adjacent ones merged: leading digits v are the x with
+        v * p^r <= x * p^lead < (v + 1) * p^r."""
+        out = []
+        for v in sorted(self.allowed):
+            a, b = (-(-w * p ** r // p ** self.lead) for w in (v, v + 1))
+            if out and out[-1][1] == a:
+                a = out.pop()[0]
+            out.append((a, b))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -353,13 +359,13 @@ def _form_sum(xs: np.ndarray, forms, p: int, n: int | None) -> np.ndarray:
     return total
 
 
-def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, bins: int):
-    """(slack counts, arrays of violating x) per variant, with bin i
-    counting slack i - off: over [0, p^r), or over [1, n) with every
-    form reduced mod n.
+def _class_counts(p: int, r: int, lhs, rhs, scopes, n: int | None, off: int, bins: int):
+    """(slack counts, arrays of violating x) per scope, a pair of
+    `Variant.ranges` and an allowance, with bin i counting slack i - off:
+    over [0, p^r), or over [1, n) with every form reduced mod n.
 
-    With x = h*P + l (P a power of p dividing every p^(r - lead), so each
-    scope is whole rows), a form's row value c*h*P + o (mod n) is
+    With x = h*P + l (P a power of p dividing every end of a range, so
+    each scope is whole rows), a form's row value c*h*P + o (mod n) is
     hi*P + u, u < P, and c*l + u = q*P + m, m < P.  Wherever
     0 <= hi + q <= G - 2, or always without n, the digit sum of c*x + o is
     s(m) + s(hi + q), so the slack of x is const[l] plus D[h, k] at the
@@ -368,18 +374,18 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
     low tables, in which each carry is monotone in l, so the l with one
     carry tuple form a run, a carry class.  The anti-diagonal sums of
     H.T @ C, with H[k] the histogram of const and C[k] that of D over a
-    variant's rows, count its slacks, and only the cells (h, k) whose
+    scope's rows, count its slacks, and only the cells (h, k) whose
     least slack breaks the allowance are expanded to their x.  Mod n the
     rows where hi + q could leave [0, G - 2] and those of x = 0 and x = n
     are scanned x by x, in blocks of at most _CHUNK x, and so are all
     rows of a form with |c| > _CARRY_CAP, and all if p^r <= _CHUNK // 4.
-    Both paths add into one histogram per variant.  A scan costs about P
+    Both paths add into one histogram per scope.  A scan costs about P
     per low table and per x-by-x row, and K = sum(|c| + 1) per row: P is
     the largest power of p to sqrt(K p^r), or sqrt(p^r) mod n, where about
     K rows wrap."""
-    lead = max((v.lead for v in variants), default=0)
+    unit = math.gcd(p ** r, *(end for ranges, _ in scopes for iv in ranges for end in iv))
     K = sum(abs(c) + 1 for c, _ in [*lhs, *rhs])
-    cap = min(_CHUNK, p ** max(r - lead, 0), math.isqrt(p ** r * (K if n is None else 1)))
+    cap = min(_CHUNK, unit, math.isqrt(p ** r * (K if n is None else 1)))
     P = 1
     while P * p <= cap:
         P *= p
@@ -399,8 +405,8 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
         edge = ((hi + np.minimum(c, 0) < 0) | (hi + np.maximum(c, 0) >= G - 1)).any(axis=0)
         edge[[0, -1]] = True
     edge |= bool((np.abs(c) > _CARRY_CAP).any()) or p ** r <= _CHUNK // 4  # scanned x by x
-    hists = [np.zeros(bins, dtype=np.int64) for _ in variants]
-    found = [[] for _ in variants]
+    hists = [np.zeros(bins, dtype=np.int64) for _ in scopes]
+    found = [[] for _ in scopes]
 
     inner = np.flatnonzero(~edge)
     if inner.size:
@@ -439,9 +445,9 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
         nd = int(D.max()) - dmin + 1
         key = cell_cls * nd + D - dmin
         least = D + kmin[cell_cls]  # the least slack of each cell
-        for v, hist, xs in zip(variants, hists, found):
+        for (ranges, allowance), hist, xs in zip(scopes, hists, found):
             rows = np.zeros(G, dtype=bool)
-            for a, b in v.ranges(p, r):
+            for a, b in ranges:
                 rows[a // P:b // P] = True
             sel = rows[cell_row]
             C = np.bincount(key[sel], minlength=starts.size * nd).reshape(-1, nd)
@@ -454,10 +460,10 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
             if keep.sum() != got.sum():
                 raise AssertionError("a class count falls outside the slack bounds")
             hist[max(lo, 0):max(lo, 0) + keep.size] += keep
-            for cell in np.flatnonzero(sel & (least < -v.allowance)):
+            for cell in np.flatnonzero(sel & (least < -allowance)):
                 k = cell_cls[cell]
                 xs.append(cell_row[cell] * P + starts[k] % P
-                          + np.flatnonzero(const[starts[k]:ends[k]] < -v.allowance - D[cell]))
+                          + np.flatnonzero(const[starts[k]:ends[k]] < -allowance - D[cell]))
 
     rows = np.flatnonzero(edge)
     first, last = (0, p ** r) if n is None else (1, n)  # mod n, 0 < x < n
@@ -465,13 +471,13 @@ def _class_counts(p: int, r: int, lhs, rhs, variants, n: int | None, off: int, b
     for i in range(0, rows.size, step):
         xs = (rows[i:i + step, None] * P + np.arange(P)).ravel()
         slack = _form_sum(xs, rhs, p, n) - _form_sum(xs, lhs, p, n)
-        for v, hist, bad in zip(variants, hists, found):
-            for a, b in v.ranges(p, r):
+        for (ranges, allowance), hist, bad in zip(scopes, hists, found):
+            for a, b in ranges:
                 part = slice(*np.searchsorted(xs, (max(a, first), min(b, last))))
                 got = np.bincount(slack[part] + off, minlength=bins)
                 hist += got
-                if got[:max(off - v.allowance, 0)].any():
-                    bad.append(xs[part][slack[part] < -v.allowance])
+                if got[:max(off - allowance, 0)].any():
+                    bad.append(xs[part][slack[part] < -allowance])
     return list(zip(hists, found))
 
 
@@ -479,18 +485,31 @@ def _scan(p, r, lhs, rhs, variants, n=None) -> list[VariantReport]:
     """Check sum over lhs <= sum over rhs + allowance of every variant at
     each x, where a form (c, o) contributes the base-p digit sum of
     c*x + o.  Without n, x runs over [0, p^r); with n = p^r - 1, over
-    [1, n) with every c*x + o reduced mod n."""
+    [1, n) with every c*x + o reduced mod n.
+
+    A variant's slack histogram depends on its scope alone, so variants
+    with equal `Variant.ranges` share one `_class_counts` scope, taken at
+    their least allowance, whose violating x hold those of each of them;
+    each variant keeps the x that break its own allowance."""
     off, bins = _slack_range(p, r, lhs, rhs, n)
+    scope = [v.ranges(p, r) for v in variants]
+    least = {}
+    for v, ranges in zip(variants, scope):
+        least[ranges] = min(v.allowance, least.get(ranges, v.allowance))
+    counted = dict(zip(least, _class_counts(p, r, lhs, rhs, list(least.items()), n, off, bins)))
     reports = []
-    for v, (counts, xs) in zip(variants, _class_counts(p, r, lhs, rhs, variants, n, off, bins)):
+    for v, ranges in zip(variants, scope):
+        counts, xs = counted[ranges]
         hist = np.zeros(_SLACK_CAP + 2, dtype=np.int64)
         np.add.at(hist, np.clip(np.arange(bins) - off + v.allowance, -1, _SLACK_CAP) + 1, counts)
         cx = []
         if xs:
             xs = np.sort(np.concatenate(xs))
-            rhs_total = [t + v.allowance for t in _form_sum(xs, rhs, p, n).tolist()]
-            cx = list(map(Counterexample, xs.tolist(),
-                          _form_sum(xs, lhs, p, n).tolist(), rhs_total))
+            lhs_total = _form_sum(xs, lhs, p, n).astype(np.int64)
+            rhs_total = _form_sum(xs, rhs, p, n).astype(np.int64) + v.allowance
+            bad = lhs_total > rhs_total
+            cx = list(map(Counterexample, xs[bad].tolist(), lhs_total[bad].tolist(),
+                          rhs_total[bad].tolist()))
         reports.append(VariantReport(v.name, int(hist.sum()), cx,
                                      {b - 1: int(k) for b, k in enumerate(hist) if k}))
     return reports
@@ -544,11 +563,12 @@ def verify_brackets(family: str, r: int) -> tuple[VerificationReport, Verificati
     """The bracket corollary and the sharp inequality of a family at r,
     from one scan over 0 < x < p^r - 1.
 
-    Both compare the same forms, reduced mod p^r - 1, and differ only in
-    the allowance: `bracket_allowance` for the corollary (variant
-    bracket_plus<a>), 0 for the sharp form (variant sharp).  Each report
-    carries the scan's elapsed time.  The 3x13 family is stated for even r
-    only.  Returns (corollary, sharp).
+    Both compare the same forms, reduced mod p^r - 1, over one scope and
+    differ only in the allowance: `bracket_allowance` for the corollary
+    (variant bracket_plus<a>), 0 for the sharp form (variant sharp).  So
+    one slack count serves both.  Each report carries the scan's elapsed
+    time.  The 3x13 family is stated for even r only.  Returns
+    (corollary, sharp).
     """
     t0 = time.perf_counter()
     if family not in LEMMAS:

@@ -3,6 +3,7 @@ each, printing a PASS/FAIL line (run with -s to watch them stream)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from hypmono import acceptance, exp_sums, kubert
@@ -96,3 +97,15 @@ def test_c8_gaps_are_rounded_exact_moments(family, k):
     table = acceptance._table_cached(family, k, "exact")
     m1 = exp_sums.moments(table, 1, exact=True)
     assert details[f"{family}_q{table.field.q}"]["M1_gap"] == float(round(abs(m1 - 1), 12))
+
+
+def test_c5_reports_a_planted_digit_sum_fault(monkeypatch):
+    # one wrong digit sum, of 5, in the tables C5 reads and in the terms it
+    # reduces: reflection, triplication and duplication each see it
+    real = kubert._digit_sums
+    monkeypatch.setattr(kubert, "_digit_sums",
+                        lambda values, p: real(values, p) + (np.asarray(values) == 5))
+    ok, details = acceptance._c5_v_identities(20240601)
+    assert not ok
+    for identity in ("reflection", "triplication", "duplication"):
+        assert details[f"{identity}_violations"] > 0

@@ -280,3 +280,37 @@ def test_reproduce_all_manifest_bytes(tmp_path, capsys):
     rc = main(["reproduce-all", "--out", str(tmp_path)])
     assert rc == 0
     assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["verify-digit-lemma", "--family", "28", "--r-max", "2"], "kubert.verify_lemma_28"),
+    (["trace-table", "--family", "4x5", "--field-degree", "2"], "cli.build_field"),
+    (["classify", "--family", "28x"], "hyp_params.build_spec"),
+    (["reproduce-all"], "acceptance.run_all"),
+], ids=["verify-digit-lemma", "trace-table", "classify", "reproduce-all"])
+def test_an_out_that_cannot_be_made_is_a_usage_error(argv, work, tmp_path, monkeypatch, capsys):
+    # --out at an existing file (for classify, whose --out names a file, a
+    # path under one) exits 2 with one line on stderr, before any work
+    import hypmono
+
+    module, attr = work.split(".")
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(getattr(hypmono, module), attr, refused)
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n")
+    out = existing / "report.json" if argv[0] == "classify" else existing
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]}: cannot write to --out {out}")
+    assert len(captured.err.splitlines()) == 1
+    assert existing.read_text() == "kept\n"
+
+
+def test_classify_out_at_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert main(["classify", "--family", "28x", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"classify: cannot write to --out {tmp_path}: "
+                                       f"{tmp_path}: Is a directory\n")

@@ -307,7 +307,7 @@ def test_direct_and_tables_refuse_alike():
     for p, k, kind, A, B in refused:
         field = build_field(p, k)
         with pytest.raises(ValueError):
-            _trace_direct(field, kind, A, B, 1)
+            _trace_direct(field, kind, A, B, [1])
         if kind == "AxB" or A == 4 * B:  # trace_quartic passes A = 4B itself
             with pytest.raises(ValueError):
                 trace_axb(field, A, B, 1) if kind == "AxB" else trace_quartic(field, B, 1)
@@ -333,6 +333,31 @@ def test_points_out_of_range_are_refused(f9):
             table.value(s)
         with pytest.raises(ValueError):
             trace_axb(f9, 4, 5, s)
+
+
+@pytest.mark.parametrize("name, k", [("3x13", 4), ("4x5", 2), ("28x", 2)])
+def test_direct_evaluator_over_a_point_list_equals_each_point(name, k):
+    # the parts that do not depend on s are formed once for the list, and
+    # each point, in any order, gets the value of its own call
+    fam = FAMILIES[name]
+    field = build_field(fam.p, k)
+    points = list(map(int, field.units()))
+    single = [trace_axb(field, fam.A, fam.B, s) if fam.kind == "AxB"
+              else trace_quartic(field, fam.B, s) for s in points]
+    assert _trace_direct(field, fam.kind, fam.A, fam.B, points) == single
+    assert _trace_direct(field, fam.kind, fam.A, fam.B, points[::-1]) == single[::-1]
+
+
+@pytest.mark.parametrize("points", [[1, 9], [0, 1], [2, -1, 3]])
+def test_direct_evaluator_checks_every_point_before_any_tuple(f9, monkeypatch, points):
+    import hypmono.exp_sums as es
+
+    def tuple_work(*args):
+        raise AssertionError("tuple work began before every point was checked")
+
+    monkeypatch.setattr(es, "_power_sum_counts", tuple_work)
+    with pytest.raises(ValueError):
+        _trace_direct(f9, "AxB", 4, 5, points)
 
 
 def test_moments(f4, f16):

@@ -524,6 +524,60 @@ def test_one_bracket_scan_equals_a_scan_per_variant(family, r_range):
         assert got == want
 
 
+@pytest.mark.parametrize("chunk", [None, 10], ids=["one-block", "rows"])
+@pytest.mark.parametrize("family,r,mod", [
+    ("3x13", 8, False), ("3x13", 15, False), ("3x13", 16, True),
+    ("4x5", 5, True), ("4x5", 10, False), ("4x5", 10, True), ("28", 6, True),
+])
+def test_variants_with_one_scope_share_one_count(monkeypatch, family, r, mod, chunk):
+    # two lowered allowances over one leading-digit scope: one scope goes
+    # to the class kernel, and each variant's report equals its own scan
+    import hypmono.kubert as kb
+
+    if chunk:
+        monkeypatch.setattr(kb, "_CHUNK", chunk)
+    lemma = kb.LEMMAS[family]
+    p = lemma.p
+    n = p ** r - 1 if mod else None
+    a = 0 if mod else lemma.variants[0].allowance - 1
+    scope = {"lead": 2, "allowed": frozenset({0, 1, p + 1})}
+    variants = [kb.Variant("loose", a - 1, **scope), kb.Variant("tight", a - 3, **scope)]
+    want = [kb._scan(p, r, *lemma.forms(r), [v], n)[0] for v in variants]
+    scopes = []
+    real = kb._class_counts
+
+    def counted(*args):
+        scopes.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(kb, "_class_counts", counted)
+    assert kb._scan(p, r, *lemma.forms(r), variants, n) == want
+    assert scopes == [[(variants[0].ranges(p, r), a - 3)]]
+    loose, tight = want
+    assert loose.slack_histogram.keys() != tight.slack_histogram.keys()
+    assert 0 < len(loose.counterexamples) < len(tight.counterexamples)
+
+
+def test_merged_ranges_cover_the_x_of_the_per_digit_cuts():
+    # ascending, disjoint, none adjacent to the next, and together the x
+    # whose leading digits lie in `allowed`
+    import hypmono.kubert as kb
+
+    variants = [(lemma.p, v) for lemma in kb.LEMMAS.values() for v in lemma.variants]
+    variants += [(p, v) for p, _, _, _, vs, _ in _random_scans(1717, 40) for v in vs]
+    for p, v in variants:
+        for r in range(max(v.min_r, 1), 9 if p == 2 else 6):
+            ranges = v.ranges(p, r)
+            assert all(b < c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+            covered = np.zeros(p ** r, dtype=bool)
+            for a, b in ranges:
+                covered[a:b] = True
+            xs = np.arange(p ** r)
+            assert (covered == np.isin(xs * p ** v.lead // p ** r, sorted(v.allowed))).all()
+    plus2_3x13, plus0_4x5 = kb.LEMMAS["3x13"].variants[1], kb.LEMMAS["4x5"].variants[1]
+    assert len(plus2_3x13.ranges(2, 8)) == 3 and len(plus0_4x5.ranges(3, 6)) == 3
+
+
 def test_narrow_accumulators_fit_at_r_cap():
     import hypmono.kubert as kb
 

@@ -3,7 +3,7 @@ against q, one fresh process a point.
 
 Usage, from the root of a checkout:
 
-    python3 tools/q_sweep.py --label L
+    python3 tools/q_sweep.py --label L [--base REV] [--only PREFIX ...]
 
 At q = 2^10, 2^12, ..., 2^24 and 3^6, 3^7, ..., 3^15, up to the degree
 caps, it times three calls, each in a new interpreter that imports hypmono
@@ -40,7 +40,18 @@ for a scan in O(sqrt(q)).
 
 It writes BENCH_<L>-sweep.json at the root of the checkout and prints one
 line per point.  Runs go one at a time; the 3x13 table at 2^24 peaks near
-2 GB.
+2 GB.  `--only` keeps the series whose names start with one of its
+prefixes, such as `scan.` or `cli.p3`.
+
+With `--base REV` it sweeps two trees, the committed trees of REV and of
+HEAD, each exported with `git archive` into a temporary directory as
+`tools/bench_pairs.py` does, and refuses to start while src/ differs
+from HEAD.  The two trees alternate point by point: each run of a point
+goes on both trees, and the tree that runs first alternates from run to
+run, so a change in host load falls on both alike.  Every process runs
+this file's timing code with the tree's src/ on PYTHONPATH.  HEAD's
+points go to BENCH_<L>-sweep.json and REV's to BENCH_<L>-sweep-base.json,
+each file naming its commit.
 """
 
 from __future__ import annotations
@@ -53,7 +64,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from bench_pairs import export, git
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILY = {2: "3x13", 3: "4x5"}
@@ -122,16 +136,23 @@ def child(job: str, p: int, k: int) -> None:
     print(json.dumps(out))
 
 
-def run_point(job: str, p: int, k: int) -> dict:
-    runs = []
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    for _ in range(REPEAT):
-        proc = subprocess.run(
-            [sys.executable, __file__, "--child", job, str(p), str(k)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{job} at {p}^{k} exited {proc.returncode}:\n{proc.stderr}")
-        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+def run_point(job: str, p: int, k: int, srcs: dict[str, Path]) -> dict[str, dict]:
+    """The point of each tree in srcs, its runs alternating between them."""
+    runs = {side: [] for side in srcs}
+    for i in range(REPEAT):
+        for side in list(srcs)[::1 if i % 2 == 0 else -1]:
+            env = dict(os.environ, PYTHONPATH=str(srcs[side]), PYTHONDONTWRITEBYTECODE="1")
+            proc = subprocess.run(
+                [sys.executable, __file__, "--child", job, str(p), str(k)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{job} at {p}^{k} on {side} exited "
+                                   f"{proc.returncode}:\n{proc.stderr}")
+            runs[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return {side: summarise(job, p, k, rs) for side, rs in runs.items()}
+
+
+def summarise(job: str, p: int, k: int, runs: list[dict]) -> dict:
     point = {"p": p, "k": k, "q": p ** k, "log2_q": k * math.log2(p),
              "runs_s": [r["s"] for r in runs],
              "s": statistics.median(r["s"] for r in runs),
@@ -158,11 +179,57 @@ def slopes(points: list[dict]) -> list[dict]:
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="writes BENCH_<label>-sweep.json")
+    parser.add_argument("--base", help="git revision to sweep beside HEAD, point by point")
+    parser.add_argument("--only", nargs="+", default=[""], metavar="PREFIX",
+                        help="sweep only the series whose names start with a prefix")
     parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is None and args.label is None:
         parser.error("--label is required")
     return args
+
+
+def series() -> list[tuple[str, str, int, list[int]]]:
+    """(series name, job, p, degrees or r) of every series, in sweep order."""
+    out = []
+    for p, ks in DEGREES.items():
+        for job in ("build", "table", "cli"):
+            name = f"{job}.p{p}" + (f".{FAMILY[p]}" if job != "build" else "")
+            degrees = CLI_DEGREES[p] if job == "cli" else ks
+            if job == "table" and p == 3:
+                degrees = [k for k in degrees if k % 2 == 0]  # 4 | 3^k - 1
+            out.append((name, job, p, list(degrees)))
+    sys.path.insert(0, str(ROOT / "src"))  # for the scans' families and r caps
+    from hypmono.kubert import LEMMAS, R_CAP
+
+    for family, lemma in LEMMAS.items():
+        p = lemma.p
+        for kind in ("lemma", "brackets"):
+            rs = [r for r in range(8, R_CAP[p] + 1)
+                  if not (kind == "brackets" and lemma.even_r_brackets and r % 2)]
+            out.append((f"scan.{kind}.{family}", f"{kind}.{family}", p, rs))
+    return out
+
+
+def sweep(srcs: dict[str, Path], only: list[str]) -> dict[str, dict]:
+    """The series of each tree in srcs, one point after another."""
+    machine = {"python": platform.python_version(), "platform": platform.platform(),
+               "processor": platform.processor(), "cpus": os.cpu_count()}
+    out = {side: {"repeat": REPEAT, "machine": machine, "series": {}} for side in srcs}
+    for name, job, p, degrees in series():
+        if not name.startswith(tuple(only)):
+            continue
+        points = {side: [] for side in srcs}
+        for k in degrees:
+            got = run_point(job, p, k, srcs)
+            times = []
+            for side, point in got.items():
+                points[side].append(point)
+                times.append(f"{side} {point['s'] * 1e3:.2f} ms, {point['max_rss_mb']:.0f} MB")
+            print(f"{name} q={p}^{k}: " + "; ".join(times), flush=True)
+        for side, pts in points.items():
+            out[side]["series"][name] = {"points": pts, "steps": slopes(pts)}
+    return out
 
 
 def main(argv=None) -> int:
@@ -171,40 +238,23 @@ def main(argv=None) -> int:
         job, p, k = args.child
         child(job, int(p), int(k))
         return 0
-    out = {"repeat": REPEAT,
-           "machine": {"python": platform.python_version(), "platform": platform.platform(),
-                       "processor": platform.processor(), "cpus": os.cpu_count()},
-           "series": {}}
-    for p, ks in DEGREES.items():
-        for job in ("build", "table", "cli"):
-            name = f"{job}.p{p}" + (f".{FAMILY[p]}" if job != "build" else "")
-            points = []
-            for k in CLI_DEGREES[p] if job == "cli" else ks:
-                if job == "table" and p == 3 and k % 2:
-                    continue  # 4 does not divide 3^k - 1
-                point = run_point(job, p, k)
-                points.append(point)
-                print(f"{name} q={p}^{k}: {point['s']:.4f} s, "
-                      f"{point['max_rss_mb']:.0f} MB", flush=True)
-            out["series"][name] = {"points": points, "steps": slopes(points)}
-    sys.path.insert(0, str(ROOT / "src"))  # for the scans' families and r caps
-    from hypmono.kubert import LEMMAS, R_CAP
-
-    for family, lemma in LEMMAS.items():
-        p = lemma.p
-        for kind in ("lemma", "brackets"):
-            name = f"scan.{kind}.{family}"
-            points = []
-            for r in range(8, R_CAP[p] + 1):
-                if kind == "brackets" and lemma.even_r_brackets and r % 2:
-                    continue
-                point = run_point(f"{kind}.{family}", p, r)
-                points.append(point)
-                print(f"{name} q={p}^{r}: {point['s'] * 1e3:.2f} ms", flush=True)
-            out["series"][name] = {"points": points, "steps": slopes(points)}
-    path = ROOT / f"BENCH_{args.label}-sweep.json"
-    path.write_text(json.dumps(out, indent=1) + "\n")
-    print(f"wrote {path}")
+    paths = {"head": ROOT / f"BENCH_{args.label}-sweep.json"}
+    if args.base is None:
+        results = sweep({"head": ROOT / "src"}, args.only)
+    else:
+        if git("status", "--porcelain", "--", "src"):
+            sys.exit("src/ differs from HEAD; commit it first, so the sweep measures a commit")
+        paths["base"] = ROOT / f"BENCH_{args.label}-sweep-base.json"
+        commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
+        with tempfile.TemporaryDirectory(prefix="q-sweep-") as tmp:
+            for side, commit in commits.items():
+                export(commit, Path(tmp) / side)
+            results = sweep({side: Path(tmp) / side / "src" for side in commits}, args.only)
+        for side, commit in commits.items():
+            results[side]["commit"] = commit
+    for side, path in paths.items():
+        path.write_text(json.dumps(results[side], indent=1) + "\n")
+        print(f"wrote {path}")
     return 0
 
 
