@@ -72,25 +72,36 @@ _CACHE_MAGIC = b"HMFT0002"  # body: the antilog table alone
 # an element
 _XOR_CHUNK = 11
 # base-3 digits added per lookup in the digit-wise addition table (uint16,
-# 3^(2C) entries): one int32 add of 531k random pairs at 3^12 took a median
-# 8 ms with 6 (two blocks, 1.06 MB), 19 ms with 5 (three blocks, 0.12 MB)
-# and 12 ms with 7 (9.6 MB); 4.8M pairs at 3^13 and 3^15 (three blocks at 5
-# and at 6) took 0.15-0.16 s with 5 and 0.16-0.17 s with 6, and with 7
-# 0.14 s at 3^13 (two blocks) but 0.20-0.22 s at 3^15 (2-core VM)
+# 3^(2C) entries) at 3^11 and past it: one int32 add of 531k random pairs
+# at 3^12 took a median 8 ms with 6 (two blocks, 1.06 MB), 19 ms with 5
+# (three blocks, 0.12 MB) and 12 ms with 7 (9.6 MB); 4.8M pairs at 3^13 and
+# 3^15 (three blocks at 5 and at 6) took 0.15-0.16 s with 5 and 0.16-0.17 s
+# with 6, and with 7 0.14 s at 3^13 (two blocks) but 0.20-0.22 s at 3^15
+# (2-core VM).  Smaller fields add in two blocks of ceil(k/2) digits
+# (`_add_width`) and never build the 3^12-entry table: a cold
+# build_field(3, 6) in a fresh process took a median 2.3 ms with it and
+# 1.7 ms with the 729 entries of three-digit blocks
 _ADD_DIGITS = 6
 
 
-@cache
-def _digit_add_table() -> np.ndarray:
-    """Flat 3^C x 3^C table, C = _ADD_DIGITS: entry a * 3^C + b is the
-    digit-wise sum mod 3 of the C-digit words a and b.
+def _add_width(k: int) -> int:
+    """Digits per table lookup in the base-3 add of F_(3^k): two blocks of
+    ceil(k/2) digits up to k = 12, blocks of _ADD_DIGITS digits past it."""
+    return min(-(-k // 2), _ADD_DIGITS)
 
-    Built one top digit at a time from the 3 x 3 table, on the first base-3
-    addition of the process (not at import); read-only, as it is shared.
+
+@cache
+def _digit_add_table(width: int) -> np.ndarray:
+    """Flat 3^C x 3^C table, C = width: entry a * 3^C + b is the digit-wise
+    sum mod 3 of the C-digit words a and b.
+
+    Built one top digit at a time from the 3 x 3 table, on the first
+    base-3 addition of the process at that width (not at import), and kept
+    for the process; read-only, as it is shared.
     """
     one = np.add.outer(np.arange(3, dtype=np.uint16), np.arange(3, dtype=np.uint16)) % 3
     table = one
-    for c in range(1, _ADD_DIGITS):
+    for c in range(1, width):
         w = 3 ** c  # [a_top, a_low, b_top, b_low] -> row a_top w + a_low
         table = (one[:, None, :, None] * w + table[None, :, None, :]).reshape(3 * w, 3 * w)
     table = table.ravel()
@@ -255,8 +266,9 @@ class FieldTable:
         """Tr(x) = sum_j d_j Tr(t^j) mod p, with Tr(t^j) = trace(M^j) mod p.
 
         One base-p digit at a time: the elements with top digit d_j = d
-        are the table so far shifted by d Tr(t^j); uint8 throughout, in
-        place in the one table of q entries.
+        are the table so far shifted by d Tr(t^j), written in one pass,
+        by an XOR with Tr(t^j) at p = 2 and by a 3-entry lookup at p = 3;
+        uint8 throughout, in place in the one table of q entries.
         """
         p = self.p
         m = self._companion()
@@ -268,8 +280,11 @@ class FieldTable:
             tr_t = int(np.trace(power)) % p
             for d in range(1, p):
                 shifted = trace[d * size:(d + 1) * size]
-                np.add(trace[:size], d * tr_t, out=shifted)
-                np.remainder(shifted, p, out=shifted)
+                if p == 2:
+                    np.bitwise_xor(trace[:size], tr_t, out=shifted)
+                else:  # v -> v + d Tr(t^j) mod 3
+                    lookup = np.array([(v + d * tr_t) % 3 for v in range(3)], dtype=np.uint8)
+                    np.take(lookup, trace[:size], out=shifted)
             size *= p
             power = power @ m % p
         return trace
@@ -290,12 +305,17 @@ class FieldTable:
         residues, each once.  So t has order q - 1, every nonzero residue
         is a unit, F_p[t]/(f) is a field and f is irreducible.
 
-        The recurrence adds only the p words c t^k, so `add` is also tried
-        on fixed operands: every pair of all-d words (d = 0..p-1, each of
-        which sets one digit value in every digit-block lookup) and 32
-        hashed pairs, under the trace's additivity and x + ... + x = 0 (p
-        terms).  The tables are int32 and uint8, and the steps over all q
-        elements compute in int32, apart from the int64 sum `add` returns.
+        The recurrence splits the top digit off every t^i with no divmod:
+        by a shift and a mask at p = 2, and at p = 3 by a floor division by
+        the scalar q/3, which numpy computes by a multiply and a shift, and
+        one multiply-subtract.  It adds only the p words c t^k, so `add` is
+        also tried on fixed operands: every pair of all-d words (d =
+        0..p-1, whose lowest digit blocks are full-width all-d words, so
+        each pair reads the table entry of its two digit values at the
+        field's block width) and 32 hashed pairs, under the trace's
+        additivity and x + ... + x = 0 (p terms).  The tables are int32 and
+        uint8, and the steps over all q elements compute in int32, apart
+        from the int64 sum `add` returns.
         """
         q, p = self.q, self.p
         antilog = self.antilog
@@ -305,7 +325,14 @@ class FieldTable:
         # fill: shift every digit up, and a carried-out top digit c adds c t^k
         red = sum(-c % p * p ** i for i, c in enumerate(self.modulus[:-1]))
         corr = [self.scalar_mul(c, red) for c in range(p)]  # c t^k
-        lead, rem = np.divmod(antilog, q // p)  # the top digit c of t^i, and the rest
+        # the top digit c of t^i, and the rest
+        if p == 2:
+            lead = antilog >> (self.k - 1)
+            rem = antilog & (q // 2 - 1)
+        else:
+            lead = antilog // (q // 3)
+            rem = lead * -(q // 3)
+            rem += antilog
         rem *= p  # t^i without its top digit, shifted up
         if p == 3:  # corr[c] = c corr[1] + (c >> 1) (corr[2] - 2 corr[1])
             fix = lead >> 1
@@ -352,15 +379,19 @@ class FieldTable:
     def add(self, a, b):
         """a + b for field elements: ints or integer arrays with entries in
         [0, q).  Any other operand raises ValueError, since the base-3 digit
-        blocks would drop its digits beyond k or wrap it in int32."""
-        if not (_in_range(a, self.q) and _in_range(b, self.q)):
-            raise ValueError(f"add takes field elements, integers in 0..{self.q - 1}")
+        blocks would drop its digits beyond k, wrap it in int32 or truncate
+        a float."""
+        self._check("add", a, b)
         if self.p == 2:
             return _scalar_int(a ^ b)
         return self._add3(a, b)
 
+    def _check(self, op: str, *operands) -> None:
+        if not all(_in_range(x, self.q) for x in operands):
+            raise ValueError(f"{op} takes field elements, integers in 0..{self.q - 1}")
+
     def _add3(self, a, b):
-        """Digit-wise sum mod 3, _ADD_DIGITS digits per table lookup.
+        """Digit-wise sum mod 3, `_add_width(k)` digits per table lookup.
 
         In int32 (elements are below 3^15 < 2^24): the digit blocks are
         split off by floor division by the scalar base, each row index is
@@ -371,9 +402,10 @@ class FieldTable:
         a = np.asarray(a).astype(np.int32, copy=False)
         b = np.asarray(b).astype(np.int32, copy=False)
         shape = np.broadcast(a, b).shape
-        table, base = _digit_add_table(), 3 ** _ADD_DIGITS
+        width = _add_width(self.k)
+        table, base = _digit_add_table(width), 3 ** width
         sums, row = [], np.empty(shape, dtype=np.int32)
-        for _ in range(-(-self.k // _ADD_DIGITS) - 1):
+        for _ in range(-(-self.k // width) - 1):
             a_hi, b_hi = a // base, b // base
             np.multiply(a_hi, -base, out=row)
             row += a  # the block of a
@@ -391,16 +423,18 @@ class FieldTable:
         return int(out) if scalar else out
 
     def neg(self, a):
+        self._check("neg", a)
         if self.p == 2:
             return _scalar_int(a)
-        return self.add(a, a)
+        return self._add3(a, a)
 
     def scalar_mul(self, c: int, a):
         """(c mod p)-fold sum of a."""
+        self._check("scalar_mul", a)
         c %= self.p
         if c < 2:
             return _widened(np.asarray(a) * c)
-        return self.add(a, a)  # c = 2, at p = 3 only
+        return self._add3(a, a)  # c = 2, at p = 3 only
 
     def mul(self, a, b):
         a, b = np.asarray(a), np.asarray(b)
@@ -442,17 +476,21 @@ class FieldTable:
 
 
 def _in_range(x, q: int) -> bool:
-    """Whether every entry of x lies in [0, q)."""
+    """Whether x is an integer or an integer array with every entry in
+    [0, q); an array of float, bool or object dtype is not, whatever its
+    values."""
     if isinstance(x, int):
         return 0 <= x < q
     x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        return False
     if x.size == 0:
         return True
     if x.dtype.kind == "i" and x.itemsize >= 4:
         # read as unsigned, a negative entry is at least 2^31 > q, so one
         # maximum bounds both ends
         x = x.view(f"u{x.itemsize}")
-    elif x.dtype.kind != "u":
+    elif x.dtype.kind == "i":
         return x.min() >= 0 and x.max() < q
     return x.max() < q
 

@@ -191,17 +191,24 @@ def test_add_and_neg_of_arrays_keep_the_operand_dtype_at_p2():
     assert f.add(a.astype(np.int64), b).dtype == np.int64
 
 
-@pytest.mark.parametrize("k", [6, 7, 12])
+# a degree at each block width of the base-3 add: ceil(k/2) digits up to
+# k = 12, six past it
+@pytest.mark.parametrize("k,width", [(4, 2), (6, 3), (7, 4), (10, 5), (12, 6), (13, 6)],
+                         ids=["4", "6", "7", "10", "12", "13"])
 @pytest.mark.parametrize("wrong", [0, 1])
-def test_validate_refuses_a_wrong_digit_add_entry(monkeypatch, k, wrong):
-    # two all-2 six-digit words must add to the all-1 word 364; the
+def test_validate_refuses_a_wrong_digit_add_entry(monkeypatch, k, width, wrong):
+    # two all-2 words of one block must add to the all-1 word; the
     # recurrence check never adds them, the fixed operands of _validate do
     from hypmono import finite_field
 
-    table = finite_field._digit_add_table().copy()
-    assert table[728 * 729 + 728] == 364
-    table[728 * 729 + 728] = wrong
-    monkeypatch.setattr(finite_field, "_digit_add_table", lambda: table)
+    assert finite_field._add_width(k) == width
+    real = finite_field._digit_add_table
+    table = real(width).copy()
+    top = 3 ** width - 1  # the all-2 word
+    assert table[top * 3 ** width + top] == top // 2
+    table[top * 3 ** width + top] = wrong
+    monkeypatch.setattr(finite_field, "_digit_add_table",
+                        lambda w: table if w == width else real(w))
     with pytest.raises(AssertionError):
         FieldTable(3, k, PRIMITIVE_POLYS[(3, k)])
 
@@ -211,14 +218,16 @@ def _add_reference(a, b, p: int, k: int):
     return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(k))
 
 
-# degrees below, at and across the table's block width (_ADD_DIGITS = 6),
-# up to the three blocks of 3^13 and the degree cap 3^15; every pair at
-# F3^6 reads every table entry
-@pytest.mark.parametrize("k,pairs", [(3, None), (5, 3000), (6, None), (7, 3000),
-                                     (9, 3000), (11, 3000), (12, 3000), (13, 3000),
-                                     (15, 3000)],
-                         ids=["F27-all", "F3^5-random", "F3^6-all", "F3^7-random",
-                              "F3^9-random", "F3^11-random", "F3^12-random",
+# every block width of the base-3 add (ceil(k/2) digits up to k = 12, six
+# past it), at odd and even k, up to the three blocks of 3^13 and the
+# degree cap 3^15; every pair at F3, F27 and F3^6 reads every entry of the
+# tables of widths 1, 2 and 3
+@pytest.mark.parametrize("k,pairs", [(1, None), (2, None), (3, None), (4, None), (5, 3000),
+                                     (6, None), (7, 3000), (8, 3000), (9, 3000), (10, 3000),
+                                     (11, 3000), (12, 3000), (13, 3000), (15, 3000)],
+                         ids=["F3-all", "F9-all", "F27-all", "F81-all", "F3^5-random",
+                              "F3^6-all", "F3^7-random", "F3^8-random", "F3^9-random",
+                              "F3^10-random", "F3^11-random", "F3^12-random",
                               "F3^13-random", "F3^15-random"])
 def test_add_matches_digit_reference(k, pairs):
     # the fields past 3^12 are built uncached, so that their tables (128 MB
@@ -238,7 +247,7 @@ def test_add_matches_digit_reference(k, pairs):
     x, y = int(a[-1]), int(b[-1])
     assert type(field.add(x, y)) is int and field.add(x, y) == _add_reference(x, y, 3, k)
     # a 2-D array against a scalar, both ways round
-    grid = a[:20].reshape(4, 5)
+    grid = np.resize(a, 20).reshape(4, 5)
     ref2 = _add_reference(grid, y, 3, k)
     assert field.add(grid, y).dtype == np.int64
     assert np.array_equal(field.add(grid, y), ref2) and np.array_equal(field.add(y, grid), ref2)
@@ -255,26 +264,36 @@ def test_add_matches_digit_reference(k, pairs):
         assert np.array_equal(out, _add_reference(u.astype(np.int64), v.astype(np.int64), 3, k))
 
 
-@pytest.mark.parametrize("p,k", [(3, 6), (3, 12), (2, 10)])
+@pytest.mark.parametrize("p,k", [(3, 6), (3, 12), (2, 10), (2, 4), (3, 4)])
 def test_add_refuses_operands_outside_the_field(p, k):
     # an operand outside [0, q) would lose its digits past k in the base-3
-    # digit blocks, or wrap in int32
+    # digit blocks, or wrap in int32; a float one would be truncated, and
+    # neg and scalar_mul would hand any of them back unchanged
     field = build_field(p, k)
     q = field.q
-    for bad in (q, q + 5, -1, 2 ** 40 + 7, np.int64(-1), np.int32(q)):
-        for a, b in ((bad, 0), (0, bad)):
-            with pytest.raises(ValueError, match="field elements"):
-                field.add(a, b)
-    for bad in ([2 ** 40 + 7], np.array([3, -1], dtype=np.int32), np.array([q]),
-                np.array([q], dtype=np.uint32), np.array([-1], dtype=np.int8),
-                np.array([[0, 1], [2, q + 1]])):
+    ops = {
+        "add": lambda x: (field.add(x, 0), field.add(0, x)),
+        "neg": field.neg,
+        "scalar_mul": lambda x: [field.scalar_mul(c, x) for c in range(p)],
+    }
+    bad_scalars = (q, q + 5, -1, 2 ** 40 + 7, np.int64(-1), np.int32(q), 2.5, 1.0,
+                   np.float64(2.5), np.float32(0.0))
+    bad_arrays = ([2 ** 40 + 7], np.array([3, -1], dtype=np.int32), np.array([q]),
+                  np.array([q], dtype=np.uint32), np.array([-1], dtype=np.int8),
+                  np.array([[0, 1], [2, q + 1]]), np.array([2.5, 1.0]), [0.0, 1.0],
+                  np.array([True, False]), np.array([2 ** 70], dtype=object))
+    for name, op in ops.items():
+        for bad in bad_scalars + bad_arrays:
+            with pytest.raises(ValueError, match=f"{name} takes field elements"):
+                op(bad)
+    for bad in bad_arrays:
         with pytest.raises(ValueError, match="field elements"):
             field.add(bad, np.zeros(np.shape(bad), dtype=np.int64))
-        with pytest.raises(ValueError, match="field elements"):
-            field.add(1, bad)
     # the edges themselves are elements
     assert field.add(q - 1, 0) == q - 1 and field.add(0, 0) == 0
-    assert field.add(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).size == 0
+    assert field.neg(0) == 0 and field.scalar_mul(2, q - 1) == field.add(q - 1, q - 1)
+    empty = np.array([], dtype=np.int64)
+    assert field.add(empty, empty).size == 0 and field.neg(empty).size == 0
 
 
 # every embedded modulus up to 2^12 and 3^8
@@ -348,6 +367,48 @@ def test_antilog_digest_is_pinned(p, k):
     field = FieldTable(p, k, PRIMITIVE_POLYS[(p, k)])
     digest = hashlib.sha256(field.antilog.astype("<i4").tobytes()).hexdigest()
     assert digest == ANTILOG_SHA256[(p, k)]
+
+
+# sha256 of the little-endian int32 log table and of the uint8 trace table
+# of the same fields, taken from the fills and the validation that divided
+# by q/p (np.divmod) and added each trace block then reduced it mod p
+LOG_SHA256 = {
+    (2, 13): "7e434a685be75cfbd69c5beea237a02075ba08c6367d86053ea9cfb953086048",
+    (2, 14): "9f074400ad6c5203cfda1423321d45ac259449012e8f1837c165f81b7ad5c9db",
+    (2, 15): "d2a45d0c1bed35130f2fa842000544f59f4f4166186b728232d69d90e6e1cefb",
+    (2, 16): "0e4461f49a28b07263bcd623ad7205721726ecb9f4ae64c3abfa9123f0fcf0cc",
+    (2, 17): "6f6cef4b4c0a4b3e7215a268c5843bfe21b5c29511a73e7f46e927873ae882c1",
+    (2, 18): "520afb8a70db23ab010cf6cfa2c39266ce665098c61cd3d8013dcc50089036d7",
+    (2, 19): "c4d6f5f58eabb5630b42a22116f9f3de04a654be465d2f8c5058dffe9669d2a6",
+    (2, 20): "b169ab387e0e8314843b42bff6317a98803eb3aea268147df9489d887eb2af65",
+    (3, 9): "882be277e286e0447f569482a94f9db83e82e145a3f47466df340b19d9750d78",
+    (3, 10): "97bc70230762adeaa21c4115d10d28efec5ed79ee84f5ab05b5244d4831d3c4d",
+    (3, 11): "6eed834434d047d104ffc1cf0f92facef510ca43d90bf420fea540e7a999eb06",
+    (3, 12): "b6b2619c9c4740514943a58f751a34650c3d806a9ba135f1eb02ca0366da282c",
+    (3, 13): "78c3fa9eac52b3b044444d9e933841b985f3718f874db376f5514bad385c8569",
+}
+TRACE_SHA256 = {
+    (2, 13): "ace65e6b9c2698915c99728f8fad3daac7f89f0a71b93ff182dd4834287162e5",
+    (2, 14): "50371eba23253f8d9453b0154f0eb3662ba121bd23c0b734c555d4f5ecbdd968",
+    (2, 15): "b2ba783c8976eb12bad18e5fa4e63c3c8677764d5fd0731982d74cf380274997",
+    (2, 16): "3ca1557defc0450c238689358b42c02b2449f3fa7c56071567524f068e2efe6e",
+    (2, 17): "291de8d4b566650ddb8d230211cdcf218a35c2f6e3e7ec611cbae0c0b70700d0",
+    (2, 18): "95546a3d8b50a2b8a78e4e30dcdde8cdb5bedc1ef1d14bbb86a5448bf448a9ef",
+    (2, 19): "b3f156e3ef3cceb6e09c5b3d0a3dee4d095ae230da158649159b2340a792493f",
+    (2, 20): "c8b1e1bf96a7ea2fb5e1af6465c57c4e5a9ce67a7f723c9fcf0992bcd0540261",
+    (3, 9): "d0214cf78c9b5be25381d35a8c8052de3766a0450305126dedf919005de96d5d",
+    (3, 10): "2e1aae6fae7cb8a770520de968047450ab95a31c0063d00d1368b5d535707640",
+    (3, 11): "a08d6ee12e64dea299e9a9d8e5c9c5d6d4cdfc9b71699350ddcb14e14728af68",
+    (3, 12): "72edbab21c51518acad45b8608a08a34710324704a43705793862b953f0e1625",
+    (3, 13): "eace4f67a86f9e93a84d94a97280414f78aa6a748319503a553a0793be788ad5",
+}
+
+
+@pytest.mark.parametrize("p,k", LOG_SHA256)
+def test_log_and_trace_digests_are_pinned(p, k):
+    field = FieldTable(p, k, PRIMITIVE_POLYS[(p, k)])
+    assert hashlib.sha256(field.log.astype("<i4").tobytes()).hexdigest() == LOG_SHA256[(p, k)]
+    assert hashlib.sha256(field.trace_table.tobytes()).hexdigest() == TRACE_SHA256[(p, k)]
 
 
 def test_sliced_add_matches_digit_sums():

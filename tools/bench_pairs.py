@@ -12,8 +12,10 @@ HEAD, exported with `git archive` into a temporary directory of its own
 the two sides run from alike places and every record measures a commit.
 It refuses to start while src/ differs from HEAD: commit first.  Both
 runs of a pair use the same seed, and the side that runs first alternates
-from pair to pair.  Runs go one at a time, so the two sides never share
-the CPU.
+from pair to pair.  The workloads are interleaved: pair i of every
+workload runs before pair i + 1 of any, so a change in host load during
+the runs falls on many pairs of each workload, not on one block of them.
+Runs go one at a time, so the two sides never share the CPU.
 
 It writes BENCH_<L>.json at the root of the checkout.  Each side is named
 by its commit and by the digest of its src/ tree that perfbench reports.
@@ -123,29 +125,29 @@ def main(argv=None) -> int:
         sides = {side: Path(tmp) / side for side in ("base", "head")}
         for side, root in sides.items():
             export(out[side]["commit"], root)
-        digests = {"base": set(), "head": set()}
-        for workload in (w["name"] for w in spec["workloads"]):
-            runs = {"base": [], "head": []}
-            seeds, first = [], []
-            for i in range(PAIRS):
-                seed = args.seed0 + i
-                order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        workloads = [w["name"] for w in spec["workloads"]]
+        runs = {w: {"base": [], "head": []} for w in workloads}
+        seeds = [args.seed0 + i for i in range(PAIRS)]
+        first = ["base" if i % 2 == 0 else "head" for i in range(PAIRS)]
+        for i, seed in enumerate(seeds):
+            for workload in workloads:
+                order = ("base", "head") if first[i] == "base" else ("head", "base")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, seed, seconds))
+                    runs[workload][side].append(run_once(sides[side], workload, seed, seconds))
                     print(f"{workload} pair {i + 1}/{PAIRS} seed {seed} {side}: "
                           + json.dumps({k: v["value"] for k, v in
-                                        runs[side][-1]["metrics"].items()}), flush=True)
-                seeds.append(seed)
-                first.append(order[0])
-            for side, rs in runs.items():
-                digests[side] |= {r["src_sha256"] for r in rs}
+                                        runs[workload][side][-1]["metrics"].items()}), flush=True)
+        digests = {side: {r["src_sha256"] for w in workloads for r in runs[w][side]}
+                   for side in sides}
+        for workload in workloads:
+            rs = runs[workload]
             out["workloads"][workload] = {
                 "seeds": seeds,
                 "first": first,
-                "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
-                "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
+                "failed": {side: [r["failed"] for r in rs[side]] for side in sides},
+                "attempted": {side: [r["attempted"] for r in rs[side]] for side in sides},
                 "metrics": {
-                    m["name"]: compare(m, *([r["metrics"][m["name"]]["value"] for r in runs[s]]
+                    m["name"]: compare(m, *([r["metrics"][m["name"]]["value"] for r in rs[s]]
                                             for s in ("base", "head")))
                     for m in spec["end_to_end"]
                 },
