@@ -305,17 +305,19 @@ class FieldTable:
         residues, each once.  So t has order q - 1, every nonzero residue
         is a unit, F_p[t]/(f) is a field and f is irreducible.
 
-        The recurrence splits the top digit off every t^i with no divmod:
-        by a shift and a mask at p = 2, and at p = 3 by a floor division by
-        the scalar q/3, which numpy computes by a multiply and a shift, and
-        one multiply-subtract.  It adds only the p words c t^k, so `add` is
-        also tried on fixed operands: every pair of all-d words (d =
-        0..p-1, whose lowest digit blocks are full-width all-d words, so
-        each pair reads the table entry of its two digit values at the
-        field's block width) and 32 hashed pairs, under the trace's
-        additivity and x + ... + x = 0 (p terms).  The tables are int32 and
-        uint8, and the steps over all q elements compute in int32, apart
-        from the int64 sum `add` returns.
+        The recurrence splits the top digit off every t^i with no divmod.
+        At p = 2 it builds t^(i+1) in place from two shifts: the carried-out
+        bit times 2^k + t^k, XORed into t^i shifted up, clears bit k and adds
+        t^k.  At p = 3 it takes the top digit by a floor division by the
+        scalar q/3, which numpy computes by a multiply and a shift, and the
+        rest by one multiply-subtract, and adds c t^k with `add`.  It adds
+        only the p words c t^k, so `add` is also tried on fixed operands:
+        every pair of all-d words (d = 0..p-1, whose lowest digit blocks
+        are full-width all-d words, so each pair reads the table entry of
+        its two digit values at the field's block width) and 32 hashed
+        pairs, under the trace's additivity and x + ... + x = 0 (p terms).
+        The tables are int32 and uint8, and the steps over all q elements
+        compute in int32, apart from the int64 sum `add` returns.
         """
         q, p = self.q, self.p
         antilog = self.antilog
@@ -324,25 +326,26 @@ class FieldTable:
         # multiply-by-t recurrence in digit arithmetic, independent of the
         # fill: shift every digit up, and a carried-out top digit c adds c t^k
         red = sum(-c % p * p ** i for i, c in enumerate(self.modulus[:-1]))
-        corr = [self.scalar_mul(c, red) for c in range(p)]  # c t^k
-        # the top digit c of t^i, and the rest
-        if p == 2:
+        if p == 2:  # t^i shifted up, and a carried-out bit k swapped for t^k
+            succ = antilog << 1
             lead = antilog >> (self.k - 1)
-            rem = antilog & (q // 2 - 1)
+            lead *= q | red
+            succ ^= lead
         else:
-            lead = antilog // (q // 3)
+            lead = antilog // (q // 3)  # the top digit c of t^i
             rem = lead * -(q // 3)
             rem += antilog
-        rem *= p  # t^i without its top digit, shifted up
-        if p == 3:  # corr[c] = c corr[1] + (c >> 1) (corr[2] - 2 corr[1])
+            rem *= 3  # t^i without its top digit, shifted up
+            # c -> c t^k in place, in int32 (below 2q): c red, plus at c = 2
+            # the gap between the field's 2 t^k and the integer 2 red
             fix = lead >> 1
-            fix *= corr[2] - 2 * corr[1]
-        lead *= corr[1]  # c -> c t^k in place, in int32 (below 2q)
-        if p == 3:
+            fix *= self.scalar_mul(2, red) - 2 * red
+            lead *= red
             lead += fix
             del fix
-        succ = self.add(rem, lead)  # t^(i+1)
-        del rem, lead  # before the scatter below
+            succ = self.add(rem, lead)  # t^(i+1)
+            del rem
+        del lead  # before the scatter below
         if not (np.array_equal(succ[:-1], antilog[1:]) and succ[-1] == antilog[0]):
             raise AssertionError("antilog recurrence broken")
         del succ
